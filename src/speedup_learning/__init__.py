@@ -19,7 +19,6 @@ from .core import (
     BOTTOM,
     DomainSpec,
     Example,
-    LearnParams,
     OracleConfig,
     is_consistent,
     replay,
@@ -50,7 +49,6 @@ __all__ = [
     "FeatureOrdering",
     "Grammar",
     "IncrementalRuleLearner",
-    "LearnParams",
     "MacroTable",
     "Node",
     "OracleConfig",

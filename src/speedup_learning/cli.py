@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import random
 import sys
@@ -57,8 +56,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from . import eight_puzzle
-    from .macro_tables import verify_table
+    from . import eight_puzzle, oracles
 
     if not args.build_exhaustive:
         print("nothing to do; pass --build-exhaustive", file=sys.stderr)
@@ -74,111 +72,38 @@ def _cmd_table(args) -> int:
     print(f"nonempty macros: {table.nonempty_count()}")
     if args.verify:
         boards = eight_puzzle.all_solvable_boards()
-        ok, witness = verify_table(table, eight_puzzle.domain_spec(), boards)
+        ok, detail = oracles.exhaustive_table(table, boards)
         print(f"verify_table over {len(boards)} boards: {'PASS' if ok else 'FAIL'}")
         if not ok:
-            print(f"witness: {witness}")
+            print(detail)
             return 1
     return 0
 
 
 def _cmd_verify(args) -> int:
-    failures = []
-
-    def report(name, ok, detail=""):
-        print(f"{'PASS' if ok else 'FAIL'} {name}{(': ' + detail) if detail else ''}")
-        if not ok:
-            failures.append(name)
-
-    from . import eight_puzzle, integration
-    from .core import sample_size
-    from .grammar import msg
-    from .macro_tables import check_serial_decomposability, verify_table
-
-    report("sample-bound 585", sample_size(0.1, 0.1, 81) == 585)
-    report("sample-bound 266", sample_size(0.1, 0.1, 35) == 266)
-
-    form = msg(integration.GRAMMAR, [
-        "∫ ( sin x ) + ( x ^ 2 ) d x".split(),
-        "∫ ( cos x ) + ( sin x ) d x".split(),
-    ])
-    report("msg worked example", form.symbols == ("∫", "Trig", "+", "P-term", "d", "x"),
-           " ".join(form.symbols))
+    from . import eight_puzzle, oracles
 
     boards = eight_puzzle.all_solvable_boards()
-    report("state count 181440", len(boards) == 181440, str(len(boards)))
-
-    domain = eight_puzzle.domain_spec()
-    ok, _ = check_serial_decomposability(
-        domain, eight_puzzle.blank_first_ordering(), boards
-    )
-    report("decomposability blank-first", ok)
-    bad, witness = check_serial_decomposability(
-        domain, eight_puzzle.blank_last_ordering(), boards
-    )
-    report("decomposability blank-last fails", not bad,
-           f"witness={witness}" if witness else "no witness found")
-
     table = eight_puzzle.build_exhaustive_table()
-    report("35 nonempty macros", table.nonempty_count() == 35,
-           str(table.nonempty_count()))
-    ok, witness = verify_table(table, domain, boards)
-    report("table property + nonredundancy", ok, str(witness) if witness else "")
-
+    # One stream, drawn in order: the subgoal instances, then the teacher's.
     rng = random.Random(20260824)
-    ordering = eight_puzzle.blank_first_ordering()
-    ida_ok = True
-    for _ in range(args.search_instances):
-        b = eight_puzzle.random_solvable(rng)
-        i = rng.randrange(1, 8)
-        b = _advance_to_column(b, table, i)
-        got = eight_puzzle.ida_star_subgoal(b, i, ordering)
-        opt = eight_puzzle.bfs_subgoal(b, i, ordering)
-        if len(got) != len(opt):
-            ida_ok = False
-            break
-    report(f"IDA* optimal on {args.search_instances} subgoals", ida_ok)
-
-    bad_solve = 0
-    bad_numeric = 0
-    for t in range(args.teacher_draws):
-        p = integration.generate_problem(rng)
-        trace = integration.teacher_trace(p)
-        if trace is None or not integration.is_goal(trace[1]):
-            bad_solve += 1
-            continue
-        if t < args.numeric_checks and not _numerically_sound(p, trace[1]):
-            bad_numeric += 1
-    report(f"teacher normalizes {args.teacher_draws} draws", bad_solve == 0,
-           f"{bad_solve} failures")
-    report(f"numeric soundness on {min(args.numeric_checks, args.teacher_draws)} problems",
-           bad_numeric == 0, f"{bad_numeric} failures")
-
-    return 1 if failures else 0
-
-
-def _advance_to_column(board, table, i):
-    from . import eight_puzzle
-
-    for p in range(1, i):
-        j = board[table.ordering.feature(p)]
-        macro = table.get(j, p)
-        for op in macro:
-            board = eight_puzzle.apply_move(board, eight_puzzle.MOVE_LETTERS[op - 1])
-    return board
-
-
-def _numerically_sound(problem, answer, rel_tol=1e-6):
-    from . import integration
-
-    integrand = problem.args[0]
-    d = integration.differentiate(answer)
-    for x in (0.1, 0.5, 1.3):
-        lhs = integration.numeric_value(d, x)
-        rhs = integration.numeric_value(integrand, x)
-        if not math.isclose(lhs, rhs, rel_tol=rel_tol, abs_tol=1e-9):
-            return False
-    return True
+    checks = (
+        ("sample bounds 585/266", oracles.sample_bounds),
+        ("msg worked example", oracles.msg_worked_example),
+        ("state count 181440", lambda: oracles.state_count(boards)),
+        ("serial decomposability", lambda: oracles.decomposability(boards)),
+        ("exhaustive table", lambda: oracles.exhaustive_table(table, boards)),
+        (f"IDA* optimal on {args.search_instances} subgoals",
+         lambda: oracles.subgoal_optimality(rng, args.search_instances, 7, table)),
+        (f"teacher sound on {args.teacher_draws} draws",
+         lambda: oracles.teacher_soundness(rng, args.teacher_draws, args.numeric_checks)),
+    )
+    failed = False
+    for name, check in checks:
+        ok, detail = check()
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        failed = failed or not ok
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

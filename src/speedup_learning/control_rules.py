@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import BOTTOM, Example, solved_problem
+from .core import BOTTOM, Example, is_consistent, solved_problem
 from .errors import ConsistencyError, ParameterError
 from .grammar import Node, msc, tree_yield
 
@@ -24,10 +24,6 @@ class ControlRule:
 
     operator_index: int
     cap: Optional[Node] = None
-
-    @property
-    def is_empty(self) -> bool:
-        return self.cap is None
 
 
 class RuleSet:
@@ -101,19 +97,24 @@ def rule_solve(ruleset: RuleSet, rdomain, x):
     return rule_solve_ex(ruleset, rdomain, x)[0]
 
 
+def _teacher_units(rdomain, example: Example):
+    """(operator index, unit) for each step of the teacher's solution, in
+    order; nothing for an unsolved example."""
+    if example.solution is BOTTOM:
+        return
+    x = example.problem
+    for op_index, loc in example.solution:
+        yield op_index, rdomain.subexpr(x, loc)
+        x = rdomain.apply(x, op_index, loc)
+
+
 def collect_select_examples(rdomain, sample: Sequence[Example]) -> dict:
     """Map operator index -> ordered distinct matching units the teacher
     applied that operator to, across all solved examples."""
     collected: dict = {}
     for example in sample:
-        if example.solution is BOTTOM:
-            continue
-        x = example.problem
-        for op_index, loc in example.solution:
-            unit = rdomain.subexpr(x, loc)
-            bucket = collected.setdefault(op_index, {})
-            bucket.setdefault(id(unit), unit)
-            x = rdomain.apply(x, op_index, loc)
+        for op_index, unit in _teacher_units(rdomain, example):
+            collected.setdefault(op_index, {}).setdefault(id(unit), unit)
     return {op: list(bucket.values()) for op, bucket in collected.items()}
 
 
@@ -130,13 +131,8 @@ class IncrementalRuleLearner:
         self.version = 0
 
     def add_example(self, example: Example):
-        if example.solution is BOTTOM:
-            return
-        x = example.problem
-        for op_index, loc in example.solution:
-            unit = self.rdomain.subexpr(x, loc)
+        for op_index, unit in _teacher_units(self.rdomain, example):
             self._merge(op_index, self.rdomain.unit_tree(unit))
-            x = self.rdomain.apply(x, op_index, loc)
 
     def _merge(self, op_index: int, tree: Node):
         old = self.caps.get(op_index)
@@ -157,7 +153,7 @@ class IncrementalRuleLearner:
         return RuleSet(rules, step_limit)
 
 
-def learn_rules(rdomain, oracle, domain, m: int, check_consistency: bool = True) -> RuleSet:
+def learn_rules(rdomain, oracle, domain, m: int) -> RuleSet:
     """Draw m examples, generalize select-sets, and verify consistency.
 
     The returned RuleSet reproduces the teacher's exact solution on every
@@ -171,13 +167,6 @@ def learn_rules(rdomain, oracle, domain, m: int, check_consistency: bool = True)
     for example in sample:
         learner.add_example(example)
     ruleset = learner.ruleset()
-    if check_consistency:
-        for example in sample:
-            if example.solution is BOTTOM:
-                continue
-            produced = rule_solve(ruleset, rdomain, example.problem)
-            if produced is BOTTOM or tuple(produced) != tuple(example.solution):
-                raise ConsistencyError(
-                    "learned rules fail to reproduce a training solution"
-                )
+    if not is_consistent(lambda x: rule_solve(ruleset, rdomain, x), sample):
+        raise ConsistencyError("learned rules fail to reproduce a training solution")
     return ruleset

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from .errors import OracleIntegrityError, ParameterError, ReplayError
@@ -56,7 +56,6 @@ class DomainSpec:
     state_size: int
     goal_test: Callable[[Any], bool]
     operators: Sequence[Callable[..., Any]]
-    op_time_bound: float = 1.0
 
     def __post_init__(self):
         if self.state_size <= 0:
@@ -84,22 +83,6 @@ class Example:
     @property
     def solved(self) -> bool:
         return self.solution is not BOTTOM
-
-
-@dataclass(frozen=True)
-class LearnParams:
-    epsilon: float
-    delta: float
-    max_problem_size: int
-    max_solution_length: int
-
-    def __post_init__(self):
-        for name in ("epsilon", "delta"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and 0.0 < v <= 1.0):
-                raise ParameterError(f"{name} must be in (0, 1], got {v!r}")
-        if self.max_problem_size <= 0 or self.max_solution_length <= 0:
-            raise ParameterError("size limits must be positive")
 
 
 class OracleConfig:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .core import DomainSpec
 from .errors import MoveError, ParameterError
-from .macro_tables import FeatureOrdering, MacroTable
+from .macro_tables import FeatureOrdering, MacroTable, walk_columns
 
 N_TILES = 9
 N_POSITIONS = 9
@@ -42,17 +42,21 @@ _REVERSE = {"r": "l", "l": "r", "u": "d", "d": "u"}
 # Where the moving tile comes from, relative to the blank's (row, col).
 _SOURCE_DELTA = {"r": (0, -1), "l": (0, 1), "u": (1, 0), "d": (-1, 0)}
 
-# blank position -> move letter -> source position (or absent if illegal)
+# blank position -> move (letter or operator index) -> source position (or
+# absent if illegal).  Keying by index too lets table walks apply stored
+# macros without translating each operator back to its letter.
 _MOVE_SRC = {}
 for _p, (_r, _c) in COORD.items():
     _MOVE_SRC[_p] = {}
-    for _m, (_dr, _dc) in _SOURCE_DELTA.items():
+    for _op, _m in enumerate(MOVE_LETTERS, start=1):
+        _dr, _dc = _SOURCE_DELTA[_m]
         _src = _POS_AT.get((_r + _dr, _c + _dc))
         if _src is not None:
-            _MOVE_SRC[_p][_m] = _src
+            _MOVE_SRC[_p][_m] = _MOVE_SRC[_p][_op] = _src
 
 
-def apply_move(board: tuple, move: str) -> tuple:
+def apply_move(board: tuple, move) -> tuple:
+    """Slide one tile; ``move`` is a letter or its 1-based operator index."""
     src = _MOVE_SRC[board[0]].get(move)
     if src is None:
         raise MoveError(f"move {move!r} not applicable with blank at {board[0]}")
@@ -134,10 +138,10 @@ def random_solvable(rng: random.Random) -> tuple:
             return board
 
 
-def bfs_reachable(start: tuple = GOAL):
-    """All boards reachable from start (the 181 440 solvable boards)."""
-    seen = {start}
-    frontier = deque([start])
+def all_solvable_boards():
+    """The 181 440 boards reachable from the goal, by breadth-first search."""
+    seen = {GOAL}
+    frontier = deque([GOAL])
     while frontier:
         b = frontier.popleft()
         for m in MOVE_LETTERS:
@@ -149,10 +153,6 @@ def bfs_reachable(start: tuple = GOAL):
                 seen.add(nb)
                 frontier.append(nb)
     return seen
-
-
-def all_solvable_boards():
-    return bfs_reachable(GOAL)
 
 
 def domain_spec() -> DomainSpec:
@@ -277,22 +277,15 @@ def bfs_subgoal(board: tuple, i: int, ordering: FeatureOrdering,
 # ---------------------------------------------------------------------------
 
 
-def integrated_teacher(board: tuple, table: MacroTable,
-                       domain: Optional[DomainSpec] = None) -> tuple:
+def integrated_teacher(board: tuple, table: MacroTable) -> tuple:
     """Solve by columns, reusing the table's macros and searching (then
     inserting) for unfilled cells.  Every solution it emits is generable
     from the single table it is growing."""
-    solution = []
-    for i in range(1, table.n + 1):
-        j = board[table.ordering.feature(i)]
-        macro = table.get(j, i)
-        if macro is None:
-            macro = ida_star_subgoal(board, i, table.ordering, table.goal)
-            table.insert(j, i, macro)
-        for op in macro:
-            board = apply_move(board, MOVE_LETTERS[op - 1])
-            solution.append((op, None))
-    return tuple(solution)
+
+    def search(b, i):
+        return ida_star_subgoal(b, i, table.ordering, table.goal)
+
+    return tuple(walk_columns(table, board, apply_move, search)[1])
 
 
 def _canonical_state(i: int, j: int, ordering: FeatureOrdering,
@@ -345,18 +338,10 @@ def build_exhaustive_table(ordering: Optional[FeatureOrdering] = None) -> MacroT
 def table_trajectory(table: MacroTable, board: tuple):
     """The cells macro_solve would use on this board, with the solution.
 
-    Returns (cells, solution) where cells is a list of (j, i); assumes the
-    table has every needed cell (use with a fully built table).
+    Returns (cells, solution) where cells is a list of (j, i); raises
+    ParameterError when the table lacks a needed cell.
     """
-    cells = []
-    solution = []
-    for i in range(1, table.n + 1):
-        j = board[table.ordering.feature(i)]
-        macro = table.get(j, i)
-        if macro is None:
-            raise ParameterError(f"table is missing cell ({j}, {i})")
-        cells.append((j, i))
-        for op in macro:
-            board = apply_move(board, MOVE_LETTERS[op - 1])
-            solution.append((op, None))
-    return cells, tuple(solution)
+    cells, steps, _, missing = walk_columns(table, board, apply_move)
+    if missing is not None:
+        raise ParameterError(f"table is missing cell {missing}")
+    return cells, tuple(steps)

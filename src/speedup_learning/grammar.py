@@ -304,18 +304,6 @@ def parse(grammar: Grammar, tokens: Sequence[str], start: Optional[str] = None) 
 # ---------------------------------------------------------------------------
 
 
-def is_cap_of(cap: Node, tree: Node) -> bool:
-    """Check the cap conditions structurally: same root, every included node
-    matches the tree, and children are included all-or-none per node."""
-    if cap.label != tree.label:
-        return False
-    if not cap.children:
-        return True
-    if len(cap.children) != len(tree.children):
-        return False
-    return all(is_cap_of(c, t) for c, t in zip(cap.children, tree.children))
-
-
 def all_caps(tree: Node) -> Iterable[Node]:
     """Every cap of a tree, by exhaustive expand-or-cut choice per node.
 

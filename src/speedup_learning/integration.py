@@ -69,8 +69,6 @@ NUM = "num"
 NAMED = "named"
 VAR = "var"
 
-_BINARY = {SUM, DIFF, PROD, QUOT}
-
 
 class Expr:
     """Hash-consed expression node; equal structures are the same object."""
@@ -101,9 +99,16 @@ def _mk(kind: str, *args) -> Expr:
 
 
 def clear_expr_caches():
-    """Drop the interning table and all per-expression caches."""
+    """Drop the interning table and all per-expression caches.
+
+    The module constants are interned again at once: operators test them
+    by identity (``is ONE``), so a fresh ``num(1)`` must be ``ONE``.
+    """
     Expr._interned.clear()
     _trace_cache.clear()
+    for e in (VAR_X, ZERO, ONE, TWO):
+        e.cache.clear()
+        Expr._interned[(e.kind, e.args)] = e
 
 
 VAR_X = _mk(VAR, "x")
@@ -493,10 +498,6 @@ def _ops() -> list:
 
 OPERATORS: tuple = tuple(_ops())
 _OP_BY_INDEX = {op.index: op for op in OPERATORS}
-
-# Simplification operators define normal forms: an expression is solved when
-# no integral/derivative remains and none of these applies anywhere.
-SIMPLIFICATION_INDICES = tuple(range(18, 28))
 
 # Candidate operators by root node kind, for fast dispatch.
 _KIND_GROUPS = {

@@ -89,11 +89,6 @@ class MacroTable:
     def nonempty_count(self) -> int:
         return sum(1 for m in self.cells.values() if m)
 
-    def copy(self) -> "MacroTable":
-        t = MacroTable(self.n, self.v, self.goal, self.ordering, self.max_macro_len)
-        t.cells = dict(self.cells)
-        return t
-
     def dump(self, op_letters: Optional[Sequence[str]] = None) -> str:
         """Text grid: one row per value j, one cell per position i,
         ``-`` for the null macro and ``?`` for UNFILLED."""
@@ -135,32 +130,53 @@ def apply_macro(domain: DomainSpec, state, macro: Macro):
     return state
 
 
+def walk_columns(table: MacroTable, state, move, fill=None, last: Optional[int] = None):
+    """Walk the table's columns 1..last (default all) in order from state.
+
+    ``move(state, op_index)`` applies one stored operator.  At an UNFILLED
+    cell the walk stops, unless ``fill(state, i)`` is given: its macro is
+    then inserted and used.  Returns (cells, steps, state, missing): the
+    (j, i) cells used, the solution steps, the state reached and the
+    UNFILLED cell the walk stopped at (None when it ran to the end).
+    """
+    perm, cells, steps = table.ordering.perm, [], []
+    for i in range(1, (table.n if last is None else last) + 1):
+        j = state[perm[i - 1]]
+        macro = table.cells.get((j, i))
+        if macro is None:
+            if fill is None:
+                return cells, steps, state, (j, i)
+            macro = fill(state, i)
+            table.insert(j, i, macro)
+        cells.append((j, i))
+        for op in macro:
+            state = move(state, op)
+            steps.append((op, None))
+    return cells, steps, state, None
+
+
+def _walk_domain(table: MacroTable, domain: DomainSpec, state):
+    try:
+        return walk_columns(table, state, domain.apply)
+    except ParameterError:
+        raise
+    except Exception as exc:
+        raise TableCorruptionError(f"stored macro step inapplicable: {exc}") from exc
+
+
 def macro_solve(table: MacroTable, domain: DomainSpec, state):
     """Solve by walking the columns; ⊥ on any UNFILLED cell or (defensively)
     if the walk fails to reach the goal."""
-    solution = []
-    for i in range(1, table.n + 1):
-        j = state[table.ordering.feature(i)]
-        macro = table.get(j, i)
-        if macro is None:
-            return BOTTOM
-        state = apply_macro(domain, state, macro)
-        solution.extend((op, None) for op in macro)
-    if tuple(state) != table.goal:
+    _, steps, state, missing = _walk_domain(table, domain, state)
+    if missing is not None or tuple(state) != table.goal:
         return BOTTOM
-    return tuple(solution)
+    return tuple(steps)
 
 
 def macro_solve_missing(table: MacroTable, domain: DomainSpec, state):
     """The first (j, i) cell macro_solve would need but finds UNFILLED, or
     None if every needed cell is filled.  Diagnostic companion to ⊥."""
-    for i in range(1, table.n + 1):
-        j = state[table.ordering.feature(i)]
-        macro = table.get(j, i)
-        if macro is None:
-            return (j, i)
-        state = apply_macro(domain, state, macro)
-    return None
+    return _walk_domain(table, domain, state)[3]
 
 
 def serial_parse_into(table: MacroTable, domain: DomainSpec, example: Example):

@@ -4,31 +4,24 @@ Each test prints a single PASS line for its criterion on success (pytest is
 run with -s so the verdicts land in the log).
 """
 
-import math
 import random
 
 from speedup_learning import eight_puzzle as ep
 from speedup_learning import integration as I
+from speedup_learning import oracles
 from speedup_learning.control_rules import IncrementalRuleLearner, rule_solve
-from speedup_learning.core import Example, is_consistent, sample_size
+from speedup_learning.core import Example, is_consistent
 from speedup_learning.grammar import (
     all_caps,
+    cap_matches_tree,
     enumerate_sentences,
-    is_cap_of,
     membership,
     msc,
-    msg,
     parse,
     tree_yield,
 )
 from speedup_learning.harness import ExperimentConfig, run_curve
-from speedup_learning.macro_tables import (
-    MacroTable,
-    check_serial_decomposability,
-    macro_solve,
-    serial_parse_into,
-    verify_table,
-)
+from speedup_learning.macro_tables import MacroTable, macro_solve, serial_parse_into
 
 
 def _ok(n, detail):
@@ -36,8 +29,8 @@ def _ok(n, detail):
 
 
 def test_criterion_01_sample_bound_exactness():
-    assert sample_size(0.1, 0.1, 81) == 585
-    assert sample_size(0.1, 0.1, 35) == 266
+    ok, detail = oracles.sample_bounds()
+    assert ok, detail
     _ok(1, "bound(0.1, 0.1, 81) = 585 and bound(0.1, 0.1, 35) = 266")
 
 
@@ -53,28 +46,22 @@ def test_criterion_02_eight_puzzle_learning_curve():
 
 
 def test_criterion_03_exhaustive_table(exhaustive_table, all_boards):
-    assert exhaustive_table.filled_count() == 44
-    assert exhaustive_table.nonempty_count() == 35
-    ok, witness = verify_table(exhaustive_table, ep.domain_spec(), all_boards)
-    assert ok, witness
+    ok, detail = oracles.exhaustive_table(exhaustive_table, all_boards)
+    assert ok, detail
     _ok(3, "44 cells filled, exactly 35 nonempty macros, table property and "
            f"nonredundancy verified over {len(all_boards)} boards")
 
 
 def test_criterion_04_state_space_count(all_boards):
-    assert len(all_boards) == 181440 == math.factorial(9) // 2
+    ok, detail = oracles.state_count(all_boards)
+    assert ok, detail
     _ok(4, "breadth-first enumeration from the goal reaches 181440 = 9!/2 boards")
 
 
 def test_criterion_05_serial_decomposability(all_boards):
-    dom = ep.domain_spec()
-    ok, witness = check_serial_decomposability(dom, ep.blank_first_ordering(), all_boards)
-    assert ok and witness is None
-    bad, witness = check_serial_decomposability(dom, ep.blank_last_ordering(), all_boards)
-    assert not bad and witness is not None
-    op_index, position, s_a, s_b = witness
-    print(f"  blank-last witness: operator {op_index} at ordered position "
-          f"{position}, boards {ep.board_to_text(s_a)} vs {ep.board_to_text(s_b)}")
+    ok, detail = oracles.decomposability(all_boards)
+    assert ok, detail
+    print(f"  {detail}")
     _ok(5, "blank-first ordering decomposable over all boards; blank-last "
            "fails with the printed witness")
 
@@ -101,11 +88,8 @@ def test_criterion_06_walkthrough_replays():
 
 
 def test_criterion_07_msg_worked_example():
-    form = msg(I.GRAMMAR, [
-        "∫ ( sin x ) + ( x ^ 2 ) d x".split(),
-        "∫ ( cos x ) + ( sin x ) d x".split(),
-    ])
-    assert form.symbols == ("∫", "Trig", "+", "P-term", "d", "x")
+    ok, detail = oracles.msg_worked_example()
+    assert ok, detail
     _ok(7, "msg of the two worked problems is `∫ Trig + P-term d x`")
 
 
@@ -151,24 +135,8 @@ def test_criterion_09_integration_curve_and_teacher():
     assert final.num_examples == 30
     assert final.mean_accuracy >= 0.95, final
 
-    rng = random.Random(20260824)
-    failures = 0
-    problems = []
-    for _ in range(100_000):
-        p = I.generate_problem(rng)
-        trace = I.teacher_trace(p)
-        if trace is None or not I.is_goal(trace[1]):
-            failures += 1
-        elif len(problems) < 1000:
-            problems.append((p, trace[1]))
-    assert failures == 0
-
-    for p, answer in problems:
-        d = I.differentiate(answer)
-        for x in (0.1, 0.5, 1.3):
-            assert math.isclose(I.numeric_value(d, x),
-                                I.numeric_value(p.args[0], x),
-                                rel_tol=1e-6, abs_tol=1e-9)
+    ok, detail = oracles.teacher_soundness(random.Random(20260824), 100_000, 1000)
+    assert ok, detail
     _ok(9, f"50-trial curve final mean {final.mean_accuracy:.4f} >= 0.95 at 30 "
            "examples; teacher normalized 100000 draws with 0 failures; "
            "numeric soundness held on 1000 solved problems")
@@ -203,7 +171,7 @@ def test_criterion_10_oracle_equivalence():
         trees = [parse(small, _random_small_tokens(rng))
                  for _ in range(rng.choice([2, 2, 3]))]
         common = [c for c in all_caps(trees[0])
-                  if all(is_cap_of(c, t) for t in trees[1:])]
+                  if all(cap_matches_tree(c, t) for t in trees[1:])]
         brute = max(common, key=size)
         assert sum(1 for c in common if size(c) == size(brute)) == 1
         assert msc(trees) == brute
@@ -222,12 +190,8 @@ def test_criterion_10_oracle_equivalence():
             assert membership(small, form, sentence) == (sentence in derivable)
         checked += 1
 
-    ordering = ep.blank_first_ordering()
-    for _ in range(100):
-        b = ep.random_solvable(rng)
-        i = rng.randrange(1, 6)
-        got = ep.ida_star_subgoal(b, i, ordering)
-        assert len(got) == len(ep.bfs_subgoal(b, i, ordering))
+    ok, detail = oracles.subgoal_optimality(rng, 100, 5)
+    assert ok, detail
     _ok(10, "msc = brute-force cap meet on 500 instances; membership matched "
             "exhaustive enumeration for 20 forms; IDA* subgoal lengths "
             "BFS-optimal on 100 instances")

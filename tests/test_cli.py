@@ -52,3 +52,30 @@ def test_parser_rejects_unknown_domain():
 def test_verify_subcommand_wiring():
     args = build_parser().parse_args(["verify", "--all", "--teacher-draws", "10"])
     assert args.teacher_draws == 10 and args.command == "verify"
+
+
+def _stub_oracles(monkeypatch, failing=None):
+    from speedup_learning import eight_puzzle, oracles
+
+    monkeypatch.setattr(eight_puzzle, "all_solvable_boards", lambda: {eight_puzzle.GOAL})
+    names = ("sample_bounds", "msg_worked_example", "state_count", "decomposability",
+             "exhaustive_table", "subgoal_optimality", "teacher_soundness")
+    for name in names:
+        ok = name != failing
+        monkeypatch.setattr(oracles, name, lambda *a, ok=ok, name=name: (ok, f"stub {name}"))
+
+
+def test_verify_all_passes_when_every_oracle_passes(monkeypatch, capsys):
+    _stub_oracles(monkeypatch)
+    assert main(["verify", "--all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7 and all(line.startswith("PASS ") for line in lines)
+
+
+def test_verify_all_fails_when_one_oracle_fails(monkeypatch, capsys):
+    _stub_oracles(monkeypatch, failing="decomposability")
+    assert main(["verify", "--all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL ")]
+    assert failed == ["FAIL serial decomposability: stub decomposability"]
+    assert len(lines) == 7

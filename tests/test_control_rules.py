@@ -14,7 +14,7 @@ from speedup_learning.control_rules import (
 )
 from speedup_learning.core import BOTTOM, Example, OracleConfig, is_consistent
 from speedup_learning.errors import ParameterError
-from speedup_learning.grammar import is_cap_of, msg, tree_yield
+from speedup_learning.grammar import cap_matches_tree, msg, tree_yield
 
 
 def _rdomain():
@@ -69,7 +69,7 @@ def test_incremental_learner_generalizes_monotonically():
         for op, cap in learner.caps.items():
             if op in previous:
                 # each update can only climb the cap lattice
-                assert is_cap_of(cap, previous[op])
+                assert cap_matches_tree(cap, previous[op])
         previous = dict(learner.caps)
     assert learner.version > 0
     v = learner.version

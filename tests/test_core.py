@@ -6,7 +6,6 @@ from speedup_learning.core import (
     BOTTOM,
     DomainSpec,
     Example,
-    LearnParams,
     OracleConfig,
     is_consistent,
     replay,
@@ -97,14 +96,6 @@ def test_replay_trajectory_and_failure_step():
 def test_example_solved_flag():
     assert Example(1, ((1, None),)).solved
     assert not Example(1, BOTTOM).solved
-
-
-def test_learn_params_validation():
-    LearnParams(0.1, 0.1, 10, 10)
-    with pytest.raises(ParameterError):
-        LearnParams(0.0, 0.1, 10, 10)
-    with pytest.raises(ParameterError):
-        LearnParams(0.1, 0.1, 0, 10)
 
 
 def test_solved_problem_validates_teacher():

@@ -28,6 +28,24 @@ def test_expressions_are_hash_consed():
         I.named("b")
 
 
+def test_cache_reset_keeps_constant_identities():
+    # operators 22-26 test the constants by identity, so a reset must not
+    # leave num(1) a different object from ONE
+    saved_interned, saved_traces = dict(I.Expr._interned), dict(I._trace_cache)
+    try:
+        I.clear_expr_caches()
+        assert I.num(1) is I.ONE and I.num(0) is I.ZERO and I.num(2) is I.TWO
+        assert _expr("x") is I.VAR_X
+        final = I.teacher_trace(_expr("∫ 1 * x d x"))[1]
+        assert I.to_text(final) == "( x ^ 2 ) / 2"
+        assert I.is_goal(final)
+    finally:
+        I.Expr._interned.clear()
+        I.Expr._interned.update(saved_interned)
+        I._trace_cache.clear()
+        I._trace_cache.update(saved_traces)
+
+
 def test_serialization_round_trip():
     rng = random.Random(5)
     for _ in range(150):

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speedup_learning import eight_puzzle as ep
 from speedup_learning.core import BOTTOM, DomainSpec, Example
@@ -69,15 +73,12 @@ def test_table_first_write_wins_and_limits():
         MacroTable(2, 2, (0, 0), FeatureOrdering((0,)))
 
 
-def test_table_dump_and_copy():
+def test_table_dump():
     t = MacroTable(2, 2, (0, 0), FeatureOrdering((0, 1)))
     t.insert(0, 1, ())
     t.insert(1, 2, (1, 2))
     assert t.dump() == "- ?\n? 1.2\n"
     assert t.dump(op_letters="ab") == "- ?\n? ab\n"
-    c = t.copy()
-    c.insert(1, 1, (2,))
-    assert not t.is_filled(1, 1)
 
 
 def test_apply_macro_and_corruption():
@@ -178,3 +179,32 @@ def test_verify_table_catches_broken_and_redundant_macros(all_boards):
     padded.cells[(j, 1)] = m + ep.letters_to_macro("rl")
     ok, witness = verify_table(padded, dom, sample)
     assert not ok and witness[0] == "redundant" and witness[1] == (j, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), examples=st.integers(0, 20),
+       queries=st.integers(1, 5))
+def test_walk_agrees_on_partly_learned_tables(seed, examples, queries):
+    rng = random.Random(seed)
+    dom = ep.domain_spec()
+    ordering = ep.blank_first_ordering()
+    teacher = MacroTable(ep.N_TILES, ep.N_POSITIONS, ep.GOAL, ordering)
+    learned = MacroTable(ep.N_TILES, ep.N_POSITIONS, ep.GOAL, ordering)
+    for _ in range(examples):
+        board = ep.random_solvable(rng)
+        serial_parse_into(learned, dom, Example(board, ep.integrated_teacher(board, teacher)))
+    for _ in range(queries):
+        board = ep.random_solvable(rng)
+        solution = macro_solve(learned, dom, board)
+        missing = macro_solve_missing(learned, dom, board)
+        assert (solution is BOTTOM) == (missing is not None)
+        if missing is not None:
+            assert not learned.is_filled(*missing)
+            with pytest.raises(ParameterError):
+                ep.table_trajectory(learned, board)
+            continue
+        cells, steps = ep.table_trajectory(learned, board)
+        assert steps == solution
+        assert len(cells) == ep.N_TILES and all(learned.is_filled(*c) for c in cells)
+        assert [learned.get(*c) for c in cells] == [teacher.get(*c) for c in cells]
+        assert ep.apply_moves(board, ep.macro_to_letters([op for op, _ in steps])) == ep.GOAL
