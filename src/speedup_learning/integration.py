@@ -14,6 +14,14 @@ one sentential form per operator (``teacher_ruleset``).  Its structural
 fast path (``teacher_trace``) decides by operator pattern instead of
 select-set membership; the two agree on the problem distribution and the
 test suite cross-checks them.
+
+``teacher_trace`` never restarts from the root.  Under post-order first
+match a subterm is fully normalized before anything to its right or above
+it fires, so the steps taken inside a subterm, and its normal form, depend
+on that subterm alone.  The teacher therefore solves each interned subterm
+once, composes the result into its parents, and keeps it in the subterm's
+``cache``; the test suite checks it step for step against the
+restart-from-root interpreter.
 """
 
 from __future__ import annotations
@@ -71,23 +79,24 @@ VAR = "var"
 
 
 class Expr:
-    """Hash-consed expression node; equal structures are the same object."""
+    """Hash-consed expression node; equal structures are the same object.
 
-    __slots__ = ("kind", "args", "cache")
+    ``children`` are the Expr arguments: none for the leaves (whose one
+    argument is an int or a name), all of ``args`` for every other kind.
+    """
+
+    __slots__ = ("kind", "args", "children", "cache")
 
     _interned: dict = {}
 
     def __init__(self, kind, args):
         self.kind = kind
         self.args = args
+        self.children = () if kind in (NUM, NAMED, VAR) else args
         self.cache = {}
 
     def __repr__(self):
         return f"<{to_text(self)}>"
-
-    @property
-    def children(self) -> tuple:
-        return tuple(a for a in self.args if isinstance(a, Expr))
 
 
 def _mk(kind: str, *args) -> Expr:
@@ -105,7 +114,6 @@ def clear_expr_caches():
     by identity (``is ONE``), so a fresh ``num(1)`` must be ``ONE``.
     """
     Expr._interned.clear()
-    _trace_cache.clear()
     for e in (VAR_X, ZERO, ONE, TWO):
         e.cache.clear()
         Expr._interned[(e.kind, e.args)] = e
@@ -539,14 +547,6 @@ def replace_at(e: Expr, loc: Sequence[int], new: Expr) -> Expr:
     if not 0 <= i < len(kids):
         raise LocationError(f"index {i} invalid at {to_text(e)!r}")
     kids[i] = replace_at(kids[i], loc[1:], new)
-    non_expr = [a for a in e.args if not isinstance(a, Expr)]
-    # every kind keeps Expr args contiguous and either all-leading or sole
-    if e.kind in (NUM, NAMED, VAR):
-        raise LocationError("leaf node has no children")
-    if e.kind in (INTEGRAL, DERIV):
-        return _mk(e.kind, kids[0], kids[1])
-    if non_expr:
-        raise LocationError("unexpected mixed argument layout")
     return _mk(e.kind, *kids)
 
 
@@ -603,52 +603,76 @@ def is_goal(e: Expr) -> bool:
     return not _contains_prob(e) and _find_first(e) is None
 
 
-def post_order_step(e: Expr):
-    """One interpreter step by operator pattern: (new_expr, op_index, path),
-    or None when e is in normal form."""
-    found = _find_first(e)
-    if found is None:
-        return None
-    path, op = found
-    return replace_at(e, path, op.rewrite(subexpr_at(e, path))), op.index, path
-
-
 # ---------------------------------------------------------------------------
 # Teacher
 # ---------------------------------------------------------------------------
 
 _MAX_TEACHER_STEPS = 10_000
-_trace_cache: dict = {}
-_TRACE_CACHE_MAX = 60_000
 
 
 def teacher_trace(e: Expr):
-    """Solve by repeated post_order_step.
+    """Solve by post-order first match, restarting from the root after each
+    step.
 
     Returns (steps, final) where each step is (op_index, path, unit) and
-    unit is the subexpression the operator was applied to; None if the step
-    limit is hit (never observed on the problem distribution).
+    unit is the subexpression the operator was applied to; None if the
+    solution takes more than ``_MAX_TEACHER_STEPS`` steps (never observed
+    on the problem distribution).
+
+    A subterm is normalized before anything to its right or above it
+    fires, so its trace depends on it alone: normalize the children left to
+    right (prefixing their steps with the child's index), rebuild the node,
+    and if an operator applies there, record it at () and go on with the
+    rewritten term.  Each subterm keeps (its steps, its normal form) in its
+    ``cache``.  The frames live on an explicit stack; one step count covers
+    the call, a memo hit adds its length, and a call that passes the limit
+    memoizes nothing.
     """
-    hit = _trace_cache.get(e)
-    if hit is not None:
-        return hit
-    steps = []
-    x = e
-    while True:
-        found = _find_first(x)
-        if found is None:
-            break
-        path, op = found
-        unit = subexpr_at(x, path)
-        steps.append((op.index, path, unit))
-        x = replace_at(x, path, op.rewrite(unit))
-        if len(steps) > _MAX_TEACHER_STEPS:
+    found = e.cache.get("tr")
+    if found is not None:
+        return found if len(found[0]) <= _MAX_TEACHER_STEPS else None
+    count = 0
+    fresh = {}  # subterm -> result, finished in this call
+    handed = None  # result of the frame just popped, for its parent
+    # A frame normalizes one subterm: [that subterm, the term it has reached
+    # (the subterm or a rewrite of it), steps so far, normal forms of that
+    # term's first children].
+    stack = [[e, e, [], []]]
+    while stack:
+        frame = stack[-1]
+        top, term, steps, kids = frame
+        children = term.children
+        i = len(kids)
+        if i < len(children):
+            sub, handed = handed, None
+            if sub is None:
+                child = children[i]
+                sub = child.cache.get("tr") or fresh.get(child)
+                if sub is None:
+                    stack.append([child, child, [], []])
+                    continue
+                count += len(sub[0])
+                if count > _MAX_TEACHER_STEPS:
+                    return None
+            steps += [(op, (i,) + path, unit) for op, path, unit in sub[0]]
+            kids.append(sub[1])
+            continue
+        kids = tuple(kids)
+        x = term if kids == children else _mk(term.kind, *kids)
+        op = _decide_ops(x)
+        if op is None:
+            handed = fresh[top] = (tuple(steps), x)
+            stack.pop()
+            continue
+        count += 1
+        if count > _MAX_TEACHER_STEPS:
             return None
-    result = (tuple(steps), x)
-    if len(_trace_cache) >= _TRACE_CACHE_MAX:
-        _trace_cache.clear()
-    _trace_cache[e] = result
-    return result
+        steps.append((op.index, (), x))
+        frame[1] = op.rewrite(x)
+        frame[3] = []
+    for t, result in fresh.items():
+        t.cache["tr"] = result
+    return handed
 
 
 def teacher_solve(e: Expr):

@@ -14,7 +14,7 @@ from speedup_learning.control_rules import (
 )
 from speedup_learning.core import BOTTOM, Example, OracleConfig, is_consistent
 from speedup_learning.errors import ParameterError
-from speedup_learning.grammar import cap_matches_tree, msg, tree_yield
+from speedup_learning.grammar import Node, cap_matches_tree, msg, tree_yield
 
 
 def _rdomain():
@@ -113,6 +113,20 @@ def test_rule_solve_statuses():
     starved = I.teacher_ruleset()
     starved = RuleSet(starved.rules, step_limit=0)
     assert rule_solve_ex(starved, rd, p) == (BOTTOM, "step_limit")
+    # a select-set wider than its operator's pattern: op 1 is picked at the
+    # first unit, rejects it, and the solve stops there
+    greedy = RuleSet([ControlRule(1, Node("Exp"))] + list(I.teacher_ruleset().rules[1:]))
+    assert rule_solve_ex(greedy, rd, p) == (BOTTOM, "no_match")
+
+
+def test_rule_solve_propagates_programming_errors():
+    class BrokenDomain(I.IntegrationRuleDomain):
+        def apply(self, e, op_index, loc):
+            raise TypeError("bug in apply")
+
+    p = I.parse_expr("∫ ( sin x ) + ( x ^ 2 ) d x".split())
+    with pytest.raises(TypeError):
+        rule_solve_ex(I.teacher_ruleset(), BrokenDomain(), p)
 
 
 def test_learn_rules_end_to_end_consistency():

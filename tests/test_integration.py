@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speedup_learning import integration as I
 from speedup_learning.control_rules import rule_solve
@@ -18,6 +20,31 @@ def _expr(text):
     return I.parse_expr(text.split())
 
 
+def _reference_step(e):
+    """One step of the restart-from-root interpreter, kept apart from the
+    memoized engine: (new_expr, op_index, path, unit) at the first
+    post-order node some operator's pattern admits, with the least-indexed
+    such operator; None in normal form."""
+    for path, unit in I.iter_postorder(e):
+        for op in I.OPERATORS:
+            if op.matches(unit):
+                return I.replace_at(e, path, op.rewrite(unit)), op.index, path, unit
+    return None
+
+
+def _reference_trace(e, limit):
+    """teacher_trace by repeated _reference_step: None past ``limit`` steps."""
+    steps = []
+    while True:
+        step = _reference_step(e)
+        if step is None:
+            return tuple(steps), e
+        e, op_index, path, unit = step
+        steps.append((op_index, path, unit))
+        if len(steps) > limit:
+            return None
+
+
 def test_expressions_are_hash_consed():
     assert I.add(I.num(1), I.VAR_X) is I.add(I.num(1), I.VAR_X)
     assert I.num(7) is I.num(7)
@@ -31,7 +58,9 @@ def test_expressions_are_hash_consed():
 def test_cache_reset_keeps_constant_identities():
     # operators 22-26 test the constants by identity, so a reset must not
     # leave num(1) a different object from ONE
-    saved_interned, saved_traces = dict(I.Expr._interned), dict(I._trace_cache)
+    constants = (I.VAR_X, I.ZERO, I.ONE, I.TWO)
+    saved_interned = dict(I.Expr._interned)
+    saved_caches = [dict(e.cache) for e in constants]
     try:
         I.clear_expr_caches()
         assert I.num(1) is I.ONE and I.num(0) is I.ZERO and I.num(2) is I.TWO
@@ -42,8 +71,9 @@ def test_cache_reset_keeps_constant_identities():
     finally:
         I.Expr._interned.clear()
         I.Expr._interned.update(saved_interned)
-        I._trace_cache.clear()
-        I._trace_cache.update(saved_traces)
+        for e, cache in zip(constants, saved_caches):
+            e.cache.clear()
+            e.cache.update(cache)
 
 
 def test_serialization_round_trip():
@@ -144,9 +174,50 @@ def test_post_order_least_index_discipline():
     # the first rewrite happens at the first post-order node admitting one,
     # with the least-indexed matching operator
     e = I.add(I.add(I.num(1), I.num(2)), I.integral(I.VAR_X))
-    new, op_index, path = I.post_order_step(e)
+    new, op_index, path, unit = _reference_step(e)
     assert (op_index, path) == (18, (0,))
     assert I.to_text(new) == "3 + ∫ x d x"
+    assert I.teacher_trace(e)[0][0] == (18, (0,), unit)
+
+
+_LEAVES = st.one_of(
+    st.integers(0, 12).map(I.num),
+    st.sampled_from([I.VAR_X, I.named("a"), I.named("k"), I.sinx(), I.cosx()]),
+)
+
+
+def _grow(inner):
+    unary = st.tuples(st.sampled_from([I.integral, I.deriv, I.neg, I.powx]), inner)
+    binary = st.tuples(st.sampled_from([I.add, I.sub, I.mul, I.div]), inner, inner)
+    return unary.map(lambda t: t[0](t[1])) | binary.map(lambda t: t[0](t[1], t[2]))
+
+
+_EXPRS = st.recursive(_LEAVES, _grow, max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    _EXPRS.map(I.integral),
+    _EXPRS.map(I.deriv),
+    _EXPRS,
+    st.integers(0, 2**32).map(lambda seed: I.generate_problem(random.Random(seed))),
+), st.integers(0, 60))
+def test_trace_equals_restart_from_root_reference(e, limit):
+    # all 13 kinds, nested integrals and derivatives, foldable constants and
+    # problems from the distribution; under a small drawn step limit, draws
+    # that take longer (runaways among them) give None on both sides
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(I, "_MAX_TEACHER_STEPS", limit)
+        assert I.teacher_trace(e) == _reference_trace(e, limit)
+
+
+def test_step_limit_returns_none_on_runaway_by_parts(monkeypatch):
+    # by parts never bottoms out here: each round nests the integral deeper,
+    # which used to exhaust the Python stack before the step limit
+    e = _expr("∫ ( sin x ) * ∫ x * x d x d x")
+    assert I.teacher_trace(e) is None
+    monkeypatch.setattr(I, "_MAX_TEACHER_STEPS", 200)
+    assert I.teacher_trace(e) is None
 
 
 def test_is_goal():
