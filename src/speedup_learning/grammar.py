@@ -2,11 +2,24 @@
 
 Parsing is chart-based (Earley); every sentence of a conforming grammar has
 exactly one parse tree, and discovering a second one raises
-``AmbiguityError``.  Generalization works on *caps*: prefix-closed,
-sibling-closed subtrees of a parse tree rooted at its root.  The yield of a
-cap is a sentential form, and the most specific common cap (``msc``) of a
-set of parse trees yields the unique most specific generalization (``msg``)
-of the underlying sentences.
+``AmbiguityError``.  The completer visits only the items awaiting the
+completed symbol, and a deterministic right recursion (``Exp -> Term + Exp``,
+``Int -> Digit Int``) is completed through Leo's items in one step per
+token instead of one per nesting level (Leo 1991, TCS 82; Aycock &
+Horspool 2002).  So for an LR-regular grammar without nullable symbols,
+such as the integration grammar, ``parse`` takes time and memory linear
+in the input, and the tree is read off the one derivation the recogniser
+recorded.  When some Earley item has two derivations, or the grammar has
+nullable symbols, it falls back to plain Earley spans and a search over
+their splits, polynomial but not linear.  Parsing, ``msc``,
+``cap_matches_tree`` and ``tree_yield`` use explicit stacks, so however
+deep a tree is they do not reach the recursion limit.
+
+Generalization works on *caps*: prefix-closed, sibling-closed subtrees of a
+parse tree rooted at its root.  The yield of a cap is a sentential form,
+and the most specific common cap (``msc``) of a set of parse trees yields
+the unique most specific generalization (``msg``) of the underlying
+sentences.
 
 Grammar text format: one production per line, ``Head -> sym sym | sym ...``,
 ``#`` starts a comment, and the head of the first production is the start
@@ -109,6 +122,7 @@ class Grammar:
         for head, body in productions:
             self.by_head.setdefault(head, []).append(body)
         self._min_len: Optional[dict[str, int]] = None
+        self._rules: Optional[_Rules] = None
 
     @classmethod
     def from_text(cls, text: str) -> "Grammar":
@@ -151,132 +165,325 @@ class Grammar:
             self._min_len = lens
         return self._min_len[sym]
 
+    def _dotted_rules(self) -> "_Rules":
+        """The productions numbered for the Earley parser (built once)."""
+        if self._rules is None:
+            self._rules = _Rules(self)
+        return self._rules
+
 
 # ---------------------------------------------------------------------------
 # Earley recognition and unique-tree extraction
 # ---------------------------------------------------------------------------
 
 
-def _earley_spans(grammar: Grammar, tokens: Sequence[str], start: str):
-    """Run the Earley recogniser; return completed spans.
+class _Rules:
+    """A grammar's productions as numbered dotted rules, for ``parse``.
 
-    Result maps ``(head, i, j)`` to the set of production bodies with which
-    the nonterminal ``head`` derives ``tokens[i:j]``.
+    Rule ``r`` is a production with the dot before one body position, and
+    ``r + 1`` is the same production with the dot one symbol further on.
+    Besides the grammar's productions there is a start rule ``None -> A``
+    for every nonterminal, so that a parse of the whole input is an ordinary
+    Earley item.
     """
-    n = len(tokens)
-    prods = [
-        (head, body) for head, body in grammar.productions
-    ]
-    by_head: dict[str, list[int]] = {}
-    for idx, (head, _) in enumerate(prods):
-        by_head.setdefault(head, []).append(idx)
-    if start not in by_head:
-        raise ParseError(f"unknown start symbol {start!r}", 0)
 
-    # Item: (prod_index, dot, origin)
-    chart: list[set[tuple[int, int, int]]] = [set() for _ in range(n + 1)]
-    completed: dict[tuple[str, int, int], set[tuple[str, ...]]] = {}
-
-    def predict(pos, sym, agenda):
-        for pidx in by_head.get(sym, ()):
-            item = (pidx, 0, pos)
-            if item not in chart[pos]:
-                chart[pos].add(item)
-                agenda.append(item)
-
-    for pidx in by_head[start]:
-        chart[0].add((pidx, 0, 0))
-    max_pos = 0
-    for pos in range(n + 1):
-        agenda = list(chart[pos])
-        while agenda:
-            pidx, dot, origin = agenda.pop()
-            head, body = prods[pidx]
-            if dot == len(body):
-                completed.setdefault((head, origin, pos), set()).add(body)
-                # completer: advance items waiting on `head` at `origin`
-                for item2 in list(chart[origin]):
-                    p2, d2, o2 = item2
-                    h2, b2 = prods[p2]
-                    if d2 < len(b2) and b2[d2] == head:
-                        nitem = (p2, d2 + 1, o2)
-                        if nitem not in chart[pos]:
-                            chart[pos].add(nitem)
-                            agenda.append(nitem)
-                continue
-            sym = body[dot]
-            if grammar.is_nonterminal(sym):
-                predict(pos, sym, agenda)
-                # handle nonterminals already completed at this position
-                # (relevant for nullable symbols; none in practice, but safe)
-                if (sym, pos, pos) in completed:
-                    nitem = (pidx, dot + 1, origin)
-                    if nitem not in chart[pos]:
-                        chart[pos].add(nitem)
-                        agenda.append(nitem)
+    def __init__(self, grammar: Grammar):
+        self.after: list = []  # the symbol after the dot, None when complete
+        self.before: list = []  # the symbol before the dot, None at the start
+        self.head: list = []
+        self.body: list = []
+        self.penult: list[bool] = []  # the symbol after the dot ends the body
+        self.first: dict[str, list[int]] = {}  # head -> its rules, dot at 0
+        self.start: dict[str, int] = {}  # nonterminal -> its start rule
+        self.nonterminals = grammar.nonterminals
+        extra = [(None, (a,)) for a in sorted(grammar.nonterminals)]
+        for head, body in grammar.productions + extra:
+            if head is None:
+                self.start[body[0]] = len(self.after)
             else:
-                if pos < n and tokens[pos] == sym:
-                    nitem = (pidx, dot + 1, origin)
-                    if nitem not in chart[pos + 1]:
-                        chart[pos + 1].add(nitem)
-                        max_pos = max(max_pos, pos + 1)
-        if chart[pos]:
-            max_pos = max(max_pos, pos)
-    return completed, max_pos
+                self.first.setdefault(head, []).append(len(self.after))
+            for d in range(len(body) + 1):
+                self.after.append(body[d] if d < len(body) else None)
+                self.before.append(body[d - 1] if d else None)
+                self.head.append(head)
+                self.body.append(body)
+                self.penult.append(d == len(body) - 1)
+        self.nullable = any(grammar.min_yield_len(a) == 0 for a in grammar.nonterminals)
+        self._predictions: dict = {}
+
+    def predict(self, awaited: frozenset) -> tuple[dict, dict]:
+        """The rules predicted at a position where ``awaited`` nonterminals
+        are awaited, as (nonterminal -> rules at dot 0 awaiting it, terminal
+        -> rules at dot 0 scanning it).  For grammars without nullable
+        symbols only, where prediction depends on ``awaited`` alone, so the
+        items it makes need not be stored per position.  Memoized."""
+        tables = self._predictions.get(awaited)
+        if tables is None:
+            closure, todo = set(awaited), list(awaited)
+            while todo:
+                for r0 in self.first[todo.pop()]:
+                    sym = self.after[r0]
+                    if sym in self.nonterminals and sym not in closure:
+                        closure.add(sym)
+                        todo.append(sym)
+            tables = self._predictions[awaited] = ({}, {})
+            for head in sorted(closure):
+                for r0 in self.first[head]:
+                    sym = self.after[r0]
+                    tables[sym not in self.nonterminals].setdefault(sym, []).append(r0)
+        return tables
 
 
-def _build_unique_tree(grammar, tokens, start, completed):
-    """Build the unique tree for the full span; raise on ambiguity."""
+class _Column:
+    """One Earley set, kept after it is finished.  An item is a pair
+    (dotted rule, origin)."""
 
-    memo: dict[tuple, Node] = {}
+    __slots__ = ("wait", "predicted", "links", "leo")
 
-    def derive_symbol(sym: str, i: int, j: int) -> Optional[Node]:
-        if not grammar.is_nonterminal(sym):
-            if j == i + 1 and tokens[i] == sym:
-                return Node(sym)
+    def __init__(self):
+        self.wait: dict = {}  # nonterminal -> the items here awaiting it
+        self.predicted: dict = _NONE_PREDICTED  # or the first table of Rules.predict
+        self.links: dict = {}  # item -> the complete item that advanced it here
+        self.leo: dict = {}  # nonterminal -> top of its Leo chain, or None
+
+    def sole_awaiting(self, sym: str, pos: int):
+        """The one item at this column (position ``pos``) awaiting ``sym``,
+        or None when there are none or several."""
+        waiting, predicted = self.wait.get(sym, ()), self.predicted.get(sym, ())
+        if len(waiting) + len(predicted) != 1:
             return None
-        bodies = completed.get((sym, i, j))
-        if not bodies:
-            return None
-        key = (sym, i, j)
-        if key in memo:
-            return memo[key]
-        found: Optional[Node] = None
-        for body in bodies:
-            for children in split_body(body, 0, i, j):
-                tree = Node(sym, children)
-                if found is not None and tree != found:
-                    raise AmbiguityError(
-                        f"two parses for {sym!r} over tokens {i}:{j}"
-                    )
-                found = tree
-        memo[key] = found
-        return found
+        return waiting[0] if waiting else (predicted[0], pos)
 
-    def split_body(body, k, i, j):
-        """Yield all child-tuples deriving tokens[i:j] from body[k:]."""
-        if k == len(body):
-            if i == j:
-                yield ()
-            return
-        sym = body[k]
-        if not grammar.is_nonterminal(sym):
-            if i < j and tokens[i] == sym:
-                for rest in split_body(body, k + 1, i + 1, j):
-                    yield (Node(sym),) + rest
-            return
-        # minimum lengths prune the split search
-        lo = i + grammar.min_yield_len(sym)
-        hi = j - sum(grammar.min_yield_len(s) for s in body[k + 1 :])
-        for mid in range(lo, hi + 1):
-            if (sym, i, mid) in completed:
-                sub = derive_symbol(sym, i, mid)
-                if sub is None:
-                    continue
-                for rest in split_body(body, k + 1, mid, j):
-                    yield (sub,) + rest
 
-    return derive_symbol(start, 0, len(tokens))
+_NONE_PREDICTED: dict = {}
+
+
+def _leo_top(columns: list, rules: _Rules, origin: int, sym: str):
+    """The topmost item a completion of ``sym`` from ``origin`` completes.
+
+    When exactly one item awaits ``sym`` at ``origin`` and ``sym`` is the
+    last symbol of its rule, every completion of ``sym`` from there
+    completes that item too, and so on upwards while the same holds for its
+    head (Leo 1991).  Returns the last item of that chain, or None when
+    there is no chain.  Memoized per column; no recursion.
+    """
+    path = []
+    while True:
+        memo = columns[origin].leo
+        if sym in memo:
+            top = memo[sym]
+            break
+        sole = columns[origin].sole_awaiting(sym, origin)
+        if sole is None or not rules.penult[sole[0]]:
+            top = memo[sym] = None
+            break
+        r, o = sole
+        path.append((memo, sym, (r + 1, o)))
+        sym, origin = rules.head[r], o
+    for memo, sym, item in reversed(path):
+        if top is None:
+            top = item
+        memo[sym] = top
+    return top
+
+
+def _recognise(rules: _Rules, tokens: tuple, start: str, leo: bool):
+    """The Earley recogniser: one column per input position, each item's
+    awaited nonterminal indexed, so a completion visits only the items that
+    wait for it.
+
+    With ``leo`` (for grammars without nullable symbols), a completion with
+    a Leo chain above it adds only the chain's top item, so a right
+    recursion costs constant work per token instead of a completion per
+    nesting level; every item added over a nonterminal records the
+    complete item that advanced it (``_Column.links``), and the result is
+    None as soon as some item is derived twice.  Returns the columns up to
+    the last one reached, the (item, position) pairs added through a Leo
+    chain, and, without ``leo``, the completed spans: (head, origin) ->
+    {end: set of bodies}.
+    """
+    after, head, first, nonterminals = rules.after, rules.head, rules.first, rules.nonterminals
+    n = len(tokens)
+    columns: list[_Column] = []
+    via_leo: set = set()
+    spans: dict = {}
+    scanned = {(rules.start[start], 0)}
+    for pos in range(n + 1):
+        if not scanned:
+            break
+        col = _Column()
+        columns.append(col)
+        wait, links = col.wait, col.links
+        tok = tokens[pos] if pos < n else None
+        seen = set(scanned)  # items here at dot > 0
+        agenda = list(scanned)
+        scanned = set()
+        empty = set()  # nonterminals completed over the empty span here
+        while agenda:
+            item = agenda.pop()
+            r, origin = item
+            sym = after[r]
+            if sym is None:
+                done = head[r]
+                if leo:
+                    memo = columns[origin].leo
+                    top = memo[done] if done in memo else _leo_top(columns, rules, origin, done)
+                    if top is not None:
+                        if top in seen:
+                            return None
+                        seen.add(top)
+                        links[top] = item
+                        via_leo.add((top, pos))
+                        agenda.append(top)
+                        continue
+                else:
+                    spans.setdefault((done, origin), {}).setdefault(pos, set()).add(rules.body[r])
+                    if origin == pos:
+                        empty.add(done)
+                above = columns[origin]
+                advanced = [(r2 + 1, o2) for r2, o2 in above.wait.get(done, ())]
+                predicted = above.predicted.get(done)
+                if predicted:
+                    advanced += [(r0 + 1, origin) for r0 in predicted]
+                for new in advanced:
+                    if new in seen:
+                        if leo:
+                            return None
+                        continue
+                    seen.add(new)
+                    links[new] = item
+                    agenda.append(new)
+            elif sym == tok:
+                scanned.add((r + 1, origin))
+            elif sym in nonterminals:
+                waiting = wait.get(sym)
+                if waiting is None:
+                    wait[sym] = [item]
+                    if not leo:  # predict sym; with leo, Rules.predict does
+                        agenda.extend((r0, pos) for r0 in first[sym])
+                else:
+                    waiting.append(item)
+                if sym in empty and (r + 1, origin) not in seen:
+                    seen.add((r + 1, origin))
+                    agenda.append((r + 1, origin))
+        if leo:
+            col.predicted, scans = rules.predict(frozenset(wait))
+            scanned.update((r0 + 1, pos) for r0 in scans.get(tok, ()))
+    return columns, via_leo, spans
+
+
+def _tree_from_links(rules: _Rules, columns: list, via_leo: set, top) -> Node:
+    """The tree of the one derivation the recogniser recorded for ``top``, a
+    complete item in the last column.
+
+    Walks each rule from its last symbol back to its first on an explicit
+    stack.  A terminal steps back one position; a nonterminal steps back to
+    the origin of the complete item that advanced the rule over it, which
+    becomes a child.  Leo chains are expanded along this one derivation.
+    """
+    before, head, nonterminals = rules.before, rules.head, rules.nonterminals
+    leaves: dict = {}
+    chained: dict = {}  # (item, pos) -> last child, for items inside Leo chains
+    stack = [[top, len(columns) - 1, []]]
+    while True:
+        frame = stack[-1]
+        item, pos, kids = frame
+        r, origin = item
+        sym = before[r]
+        if sym is None:
+            node = Node(head[r], kids[::-1])
+            stack.pop()
+            if not stack:
+                return node
+            stack[-1][2].append(node)
+        elif sym not in nonterminals:
+            leaf = leaves.get(sym)
+            if leaf is None:
+                leaf = leaves[sym] = Node(sym)
+            kids.append(leaf)
+            frame[0], frame[1] = (r - 1, origin), pos - 1
+        else:
+            child = chained.pop((item, pos), None)
+            if child is None:
+                child = columns[pos].links[item]
+                if (item, pos) in via_leo:
+                    # climb the chain from the completion that started it
+                    done, mid = head[child[0]], child[1]
+                    while True:
+                        r2, o2 = columns[mid].sole_awaiting(done, mid)
+                        up = (r2 + 1, o2)
+                        if up == item:
+                            break
+                        chained[(up, pos)] = child
+                        child, done, mid = up, head[r2], o2
+            frame[0], frame[1] = (r - 1, origin), child[1]
+            stack.append([child, pos, []])
+
+
+def _tree_from_spans(grammar: Grammar, tokens: tuple, start: str, spans: dict) -> Node:
+    """The unique tree for the whole input from the completed spans; raises
+    ``AmbiguityError`` when a span it visits has two derivations.
+
+    Visits every split of every body of the spans reachable from the root,
+    as a top-down search for a second parse would: the last symbol may end
+    short of its parent's end and each symbol may end as late as the
+    minimum yield of the rest of the body allows, so a few spans that are
+    in no full parse are checked too.  A span that derives itself (a
+    cyclic grammar) has endless derivations and raises too.  Explicit
+    stack, no recursion.
+    """
+    nonterminals, min_len = grammar.nonterminals, grammar.min_yield_len
+
+    def splits(span):
+        """The child spans visited, and the derivation count (up to 2) with
+        one derivation, as a tuple of terminals and child spans."""
+        sym, i, j = span
+        visited: dict = {}  # ordered set
+        count, derivation = 0, None
+        for body in spans[(sym, i)][j]:
+            need = [0] * (len(body) + 1)  # minimum yield of body[k:]
+            for k in range(len(body) - 1, -1, -1):
+                need[k] = need[k + 1] + min_len(body[k])
+            states = {i: (1, ())}  # position reached -> (count, one child tuple)
+            for k, part in enumerate(body):
+                reached: dict = {}
+                for pos, (c, kids) in states.items():
+                    if part not in nonterminals:
+                        steps = [(pos + 1, part)] if pos < j and tokens[pos] == part else []
+                    else:
+                        ends = spans.get((part, pos), ())
+                        steps = [(e, (part, pos, e)) for e in ends if e <= j - need[k + 1]]
+                        visited.update((kid, None) for _, kid in steps)
+                    for e, kid in steps:
+                        c0, kids0 = reached.get(e, (0, None))
+                        reached[e] = (min(2, c0 + c), kids0 or kids + (kid,))
+                states = reached
+            if j in states:
+                count += states[j][0]
+                derivation = derivation or states[j][1]
+        if count > 1:
+            raise AmbiguityError(f"two parses for {sym!r} over tokens {i}:{j}")
+        return list(visited), derivation
+
+    nodes: dict = {}
+    root = (start, 0, len(tokens))
+    active = {root}
+    stack = [(root, *splits(root))]
+    while stack:
+        span, pending, derivation = stack[-1]
+        while pending and pending[-1] in nodes:
+            pending.pop()
+        if pending:
+            kid = pending.pop()
+            if kid in active:
+                raise AmbiguityError(f"{kid[0]!r} derives itself over tokens {kid[1]}:{kid[2]}")
+            active.add(kid)
+            stack.append((kid, *splits(kid)))
+            continue
+        stack.pop()
+        active.discard(span)
+        nodes[span] = Node(span[0], [nodes[k] if isinstance(k, tuple) else Node(k) for k in derivation])
+    return nodes[root]
 
 
 def parse(grammar: Grammar, tokens: Sequence[str], start: Optional[str] = None) -> Node:
@@ -284,19 +491,33 @@ def parse(grammar: Grammar, tokens: Sequence[str], start: Optional[str] = None) 
 
     Raises ``ParseError`` (with the failing position) if the tokens are not
     in the language, and ``AmbiguityError`` if two distinct parses exist.
+
+    A grammar without nullable symbols is parsed in one pass with Leo
+    chains, and the tree comes from the recorded derivation; that pass
+    stops at the first item with two derivations.  Then, and for grammars
+    with nullable symbols, the input is recognised again without Leo chains
+    and the tree comes from a search over the completed spans.
     """
     tokens = tuple(tokens)
     start = start or grammar.start
     for pos, tok in enumerate(tokens):
         if tok not in grammar.terminals:
             raise ParseError(f"unknown token {tok!r}", pos)
-    completed, max_pos = _earley_spans(grammar, tokens, start)
-    tree = _build_unique_tree(grammar, tokens, start, completed)
-    if tree is None:
-        raise ParseError(
-            f"tokens are not derivable from {start!r}", min(max_pos, len(tokens))
-        )
-    return tree
+    rules = grammar._dotted_rules()
+    if start not in rules.first:
+        raise ParseError(f"unknown start symbol {start!r}", 0)
+    n = len(tokens)
+    top = (rules.start[start] + 1, 0)
+    chart = None if rules.nullable else _recognise(rules, tokens, start, leo=True)
+    if chart is not None:
+        columns, via_leo, _ = chart
+        if len(columns) > n and top in columns[n].links:
+            return _tree_from_links(rules, columns, via_leo, top).children[0]
+    else:
+        columns, _, spans = _recognise(rules, tokens, start, leo=False)
+        if n in spans.get((start, 0), ()):
+            return _tree_from_spans(grammar, tokens, start, spans)
+    raise ParseError(f"tokens are not derivable from {start!r}", min(len(columns) - 1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +552,10 @@ def msc(trees: Sequence[Node]) -> Node:
     """Most specific common cap of parse trees (or caps) sharing a root label.
 
     Marches down all trees simultaneously, keeping a node's children exactly
-    when every input expands it with the same production.
+    when every input expands it with the same production.  Wherever the
+    result equals the first input's subtree it is that subtree itself, so
+    the msc of a cap and a tree it covers is the cap object.  Explicit
+    stack, no recursion.
     """
     if not trees:
         raise IncompatibleTreesError("msc of an empty tree list")
@@ -341,20 +565,36 @@ def msc(trees: Sequence[Node]) -> Node:
             raise IncompatibleTreesError(
                 f"root labels differ: {root!r} vs {t.label!r}"
             )
-
-    def walk(nodes: Sequence[Node]) -> Node:
+    done: list[Node] = []  # finished results, in post order
+    stack: list = [(tuple(trees), False)]
+    while stack:
+        nodes, expanded = stack.pop()
         first = nodes[0]
-        labels = tuple(c.label for c in first.children)
-        if labels and all(
-            tuple(c.label for c in n.children) == labels for n in nodes[1:]
-        ):
-            children = tuple(
-                walk([n.children[k] for n in nodes]) for k in range(len(labels))
-            )
-            return Node(first.label, children)
-        return Node(first.label)
-
-    return walk(list(trees))
+        kids = first.children
+        if expanded:  # the children's results are the last len(kids) done
+            got = done[len(done) - len(kids):]
+            del done[len(done) - len(kids):]
+            for g, k in zip(got, kids):
+                if g is not k:
+                    done.append(Node(first.label, got))
+                    break
+            else:
+                done.append(first)
+            continue
+        rest = nodes[1:]
+        if not kids or all(n is first for n in rest):
+            done.append(first)
+            continue
+        labels = [k.label for k in kids]
+        for n in rest:
+            if n is not first and [c.label for c in n.children] != labels:
+                done.append(Node(first.label))  # productions differ: cut here
+                break
+        else:
+            stack.append((nodes, True))
+            for i in range(len(kids) - 1, -1, -1):
+                stack.append((tuple([n.children[i] for n in nodes]), False))
+    return done[0]
 
 
 def msg(
@@ -377,14 +617,19 @@ def msg(
 
 def cap_matches_tree(cap: Node, tree: Node) -> bool:
     """True iff ``cap`` is a cap of ``tree`` (nonterminal cap leaves match any
-    subtree with that root label)."""
-    if cap.label != tree.label:
-        return False
-    if not cap.children:
-        return True
-    if len(cap.children) != len(tree.children):
-        return False
-    return all(cap_matches_tree(c, t) for c, t in zip(cap.children, tree.children))
+    subtree with that root label).  Explicit stack, no recursion."""
+    stack = [(cap, tree)]
+    while stack:
+        c, t = stack.pop()
+        if c is t:
+            continue
+        if c.label != t.label:
+            return False
+        if c.children:
+            if len(c.children) != len(t.children):
+                return False
+            stack.extend(zip(c.children, t.children))
+    return True
 
 
 def _form_matches_tree(form: Sequence[str], tree: Node) -> bool:

@@ -194,46 +194,79 @@ _EXP, _TERM, _PTERM = 2, 1, 0
 _NATURAL = {SUM: _EXP, DIFF: _EXP, PROD: _TERM, QUOT: _TERM}
 
 
+# Each kind's tokens: literal tokens and (argument index, category) slots.
+_LAYOUT = {
+    INTEGRAL: ("∫", (0, _EXP), "d", "x"),
+    DERIV: ("D", (0, _EXP), "x"),
+    SUM: ((0, _TERM), "+", (1, _EXP)),
+    DIFF: ((0, _TERM), "-", (1, _EXP)),
+    PROD: ((0, _PTERM), "*", (1, _TERM)),
+    QUOT: ((0, _PTERM), "/", (1, _TERM)),
+    NEG: ("(", "-", (0, _TERM), ")"),
+    POWER: ("(", "x", "^", (1, _TERM), ")"),
+    SIN: ("(", "sin", "x", ")"),
+    COS: ("(", "cos", "x", ")"),
+    VAR: ("x",),
+}
+
+
+def _layout(e: Expr, cat: int) -> tuple:
+    """The tokens of ``e`` where its context requires category ``cat``, with
+    its arguments left as (Expr, category) slots."""
+    if e.kind == NUM:
+        parts = tuple(str(e.args[0]))
+    elif e.kind == NAMED:
+        parts = (e.args[0],)
+    else:
+        parts = tuple(p if isinstance(p, str) else (e.args[p[0]], p[1]) for p in _LAYOUT[e.kind])
+    if _NATURAL.get(e.kind, _PTERM) > cat:
+        parts = ("(",) + parts + (")",)
+    return parts
+
+
 def _tokens(e: Expr, cat: int) -> tuple:
+    """The tokens of ``e`` in a context requiring ``cat``; memoized on ``e``
+    alone (one tuple per subterm would take memory quadratic in the depth of
+    a nested sum).  Explicit stack, no recursion."""
     key = ("tok", cat)
     t = e.cache.get(key)
-    if t is not None:
-        return t
-    nat = _NATURAL.get(e.kind, _PTERM)
-    if nat > cat:
-        t = ("(",) + _tokens(e, _EXP) + (")",)
-    elif e.kind == INTEGRAL:
-        t = ("∫",) + _tokens(e.args[0], _EXP) + ("d", "x")
-    elif e.kind == DERIV:
-        t = ("D",) + _tokens(e.args[0], _EXP) + ("x",)
-    elif e.kind == SUM:
-        t = _tokens(e.args[0], _TERM) + ("+",) + _tokens(e.args[1], _EXP)
-    elif e.kind == DIFF:
-        t = _tokens(e.args[0], _TERM) + ("-",) + _tokens(e.args[1], _EXP)
-    elif e.kind == PROD:
-        t = _tokens(e.args[0], _PTERM) + ("*",) + _tokens(e.args[1], _TERM)
-    elif e.kind == QUOT:
-        t = _tokens(e.args[0], _PTERM) + ("/",) + _tokens(e.args[1], _TERM)
-    elif e.kind == NEG:
-        t = ("(", "-") + _tokens(e.args[0], _TERM) + (")",)
-    elif e.kind == POWER:
-        t = ("(", "x", "^") + _tokens(e.args[1], _TERM) + (")",)
-    elif e.kind == SIN:
-        t = ("(", "sin", "x", ")")
-    elif e.kind == COS:
-        t = ("(", "cos", "x", ")")
-    elif e.kind == NUM:
-        t = tuple(str(e.args[0]))
-    elif e.kind == NAMED:
-        t = (e.args[0],)
-    else:  # var
-        t = ("x",)
-    e.cache[key] = t
+    if t is None:
+        out = []
+        stack = [(e, cat)]
+        while stack:
+            part = stack.pop()
+            if isinstance(part, str):
+                out.append(part)
+            else:
+                stack.extend(reversed(_layout(*part)))
+        t = e.cache[key] = tuple(out)
     return t
 
 
 def to_tokens(e: Expr) -> tuple:
     return _tokens(e, _EXP)
+
+
+def token_count(e: Expr) -> int:
+    """``len(to_tokens(e))``, memoized on every subterm: the rule solver's
+    step and size limits read it on every step.  No recursion."""
+    stack = [e]
+    while stack:
+        x = stack[-1]
+        if "ntok" in x.cache:
+            stack.pop()
+            continue
+        parts = _layout(x, _NATURAL.get(x.kind, _PTERM))
+        todo = [p[0] for p in parts if not isinstance(p, str) and "ntok" not in p[0].cache]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        x.cache["ntok"] = sum(
+            1 if isinstance(p, str) else p[0].cache["ntok"] + 2 * (_NATURAL.get(p[0].kind, _PTERM) > p[1])
+            for p in parts
+        )
+    return e.cache["ntok"]
 
 
 def to_text(e: Expr) -> str:
@@ -246,33 +279,31 @@ def parse_expr(tokens: Sequence[str], start: Optional[str] = None) -> Expr:
     return tree_to_expr(tree)
 
 
-def tree_to_expr(node: Node) -> Expr:
+def _reading(node: Node) -> tuple:
+    """How ``tree_to_expr`` reads one parse node: the children whose Exprs
+    it needs, and the function making the node's Expr from them."""
     label = node.label
     kids = node.children
     if label == "Prob":
-        if kids[0].label == "∫":
-            return integral(tree_to_expr(kids[1]))
-        return deriv(tree_to_expr(kids[1]))
+        return (kids[1],), integral if kids[0].label == "∫" else deriv
     if label in ("Exp", "Term"):
         if len(kids) == 1:
-            return tree_to_expr(kids[0])
-        op = kids[1].label
-        l, r = tree_to_expr(kids[0]), tree_to_expr(kids[2])
-        return {"+": add, "-": sub, "*": mul, "/": div}[op](l, r)
+            return (kids[0],), _same
+        return (kids[0], kids[2]), {"+": add, "-": sub, "*": mul, "/": div}[kids[1].label]
     if label == "P-term":
         if kids[0].label == "(":
             if kids[1].label == "-":
-                return neg(tree_to_expr(kids[2]))
-            return tree_to_expr(kids[1])
-        return tree_to_expr(kids[0])
+                return (kids[2],), neg
+            return (kids[1],), _same
+        return (kids[0],), _same
     if label == "Power":
-        return powx(tree_to_expr(kids[3]))
+        return (kids[3],), powx
     if label == "Trig":
-        return sinx() if kids[1].label == "sin" else cosx()
+        return (), sinx if kids[1].label == "sin" else cosx
     if label == "Const":
         if kids[0].label == "Int":
-            return tree_to_expr(kids[0])
-        return named(kids[0].label)
+            return (kids[0],), _same
+        return (), lambda: named(kids[0].label)
     if label == "Int":
         digits = []
         n = node
@@ -281,10 +312,32 @@ def tree_to_expr(node: Node) -> Expr:
             if len(n.children) == 1:
                 break
             n = n.children[1]
-        return num(int("".join(digits)))
+        return (), lambda: num(int("".join(digits)))
     if label == "Var":
-        return VAR_X
+        return (), lambda: VAR_X
     raise ParameterError(f"cannot interpret parse node {label!r}")
+
+
+def _same(e: Expr) -> Expr:
+    return e
+
+
+def tree_to_expr(node: Node) -> Expr:
+    """The Expr a parse tree denotes.  Explicit stack, no recursion."""
+    values: list = []
+    # (node, None) reads a node; (k, make) makes an Expr of the last k values
+    stack: list = [(node, None)]
+    while stack:
+        item, make = stack.pop()
+        if make is None:
+            kids, make = _reading(item)
+            stack.append((len(kids), make))
+            stack.extend((k, None) for k in reversed(kids))
+        else:
+            args = values[len(values) - item:]
+            del values[len(values) - item:]
+            values.append(make(*args))
+    return values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +883,9 @@ class IntegrationRuleDomain:
         return as_exp(unit)
 
     def unit_matches(self, cap: Node, unit: Expr) -> bool:
-        memo = unit.cache.setdefault("capm", {})
+        memo = unit.cache.get("capm")
+        if memo is None:
+            memo = unit.cache["capm"] = {}
         r = memo.get(cap)
         if r is None:
             r = memo[cap] = cap_matches_tree(cap, as_exp(unit))
@@ -843,15 +898,15 @@ class IntegrationRuleDomain:
         return apply_at(get_operator(op_index), e, loc or ())
 
     def default_step_limit(self, e: Expr) -> int:
-        return 50 * len(to_tokens(e))
+        return 50 * token_count(e)
 
     def state_size(self, e: Expr) -> int:
-        return len(to_tokens(e))
+        return token_count(e)
 
     def default_size_limit(self, e: Expr) -> int:
         # teacher derivations never exceed 3x the problem's token length on
         # the distribution; 8x + 64 leaves slack while cutting runaways
-        return 8 * len(to_tokens(e)) + 64
+        return 8 * token_count(e) + 64
 
 
 def format_example(problem: Expr, solution) -> str:

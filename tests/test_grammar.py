@@ -1,6 +1,9 @@
 import random
+from typing import Optional, Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speedup_learning.errors import (
     AmbiguityError,
@@ -21,6 +24,7 @@ from speedup_learning.grammar import (
     parse,
     tree_yield,
 )
+from speedup_learning import integration as I
 from speedup_learning.integration import GRAMMAR, generate_problem, to_tokens
 
 SMALL = Grammar.from_text("""
@@ -237,3 +241,308 @@ def test_membership_agrees_with_enumeration_exhaustively():
             assert membership(SMALL, form, sentence) == (sentence in derivable), (
                 form, sentence)
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# The cubic, recursive parser the linear one replaced, kept as its oracle
+# ---------------------------------------------------------------------------
+
+
+def _earley_spans(grammar: Grammar, tokens: Sequence[str], start: str):
+    """Run the Earley recogniser; return completed spans.
+
+    Result maps ``(head, i, j)`` to the set of production bodies with which
+    the nonterminal ``head`` derives ``tokens[i:j]``.
+    """
+    n = len(tokens)
+    prods = [
+        (head, body) for head, body in grammar.productions
+    ]
+    by_head: dict[str, list[int]] = {}
+    for idx, (head, _) in enumerate(prods):
+        by_head.setdefault(head, []).append(idx)
+    if start not in by_head:
+        raise ParseError(f"unknown start symbol {start!r}", 0)
+
+    # Item: (prod_index, dot, origin)
+    chart: list[set[tuple[int, int, int]]] = [set() for _ in range(n + 1)]
+    completed: dict[tuple[str, int, int], set[tuple[str, ...]]] = {}
+
+    def predict(pos, sym, agenda):
+        for pidx in by_head.get(sym, ()):
+            item = (pidx, 0, pos)
+            if item not in chart[pos]:
+                chart[pos].add(item)
+                agenda.append(item)
+
+    for pidx in by_head[start]:
+        chart[0].add((pidx, 0, 0))
+    max_pos = 0
+    for pos in range(n + 1):
+        agenda = list(chart[pos])
+        while agenda:
+            pidx, dot, origin = agenda.pop()
+            head, body = prods[pidx]
+            if dot == len(body):
+                completed.setdefault((head, origin, pos), set()).add(body)
+                # completer: advance items waiting on `head` at `origin`
+                for item2 in list(chart[origin]):
+                    p2, d2, o2 = item2
+                    h2, b2 = prods[p2]
+                    if d2 < len(b2) and b2[d2] == head:
+                        nitem = (p2, d2 + 1, o2)
+                        if nitem not in chart[pos]:
+                            chart[pos].add(nitem)
+                            agenda.append(nitem)
+                continue
+            sym = body[dot]
+            if grammar.is_nonterminal(sym):
+                predict(pos, sym, agenda)
+                # handle nonterminals already completed at this position
+                # (relevant for nullable symbols; none in practice, but safe)
+                if (sym, pos, pos) in completed:
+                    nitem = (pidx, dot + 1, origin)
+                    if nitem not in chart[pos]:
+                        chart[pos].add(nitem)
+                        agenda.append(nitem)
+            else:
+                if pos < n and tokens[pos] == sym:
+                    nitem = (pidx, dot + 1, origin)
+                    if nitem not in chart[pos + 1]:
+                        chart[pos + 1].add(nitem)
+                        max_pos = max(max_pos, pos + 1)
+        if chart[pos]:
+            max_pos = max(max_pos, pos)
+    return completed, max_pos
+
+
+def _build_unique_tree(grammar, tokens, start, completed):
+    """Build the unique tree for the full span; raise on ambiguity."""
+
+    memo: dict[tuple, Node] = {}
+
+    def derive_symbol(sym: str, i: int, j: int) -> Optional[Node]:
+        if not grammar.is_nonterminal(sym):
+            if j == i + 1 and tokens[i] == sym:
+                return Node(sym)
+            return None
+        bodies = completed.get((sym, i, j))
+        if not bodies:
+            return None
+        key = (sym, i, j)
+        if key in memo:
+            return memo[key]
+        found: Optional[Node] = None
+        for body in bodies:
+            for children in split_body(body, 0, i, j):
+                tree = Node(sym, children)
+                if found is not None and tree != found:
+                    raise AmbiguityError(
+                        f"two parses for {sym!r} over tokens {i}:{j}"
+                    )
+                found = tree
+        memo[key] = found
+        return found
+
+    def split_body(body, k, i, j):
+        """Yield all child-tuples deriving tokens[i:j] from body[k:]."""
+        if k == len(body):
+            if i == j:
+                yield ()
+            return
+        sym = body[k]
+        if not grammar.is_nonterminal(sym):
+            if i < j and tokens[i] == sym:
+                for rest in split_body(body, k + 1, i + 1, j):
+                    yield (Node(sym),) + rest
+            return
+        # minimum lengths prune the split search
+        lo = i + grammar.min_yield_len(sym)
+        hi = j - sum(grammar.min_yield_len(s) for s in body[k + 1 :])
+        for mid in range(lo, hi + 1):
+            if (sym, i, mid) in completed:
+                sub = derive_symbol(sym, i, mid)
+                if sub is None:
+                    continue
+                for rest in split_body(body, k + 1, mid, j):
+                    yield (sub,) + rest
+
+    return derive_symbol(start, 0, len(tokens))
+
+
+def _reference_parse(grammar, tokens, start=None):
+    """``parse`` as it was, over the two functions above."""
+    tokens = tuple(tokens)
+    start = start or grammar.start
+    for pos, tok in enumerate(tokens):
+        if tok not in grammar.terminals:
+            raise ParseError(f"unknown token {tok!r}", pos)
+    completed, max_pos = _earley_spans(grammar, tokens, start)
+    tree = _build_unique_tree(grammar, tokens, start, completed)
+    if tree is None:
+        raise ParseError(
+            f"tokens are not derivable from {start!r}", min(max_pos, len(tokens))
+        )
+    return tree
+
+
+def _same_tree(a, b):
+    """Structural equality on an explicit stack (``==`` recurses)."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x.label != y.label or len(x.children) != len(y.children):
+            return False
+        stack.extend(zip(x.children, y.children))
+    return True
+
+
+def _cyclic(grammar):
+    """Does some nonterminal derive itself (A =>+ A)?"""
+    nullable = {a for a in grammar.nonterminals if grammar.min_yield_len(a) == 0}
+    edges = {a: set() for a in grammar.nonterminals}
+    for head, body in grammar.productions:
+        for k, sym in enumerate(body):
+            others = body[:k] + body[k + 1:]
+            if sym in edges and all(s in nullable for s in others):
+                edges[head].add(sym)
+    for a in edges:
+        seen, todo = set(), list(edges[a])
+        while todo:
+            b = todo.pop()
+            if b == a:
+                return True
+            if b not in seen:
+                seen.add(b)
+                todo.extend(edges[b])
+    return False
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ParseError, AmbiguityError, RecursionError) as exc:
+        return exc
+
+
+def _assert_parses_as_reference(grammar, tokens, start=None):
+    want = _outcome(_reference_parse, grammar, tokens, start)
+    got = _outcome(parse, grammar, tokens, start)
+    if isinstance(want, RecursionError):
+        # a cyclic grammar derives the input in endless ways; the reference
+        # recursed into them, the parser reports them
+        assert _cyclic(grammar), (tokens, want)
+        assert isinstance(got, AmbiguityError), (tokens, got)
+    elif isinstance(want, Exception):
+        assert type(got) is type(want), (tokens, want, got)
+        if isinstance(want, ParseError):
+            assert got.position == want.position, (tokens, want, got)
+    else:
+        assert isinstance(got, Node), (tokens, got)
+        assert tree_yield(got) == tree_yield(want)  # (an empty body yields its head)
+        assert _same_tree(got, want)
+
+
+def _sum_sentence(rng, terms):
+    """``∫ t1 ± t2 ± ... d x``, right-nested sums of varied terms."""
+    def term():
+        base = rng.choice((I.sinx, I.cosx, lambda: I.VAR_X, lambda: I.named(rng.choice("ak")),
+                           lambda: I.num(rng.randrange(100)), lambda: I.neg(I.VAR_X)))()
+        if rng.random() < 0.6:
+            return I.mul(base, I.powx(I.num(rng.randrange(2, 10))))
+        return base
+
+    e = term()
+    for _ in range(terms - 1):
+        e = (I.add if rng.random() < 0.7 else I.sub)(term(), e)
+    return to_tokens(I.integral(e))
+
+
+def _mutate(rng, tokens, alphabet):
+    """The tokens with one token dropped, doubled or replaced."""
+    tokens = list(tokens)
+    if tokens:
+        k = rng.randrange(len(tokens))
+        edit = rng.randrange(3)
+        if edit == 0:
+            del tokens[k]
+        elif edit == 1:
+            tokens.insert(k, tokens[k])
+        else:
+            tokens[k] = rng.choice(alphabet)
+    return tokens
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(["problem", "sum", "broken"]))
+def test_parse_matches_reference_on_integration_inputs(seed, kind):
+    rng = random.Random(seed)
+    if kind == "problem":
+        tokens = to_tokens(generate_problem(rng))
+    else:
+        tokens = _sum_sentence(rng, rng.randrange(1, 13))
+        if kind == "broken":
+            tokens = _mutate(rng, tokens, sorted(GRAMMAR.terminals))
+    _assert_parses_as_reference(GRAMMAR, tokens)
+    if tokens and tokens[0] == "∫":
+        _assert_parses_as_reference(GRAMMAR, tokens[1:-2], "Exp")
+
+
+_NONTERMINALS = ("S", "A", "B")
+_BODY = st.lists(st.sampled_from(_NONTERMINALS + ("a", "b")), max_size=3).map(tuple)
+_GRAMMARS = st.lists(
+    st.lists(_BODY, min_size=1, max_size=3), min_size=3, max_size=3
+).map(lambda alts: Grammar(
+    [(head, body) for head, bodies in zip(_NONTERMINALS, alts) for body in bodies], "S"))
+
+
+def _derive(grammar, rng, budget=30):
+    """A sentence derived from S by random leftmost expansion, or None."""
+    form = ["S"]
+    for _ in range(budget):
+        k = next((k for k, sym in enumerate(form) if sym in grammar.nonterminals), None)
+        if k is None:
+            return form if len(form) <= 8 else None
+        form[k:k + 1] = rng.choice(grammar.by_head[form[k]])
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_GRAMMARS, st.integers(0, 2**32))
+def test_parse_matches_reference_on_random_grammars(grammar, seed):
+    rng = random.Random(seed)
+    for _ in range(4):
+        tokens = _derive(grammar, rng) if rng.random() < 0.6 else None
+        if tokens is None:
+            tokens = [rng.choice("ab") for _ in range(rng.randrange(7))]
+        elif rng.random() < 0.3:
+            tokens = _mutate(rng, tokens, ["a", "b"])
+        _assert_parses_as_reference(grammar, tokens, rng.choice(_NONTERMINALS))
+
+
+@pytest.mark.parametrize("text, sentences", [
+    ("E -> E + T | T\nT -> a | b", ["a", "a + b + a", "a + + b", "+ a", ""]),  # left recursion
+    ("E -> T + E | T\nT -> a | b", ["a + b + a", "a + b +", "b b"]),  # right recursion
+    ("E -> E + E | a", ["a", "a + a", "a + a + a"]),  # ambiguous
+    ("S -> A | a\nA -> S", ["a"]),  # cyclic
+    ("S -> A S | \nA -> a | ", ["", "a", "a a"]),  # nullable, cyclic
+    # "a b b" has one tree, S -> a (T -> b b), but the search for a second
+    # parse visits T over the first "b" alone, which derives it twice: both
+    # parsers raise AmbiguityError
+    ("S -> a T\nT -> b | W | b b\nW -> b", ["a b", "a b b"]),
+])
+def test_parse_matches_reference_on_fixed_grammars(text, sentences):
+    grammar = Grammar.from_text(text)
+    for sentence in sentences:
+        _assert_parses_as_reference(grammar, sentence.split())
+
+
+def test_parse_msg_membership_on_a_4096_term_sum():
+    rng = random.Random(4096)
+    s1, s2 = _sum_sentence(rng, 4096), _sum_sentence(rng, 4096)
+    assert len(s1) > 25_000
+    assert tree_yield(parse(GRAMMAR, s1)) == s1
+    form = msg(GRAMMAR, [s1, s2])
+    assert tree_yield(form.cap) == form.symbols
+    assert membership(GRAMMAR, form, s1) and membership(GRAMMAR, form, s2)
+    assert not membership(GRAMMAR, form, "∫ x + x d x".split())

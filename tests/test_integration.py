@@ -211,6 +211,28 @@ def test_trace_equals_restart_from_root_reference(e, limit):
         assert I.teacher_trace(e) == _reference_trace(e, limit)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_EXPRS, _EXPRS.map(I.integral), _EXPRS.map(I.deriv)))
+def test_tokens_round_trip_and_count(e):
+    tokens = I.to_tokens(e)
+    assert I.parse_expr(tokens, "Exp") is e
+    assert I.token_count(e) == len(tokens)
+
+
+def test_round_trip_of_deep_inputs():
+    # a 400-digit integer (Int -> Digit Int, 400 levels) and a 3000-deep
+    # negation chain: serializing, parsing and reading back recurse nowhere
+    big = I.num(int("9876543210" * 40))
+    assert I.parse_expr(I.to_tokens(big)) is big
+    chain = I.VAR_X
+    for _ in range(3000):
+        chain = I.neg(chain)
+    tokens = I.to_tokens(chain)
+    assert len(tokens) == 9001 == I.token_count(chain)
+    assert I.parse_expr(tokens) is chain
+    assert I.parse_expr(I.to_tokens(I.integral(chain))) is I.integral(chain)
+
+
 def test_step_limit_returns_none_on_runaway_by_parts(monkeypatch):
     # by parts never bottoms out here: each round nests the integral deeper,
     # which used to exhaust the Python stack before the step limit
