@@ -16,13 +16,14 @@ d=4, which is also the search tie-break order.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import deque
 from typing import Optional, Sequence
 
 from .core import DomainSpec
 from .errors import MoveError, ParameterError
-from .macro_tables import FeatureOrdering, MacroTable, walk_columns
+from .macro_tables import FeatureOrdering, MacroTable, solution_steps, walk_columns
 
 N_TILES = 9
 N_POSITIONS = 9
@@ -57,7 +58,10 @@ for _p, (_r, _c) in COORD.items():
 
 def apply_move(board: tuple, move) -> tuple:
     """Slide one tile; ``move`` is a letter or its 1-based operator index."""
-    src = _MOVE_SRC[board[0]].get(move)
+    try:
+        src = _MOVE_SRC[board[0]].get(move)
+    except KeyError:
+        raise MoveError(f"blank position {board[0]!r} is not on the board") from None
     if src is None:
         raise MoveError(f"move {move!r} not applicable with blank at {board[0]}")
     tile = board.index(src)
@@ -73,8 +77,59 @@ def apply_moves(board: tuple, moves: str) -> tuple:
     return board
 
 
+@functools.lru_cache(maxsize=256)
+def _macro_permutation(blank: int, macro: tuple) -> Optional[tuple]:
+    """Where each position's tile ends up when ``macro`` runs with the blank
+    at ``blank``: ``perm[p]`` is the final position of the tile that started
+    at p.  None when some move of the macro is illegal; KeyError (nothing
+    memoized) when ``blank`` is not a position."""
+    at = list(range(N_POSITIONS))  # at[q]: start position of the tile now at q
+    src_of = _MOVE_SRC[blank]
+    for op in macro:
+        src = src_of.get(op)
+        if src is None:
+            return None
+        at[blank], at[src] = at[src], at[blank]
+        blank = src
+        src_of = _MOVE_SRC[blank]
+    perm = [0] * N_POSITIONS
+    for q, p in enumerate(at):
+        perm[p] = q
+    return tuple(perm)
+
+
+def apply_macro(board: tuple, macro: tuple) -> tuple:
+    """Apply a whole macro (a tuple of operator indices) at once.
+
+    Which moves are legal, and which position each move slides a tile from,
+    depend only on where the blank is.  So from a fixed blank start a macro
+    always moves tiles by the same permutation of the nine positions,
+    whatever tiles sit where; the permutation is memoized per (blank,
+    macro), and applying it is one pass over the board.  A macro with an
+    illegal move is folded through ``apply_move`` instead, so the same
+    ``MoveError`` is raised at the same step.
+    """
+    try:
+        perm = _macro_permutation(board[0], macro)
+    except KeyError:
+        perm = None
+    if perm is None:
+        for op in macro:
+            board = apply_move(board, op)
+        return board
+    return tuple([perm[p] for p in board])
+
+
+_LETTER_OF = dict(enumerate(MOVE_LETTERS, start=1))
+
+
 def macro_to_letters(macro: Sequence[int]) -> str:
-    return "".join(MOVE_LETTERS[op - 1] for op in macro)
+    try:
+        return "".join([_LETTER_OF[op] for op in macro])
+    except (KeyError, TypeError):
+        raise ParameterError(
+            f"operator indices must lie in 1..{len(MOVE_LETTERS)}: {macro!r}"
+        ) from None
 
 
 def letters_to_macro(letters: str) -> tuple:
@@ -155,14 +210,28 @@ def all_solvable_boards():
     return seen
 
 
-def domain_spec() -> DomainSpec:
-    def make_mover(m):
-        return lambda state, loc: apply_move(state, m)
+def _operator(move: str):
+    """``apply_move`` for one fixed move, as a domain operator ``op(board,
+    loc)``: the move body runs directly under ``DomainSpec.apply``."""
+    src_of = {p: srcs.get(move) for p, srcs in _MOVE_SRC.items()}
 
+    def op(board, loc):
+        src = src_of.get(board[0])
+        if src is None:
+            raise MoveError(f"move {move!r} not applicable with blank at {board[0]}")
+        out = list(board)
+        out[board.index(src)] = board[0]
+        out[0] = src
+        return tuple(out)
+
+    return op
+
+
+def domain_spec() -> DomainSpec:
     return DomainSpec(
         state_size=N_TILES,
         goal_test=lambda b: b == GOAL,
-        operators=tuple(make_mover(m) for m in MOVE_LETTERS),
+        operators=tuple(_operator(m) for m in MOVE_LETTERS),
     )
 
 
@@ -285,7 +354,7 @@ def integrated_teacher(board: tuple, table: MacroTable) -> tuple:
     def search(b, i):
         return ida_star_subgoal(b, i, table.ordering, table.goal)
 
-    return tuple(walk_columns(table, board, apply_move, search)[1])
+    return solution_steps(table, walk_columns(table, board, apply_macro, search)[0])
 
 
 def _canonical_state(i: int, j: int, ordering: FeatureOrdering,
@@ -341,7 +410,7 @@ def table_trajectory(table: MacroTable, board: tuple):
     Returns (cells, solution) where cells is a list of (j, i); raises
     ParameterError when the table lacks a needed cell.
     """
-    cells, steps, _, missing = walk_columns(table, board, apply_move)
+    cells, _, missing = walk_columns(table, board, apply_macro)
     if missing is not None:
         raise ParameterError(f"table is missing cell {missing}")
-    return cells, tuple(steps)
+    return cells, solution_steps(table, cells)

@@ -11,6 +11,7 @@ hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from .core import BOTTOM, DomainSpec, Example, replay
@@ -130,53 +131,57 @@ def apply_macro(domain: DomainSpec, state, macro: Macro):
     return state
 
 
-def walk_columns(table: MacroTable, state, move, fill=None, last: Optional[int] = None):
+def walk_columns(table: MacroTable, state, run, fill=None, last: Optional[int] = None):
     """Walk the table's columns 1..last (default all) in order from state.
 
-    ``move(state, op_index)`` applies one stored operator.  At an UNFILLED
-    cell the walk stops, unless ``fill(state, i)`` is given: its macro is
-    then inserted and used.  Returns (cells, steps, state, missing): the
-    (j, i) cells used, the solution steps, the state reached and the
-    UNFILLED cell the walk stopped at (None when it ran to the end).
+    ``run(state, macro)`` applies one column's whole macro and returns the
+    state reached; it may raise whatever the domain raises for an
+    inapplicable step.  Eight Puzzle callers pass
+    ``eight_puzzle.apply_macro``, which moves the tiles in one permutation;
+    ``DomainSpec`` callers pass ``functools.partial(apply_macro, domain)``,
+    which goes step by step.  At an UNFILLED cell the walk stops, unless
+    ``fill(state, i)`` is given: its macro is then inserted and used.
+    Returns (cells, state, missing): the (j, i) cells used, the state reached
+    and the UNFILLED cell the walk stopped at (None when it ran to the end).
+    ``solution_steps`` reads the solution off the cells.
     """
-    perm, cells, steps = table.ordering.perm, [], []
+    perm, cells = table.ordering.perm, []
     for i in range(1, (table.n if last is None else last) + 1):
         j = state[perm[i - 1]]
         macro = table.cells.get((j, i))
         if macro is None:
             if fill is None:
-                return cells, steps, state, (j, i)
+                return cells, state, (j, i)
             macro = fill(state, i)
             table.insert(j, i, macro)
         cells.append((j, i))
-        for op in macro:
-            state = move(state, op)
-            steps.append((op, None))
-    return cells, steps, state, None
+        state = run(state, macro)
+    return cells, state, None
+
+
+def solution_steps(table: MacroTable, cells) -> tuple:
+    """The solution a column walk spells: the cells' macros in order, as
+    ``(op_index, None)`` steps."""
+    return tuple([(op, None) for cell in cells for op in table.cells[cell]])
 
 
 def _walk_domain(table: MacroTable, domain: DomainSpec, state):
-    try:
-        return walk_columns(table, state, domain.apply)
-    except ParameterError:
-        raise
-    except Exception as exc:
-        raise TableCorruptionError(f"stored macro step inapplicable: {exc}") from exc
+    return walk_columns(table, state, partial(apply_macro, domain))
 
 
 def macro_solve(table: MacroTable, domain: DomainSpec, state):
     """Solve by walking the columns; ⊥ on any UNFILLED cell or (defensively)
     if the walk fails to reach the goal."""
-    _, steps, state, missing = _walk_domain(table, domain, state)
+    cells, state, missing = _walk_domain(table, domain, state)
     if missing is not None or tuple(state) != table.goal:
         return BOTTOM
-    return tuple(steps)
+    return solution_steps(table, cells)
 
 
 def macro_solve_missing(table: MacroTable, domain: DomainSpec, state):
     """The first (j, i) cell macro_solve would need but finds UNFILLED, or
     None if every needed cell is filled.  Diagnostic companion to ⊥."""
-    return _walk_domain(table, domain, state)[3]
+    return _walk_domain(table, domain, state)[2]
 
 
 def serial_parse_into(table: MacroTable, domain: DomainSpec, example: Example):

@@ -71,7 +71,7 @@ def subgoal_optimality(rng: random.Random, count: int, max_column: int,
         board = ep.random_solvable(rng)
         i = rng.randrange(1, max_column + 1)
         if table is not None:
-            board = walk_columns(table, board, ep.apply_move, last=i - 1)[2]
+            board = walk_columns(table, board, ep.apply_macro, last=i - 1)[1]
         got = len(ep.ida_star_subgoal(board, i, ordering))
         opt = len(ep.bfs_subgoal(board, i, ordering))
         if got != opt:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speedup_learning import eight_puzzle as ep
 from speedup_learning.core import replay
@@ -61,6 +63,63 @@ def test_macro_letter_round_trip():
     assert ep.letters_to_macro("rdlu") == (1, 4, 2, 3)
     with pytest.raises(ParameterError):
         ep.letters_to_macro("rx")
+
+
+def test_macro_to_letters_rejects_unknown_operators():
+    # index 0 used to wrap around to "d" and index 5 to raise IndexError
+    for macro in [(0,), (5,), (1, -1), (2, 3, 9)]:
+        with pytest.raises(ParameterError):
+            ep.macro_to_letters(macro)
+
+
+def test_off_board_blank_raises_move_error_and_memoizes_nothing():
+    board = (9, 1, 2, 3, 4, 5, 6, 7, 8)
+    with pytest.raises(MoveError):
+        ep.apply_move(board, "r")
+    with pytest.raises(MoveError):
+        ep.domain_spec().apply(board, 1)
+    ep._macro_permutation.cache_clear()
+    with pytest.raises(MoveError):
+        ep.apply_macro(board, (1, 2))
+    assert ep.apply_macro(board, ()) == board
+    assert ep._macro_permutation.cache_info().currsize == 0
+
+
+def _fold_moves(board, macro):
+    for op in macro:
+        board = ep.apply_move(board, op)
+    return board
+
+
+def _outcome(apply, board, macro):
+    try:
+        return apply(board, macro)
+    except MoveError as exc:
+        return "MoveError", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blank=st.integers(0, 8), rest=st.permutations(range(9)),
+       choices=st.lists(st.integers(0, 5), max_size=32),
+       illegal_at=st.none() | st.integers(0, 31))
+def test_apply_macro_equals_move_fold(blank, rest, choices, illegal_at):
+    # a legal random walk from the blank, with at most one illegal step
+    # (a move the blank's position forbids, or an index outside 1..4)
+    board = (blank,) + tuple(p for p in rest if p != blank)
+    macro, b = [], blank
+    for k, c in enumerate(choices):
+        legal = [op for op in range(1, 5) if op in ep._MOVE_SRC[b]]
+        if k == illegal_at:
+            illegal = [op for op in range(6) if op not in legal]
+            macro.append(illegal[c % len(illegal)])
+            continue
+        op = legal[c % len(legal)]
+        macro.append(op)
+        b = ep._MOVE_SRC[b][op]
+    macro = tuple(macro)
+    assert _outcome(ep.apply_macro, board, macro) == _outcome(_fold_moves, board, macro)
+    info = ep._macro_permutation.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 def test_moves_flip_parity():

@@ -1,14 +1,23 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from speedup_learning import eight_puzzle as ep
+from speedup_learning.core import Example
 from speedup_learning.errors import ParameterError
 from speedup_learning.harness import (
     CurvePoint,
     ExperimentConfig,
+    _learned_view,
+    _score_eightpuzzle_fast,
     _trial_rng,
     csv_text,
     emit_csv,
     run_curve,
 )
+from speedup_learning.macro_tables import MacroTable, serial_parse_into
 
 
 def _tiny(domain, **kw):
@@ -92,3 +101,39 @@ def test_eightpuzzle_curve_learns():
                                         test_set_size=40, seed=1))
     assert points[-1].mean_accuracy > points[0].mean_accuracy
     assert points[-1].mean_accuracy >= 0.9
+
+
+def _empty_table():
+    return MacroTable(ep.N_TILES, ep.N_POSITIONS, ep.GOAL, ep.blank_first_ordering())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), examples=st.integers(0, 20),
+       queries=st.integers(1, 5))
+def test_view_scorer_agrees_with_target_trajectory(exhaustive_table, seed, examples, queries):
+    # the puzzle curve's fast scorer against the rule it replaced: a hit iff
+    # the learner has every cell of the target's trajectory
+    rng = random.Random(seed)
+    teacher, learned = _empty_table(), _empty_table()
+    for _ in range(examples):
+        board = ep.random_solvable(rng)
+        serial_parse_into(learned, ep.domain_spec(),
+                          Example(board, ep.integrated_teacher(board, teacher)))
+    view = _learned_view(exhaustive_table, learned)
+    for _ in range(queries):
+        q = ep.random_solvable(rng)
+        cells, _ = ep.table_trajectory(exhaustive_table, q)
+        expected = all(learned.is_filled(*c) for c in cells)
+        assert _score_eightpuzzle_fast(view, exhaustive_table, q) == expected
+
+
+def test_view_scorer_raises_when_target_lacks_a_needed_cell(exhaustive_table):
+    board = ep.text_to_board("537081642")
+    cells, _ = ep.table_trajectory(exhaustive_table, board)
+    target, learner = _empty_table(), _empty_table()
+    target.cells = {c: m for c, m in exhaustive_table.cells.items() if c != cells[4]}
+    learner.cells = dict(exhaustive_table.cells)
+    with pytest.raises(ParameterError):
+        ep.table_trajectory(target, board)
+    with pytest.raises(ParameterError):
+        _score_eightpuzzle_fast(_learned_view(target, learner), target, board)
