@@ -78,9 +78,7 @@ def rule_solve_ex(ruleset: RuleSet, rdomain, x):
     limit = ruleset.step_limit
     if limit is None:
         limit = rdomain.default_step_limit(x)
-    size_limit = None
-    if hasattr(rdomain, "default_size_limit"):
-        size_limit = rdomain.default_size_limit(x)
+    size_limit = rdomain.default_size_limit(x)
     steps = []
     while not rdomain.is_goal(x):
         found = _first_match(ruleset, rdomain, x)
@@ -94,7 +92,7 @@ def rule_solve_ex(ruleset: RuleSet, rdomain, x):
         steps.append((op_index, path))
         if len(steps) > limit:
             return BOTTOM, "step_limit"
-        if size_limit is not None and rdomain.state_size(x) > size_limit:
+        if rdomain.state_size(x) > size_limit:
             return BOTTOM, "diverged"
     return tuple(steps), "solved"
 
@@ -151,12 +149,12 @@ class IncrementalRuleLearner:
             self.caps[op_index] = new
             self.version += 1
 
-    def ruleset(self, step_limit: Optional[int] = None) -> RuleSet:
+    def ruleset(self) -> RuleSet:
         rules = [
             ControlRule(i, self.caps.get(i))
             for i in range(1, self.rdomain.num_operators + 1)
         ]
-        return RuleSet(rules, step_limit)
+        return RuleSet(rules)
 
 
 def learn_rules(rdomain, oracle, domain, m: int) -> RuleSet:

@@ -39,7 +39,6 @@ BOTTOM = _Bottom()
 
 # A solution step is (operator_index, location); Solution is a tuple of steps
 # or BOTTOM.
-Step = tuple[int, Any]
 Solution = Any
 
 

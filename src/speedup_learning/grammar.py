@@ -12,14 +12,18 @@ in the input, and the tree is read off the one derivation the recogniser
 recorded.  When some Earley item has two derivations, or the grammar has
 nullable symbols, it falls back to plain Earley spans and a search over
 their splits, polynomial but not linear.  Parsing, ``msc``,
-``cap_matches_tree`` and ``tree_yield`` use explicit stacks, so however
-deep a tree is they do not reach the recursion limit.
+``cap_matches_tree``, ``tree_yield``, ``form_to_cap`` and ``membership``
+use explicit stacks, so however deep a tree is they do not reach the
+recursion limit.
 
 Generalization works on *caps*: prefix-closed, sibling-closed subtrees of a
 parse tree rooted at its root.  The yield of a cap is a sentential form,
 and the most specific common cap (``msc``) of a set of parse trees yields
 the unique most specific generalization (``msg``) of the underlying
-sentences.
+sentences.  Sentential forms go through ``parse`` too, over the form
+grammar: the grammar plus ``A -> ⟨A⟩`` for each nonterminal ``A``, whose
+parse trees are exactly the grammar's caps.  So there is one parser and
+one cap matcher (``cap_matches_tree``).
 
 Grammar text format: one production per line, ``Head -> sym sym | sym ...``,
 ``#`` starts a comment, and the head of the first production is the start
@@ -36,6 +40,7 @@ from .errors import (
     AmbiguityError,
     EnumerationLimitError,
     IncompatibleTreesError,
+    ParameterError,
     ParseError,
 )
 
@@ -69,12 +74,6 @@ class Node:
 
     def __repr__(self):
         return f"Node({self.label!r}, {len(self.children)} children)"
-
-    def pretty(self, indent: int = 0) -> str:
-        lines = ["  " * indent + self.label]
-        for child in self.children:
-            lines.append(child.pretty(indent + 1))
-        return "\n".join(lines)
 
 
 def tree_yield(tree: Node) -> tuple[str, ...]:
@@ -123,6 +122,7 @@ class Grammar:
             self.by_head.setdefault(head, []).append(body)
         self._min_len: Optional[dict[str, int]] = None
         self._rules: Optional[_Rules] = None
+        self._form: Optional[tuple[Grammar, dict[str, str]]] = None
 
     @classmethod
     def from_text(cls, text: str) -> "Grammar":
@@ -170,6 +170,22 @@ class Grammar:
         if self._rules is None:
             self._rules = _Rules(self)
         return self._rules
+
+    def _form_grammar(self) -> tuple["Grammar", dict[str, str]]:
+        """The grammar ``form_to_cap`` parses sentential forms with (built
+        once): these productions plus ``A -> ⟨A⟩`` for every nonterminal
+        ``A``, and the map from each ``A`` to its token ``⟨A⟩``.  Its parse
+        trees are this grammar's caps, with ``A(⟨A⟩)`` for a leaf ``A``."""
+        if self._form is None:
+            mark = {a: f"⟨{a}⟩" for a in sorted(self.nonterminals)}
+            clash = set(mark.values()) & (self.terminals | self.nonterminals)
+            if clash:
+                raise ParameterError(
+                    f"grammar symbols {sorted(clash)} are reserved for parsing sentential forms"
+                )
+            leaves = [(a, (token,)) for a, token in mark.items()]
+            self._form = Grammar(self.productions + leaves, self.start), mark
+        return self._form
 
 
 # ---------------------------------------------------------------------------
@@ -632,33 +648,6 @@ def cap_matches_tree(cap: Node, tree: Node) -> bool:
     return True
 
 
-def _form_matches_tree(form: Sequence[str], tree: Node) -> bool:
-    """Token-driven cap descent: does some cap of ``tree`` yield ``form``?"""
-    n = len(form)
-
-    memo: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def ends(node: Node, pos: int) -> tuple[int, ...]:
-        key = (id(node), pos)
-        if key in memo:
-            return memo[key]
-        out = []
-        if pos < n and form[pos] == node.label:
-            out.append(pos + 1)
-        if node.children:
-            frontier = [pos]
-            for child in node.children:
-                frontier = sorted({e for p in frontier for e in ends(child, p)})
-                if not frontier:
-                    break
-            out.extend(e for e in frontier if e not in out)
-        result = tuple(out)
-        memo[key] = result
-        return result
-
-    return n in ends(tree, 0)
-
-
 def membership(
     grammar: Grammar,
     form: SententialForm | Sequence[str],
@@ -668,7 +657,9 @@ def membership(
     """Is ``problem`` derivable from the sentential form?
 
     Parses the problem (returning False when it does not parse) and checks
-    whether the form is the yield of some cap of that parse tree.
+    whether the form's cap is a cap of that parse tree.  A form without a
+    cap gets one from ``form_to_cap``; a form that does not parse from the
+    tree's root derives nothing.
     """
     try:
         tree = parse(grammar, problem, start)
@@ -677,10 +668,12 @@ def membership(
     if isinstance(form, SententialForm):
         if form.cap is not None:
             return cap_matches_tree(form.cap, tree)
-        symbols = form.symbols
-    else:
-        symbols = tuple(form)
-    return _form_matches_tree(symbols, tree)
+        form = form.symbols
+    try:
+        cap = form_to_cap(grammar, form, tree.label)
+    except ParseError:
+        return False
+    return cap_matches_tree(cap, tree)
 
 
 def form_to_cap(
@@ -688,55 +681,36 @@ def form_to_cap(
 ) -> Node:
     """Build the unique cap tree whose yield is the given sentential form.
 
-    Nonterminal symbols in the form become cap leaves.  Raises ``ParseError``
-    if the form is not derivable from ``start`` and ``AmbiguityError`` if two
-    distinct derivations exist.
+    Nonterminal symbols in the form become cap leaves.  The form is parsed
+    by ``parse`` over the form grammar, which reads a nonterminal ``A`` as
+    the token ``⟨A⟩``; each ``A -> ⟨A⟩`` node of that tree becomes the leaf
+    ``A``, on an explicit stack.  Raises ``ParseError`` if the form is not
+    derivable from ``start`` and ``AmbiguityError`` if two distinct
+    derivations exist.
     """
-    symbols = tuple(symbols)
-    start = start or grammar.start
-    n = len(symbols)
-
-    memo: dict[tuple[str, int], tuple[tuple[Node, int], ...]] = {}
-    in_progress: set[tuple[str, int]] = set()
-
-    def derive(sym: str, pos: int) -> tuple[tuple[Node, int], ...]:
-        """All (cap, end) derivations of a prefix of symbols[pos:] from sym."""
-        if not grammar.is_nonterminal(sym):
-            if pos < n and symbols[pos] == sym:
-                return ((Node(sym), pos + 1),)
-            return ()
-        key = (sym, pos)
-        if key in memo:
-            return memo[key]
-        if key in in_progress:
-            # left recursion guard: no progress without consuming a token
-            return ()
-        in_progress.add(key)
-        results: list[tuple[Node, int]] = []
-        if pos < n and symbols[pos] == sym:
-            results.append((Node(sym), pos + 1))
-        for body in grammar.by_head[sym]:
-            for children, end in expand(body, 0, pos):
-                results.append((Node(sym, children), end))
-        in_progress.discard(key)
-        memo[key] = tuple(results)
-        return memo[key]
-
-    def expand(body, k, pos):
-        if k == len(body):
-            yield (), pos
-            return
-        for child, mid in derive(body[k], pos):
-            for rest, end in expand(body, k + 1, mid):
-                yield (child,) + rest, end
-
-    full = [cap for cap, end in derive(start, 0) if end == n]
-    if not full:
-        raise ParseError(f"form not derivable from {start!r}", 0)
-    distinct = {c for c in full}
-    if len(distinct) > 1:
-        raise AmbiguityError("sentential form has multiple derivations")
-    return full[0]
+    form, mark = grammar._form_grammar()
+    tokens = []
+    for pos, sym in enumerate(symbols):
+        if sym not in grammar.terminals and sym not in mark:
+            raise ParseError(f"unknown symbol {sym!r}", pos)
+        tokens.append(mark.get(sym, sym))
+    tree = parse(form, tokens, start)
+    done: list[Node] = []  # finished caps, in post order
+    stack = [(tree, False)]
+    while stack:
+        node, expanded = stack.pop()
+        kids = node.children
+        if expanded:  # the children's caps are the last len(kids) done
+            k = len(done) - len(kids)
+            done[k:] = [Node(node.label, done[k:])]
+        elif not kids:
+            done.append(node)
+        elif kids[0].label == mark.get(node.label):
+            done.append(Node(node.label))
+        else:
+            stack.append((node, True))
+            stack.extend((kid, False) for kid in reversed(kids))
+    return done[0]
 
 
 def enumerate_sentences(

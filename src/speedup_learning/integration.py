@@ -664,8 +664,8 @@ _MAX_TEACHER_STEPS = 10_000
 
 
 def teacher_trace(e: Expr):
-    """Solve by post-order first match, restarting from the root after each
-    step.
+    """Solve by post-order first match, one subterm at a time, giving the
+    steps the restart-from-root interpreter takes.
 
     Returns (steps, final) where each step is (op_index, path, unit) and
     unit is the subexpression the operator was applied to; None if the

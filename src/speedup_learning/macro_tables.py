@@ -118,7 +118,7 @@ def _prefix_at_goal(state, table: MacroTable, upto: int) -> bool:
     )
 
 
-def apply_macro(domain: DomainSpec, state, macro: Macro):
+def apply_domain_macro(domain: DomainSpec, state, macro: Macro):
     for op_index in macro:
         try:
             state = domain.apply(state, op_index, None)
@@ -138,8 +138,9 @@ def walk_columns(table: MacroTable, state, run, fill=None, last: Optional[int] =
     state reached; it may raise whatever the domain raises for an
     inapplicable step.  Eight Puzzle callers pass
     ``eight_puzzle.apply_macro``, which moves the tiles in one permutation;
-    ``DomainSpec`` callers pass ``functools.partial(apply_macro, domain)``,
-    which goes step by step.  At an UNFILLED cell the walk stops, unless
+    ``DomainSpec`` callers pass
+    ``functools.partial(apply_domain_macro, domain)``, which goes step by
+    step.  At an UNFILLED cell the walk stops, unless
     ``fill(state, i)`` is given: its macro is then inserted and used.
     Returns (cells, state, missing): the (j, i) cells used, the state reached
     and the UNFILLED cell the walk stopped at (None when it ran to the end).
@@ -165,23 +166,13 @@ def solution_steps(table: MacroTable, cells) -> tuple:
     return tuple([(op, None) for cell in cells for op in table.cells[cell]])
 
 
-def _walk_domain(table: MacroTable, domain: DomainSpec, state):
-    return walk_columns(table, state, partial(apply_macro, domain))
-
-
 def macro_solve(table: MacroTable, domain: DomainSpec, state):
     """Solve by walking the columns; ⊥ on any UNFILLED cell or (defensively)
     if the walk fails to reach the goal."""
-    cells, state, missing = _walk_domain(table, domain, state)
+    cells, state, missing = walk_columns(table, state, partial(apply_domain_macro, domain))
     if missing is not None or tuple(state) != table.goal:
         return BOTTOM
     return solution_steps(table, cells)
-
-
-def macro_solve_missing(table: MacroTable, domain: DomainSpec, state):
-    """The first (j, i) cell macro_solve would need but finds UNFILLED, or
-    None if every needed cell is filled.  Diagnostic companion to ⊥."""
-    return _walk_domain(table, domain, state)[2]
 
 
 def serial_parse_into(table: MacroTable, domain: DomainSpec, example: Example):
@@ -263,12 +254,12 @@ def verify_table(table: MacroTable, domain: DomainSpec, states: Sequence):
         matching = by_cell.get((j, i), [])
         prefix_ok_somewhere = not macro  # null macros are trivially minimal
         for s in matching:
-            t = apply_macro(domain, s, macro)
+            t = apply_domain_macro(domain, s, macro)
             if not _prefix_at_goal(t, table, i):
                 return False, ("property", (j, i), s)
             if not prefix_ok_somewhere:
                 if all(
-                    not _prefix_at_goal(apply_macro(domain, s, macro[:cut]), table, i)
+                    not _prefix_at_goal(apply_domain_macro(domain, s, macro[:cut]), table, i)
                     for cut in range(len(macro))
                 ):
                     prefix_ok_somewhere = True

@@ -9,6 +9,7 @@ from speedup_learning.errors import (
     AmbiguityError,
     EnumerationLimitError,
     IncompatibleTreesError,
+    ParameterError,
     ParseError,
 )
 from speedup_learning.grammar import (
@@ -194,6 +195,22 @@ def test_form_to_cap_round_trip():
         cap = form_to_cap(GRAMMAR, text.split(), start)
         assert tree_yield(cap) == tuple(text.split())
         assert cap.label == start
+    # left recursion: every derivable form parses, and the cap is the one
+    # its derivation spells
+    left = Grammar.from_text("S -> S a | b")
+    s_a = form_to_cap(left, ["S", "a"])
+    assert s_a == Node("S", [Node("S"), Node("a")])
+    b_a_a = form_to_cap(left, "b a a".split())
+    assert b_a_a == parse(left, "b a a".split())
+    assert cap_matches_tree(s_a, b_a_a)
+    assert form_to_cap(left, ["S"]) == Node("S")
+    with pytest.raises(ParseError):
+        form_to_cap(left, "a S".split())
+    # every cap of a tree is the one cap its own yield parses to
+    rng = random.Random(5)
+    for _ in range(6):
+        for c in all_caps(parse(SMALL, _random_small_tokens(rng))):
+            assert form_to_cap(SMALL, tree_yield(c)) == c
 
 
 def test_form_to_cap_errors():
@@ -207,6 +224,12 @@ def test_form_to_cap_errors():
     """)
     with pytest.raises(AmbiguityError):
         form_to_cap(g, "a b".split())
+    # the form grammar's leaf tokens are reserved: a form cannot spell one,
+    # and a grammar that uses one cannot parse forms
+    with pytest.raises(ParseError):
+        form_to_cap(SMALL, ["⟨S⟩"])
+    with pytest.raises(ParameterError):
+        form_to_cap(Grammar.from_text("S -> ⟨S⟩ | a"), ["a"])
 
 
 def test_enumerate_sentences_exact_small():
@@ -546,3 +569,7 @@ def test_parse_msg_membership_on_a_4096_term_sum():
     assert tree_yield(form.cap) == form.symbols
     assert membership(GRAMMAR, form, s1) and membership(GRAMMAR, form, s2)
     assert not membership(GRAMMAR, form, "∫ x + x d x".split())
+    # raw forms: the short generalization, and a whole sentence as a form
+    assert form_to_cap(GRAMMAR, form.symbols) == form.cap
+    assert membership(GRAMMAR, form.symbols, s1)
+    assert membership(GRAMMAR, s1, s1) and not membership(GRAMMAR, s1, s2)

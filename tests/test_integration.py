@@ -13,7 +13,7 @@ from speedup_learning.errors import (
     LocationError,
     ParameterError,
 )
-from speedup_learning.grammar import parse, tree_yield
+from speedup_learning.grammar import cap_matches_tree, form_to_cap, membership, parse, tree_yield
 
 
 def _expr(text):
@@ -125,7 +125,6 @@ def test_operator_inventory_shape():
     with pytest.raises(ParameterError):
         I.get_operator(99)
     # every teacher form is a valid sentential form over the grammar
-    from speedup_learning.grammar import form_to_cap
     for op in I.OPERATORS:
         cap = form_to_cap(I.GRAMMAR, op.teacher_form.split(), "Exp")
         assert tree_yield(cap) == tuple(op.teacher_form.split())
@@ -231,6 +230,16 @@ def test_round_trip_of_deep_inputs():
     assert len(tokens) == 9001 == I.token_count(chain)
     assert I.parse_expr(tokens) is chain
     assert I.parse_expr(I.to_tokens(I.integral(chain))) is I.integral(chain)
+    # the chain as a sentential form, and with its innermost x as a Var leaf
+    cap = form_to_cap(I.GRAMMAR, tokens, "Exp")
+    assert tree_yield(cap) == tokens
+    assert cap_matches_tree(cap, parse(I.GRAMMAR, tokens, "Exp"))
+    k = tokens.index("x")
+    form = tokens[:k] + ("Var",) + tokens[k + 1:]
+    assert tree_yield(form_to_cap(I.GRAMMAR, form, "Exp")) == form
+    assert membership(I.GRAMMAR, tokens, tokens, "Exp")
+    assert membership(I.GRAMMAR, form, tokens, "Exp")
+    assert not membership(I.GRAMMAR, form, I.to_tokens(chain.args[0]), "Exp")
 
 
 def test_step_limit_returns_none_on_runaway_by_parts(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -14,14 +15,14 @@ from speedup_learning.errors import (
 from speedup_learning.macro_tables import (
     FeatureOrdering,
     MacroTable,
-    apply_macro,
+    apply_domain_macro,
     check_feature_state,
     check_serial_decomposability,
     macro_solve,
-    macro_solve_missing,
     serial_parse,
     serial_parse_into,
     verify_table,
+    walk_columns,
 )
 
 
@@ -83,14 +84,14 @@ def test_table_dump():
 
 def test_apply_macro_and_corruption():
     dom = _toy_domain()
-    assert apply_macro(dom, (1, 1), (2, 1)) == (1, 0)
+    assert apply_domain_macro(dom, (1, 1), (2, 1)) == (1, 0)
 
     def partial(s, loc):
         raise ValueError("never applicable")
 
     broken = DomainSpec(state_size=2, goal_test=lambda s: False, operators=(partial,))
     with pytest.raises(TableCorruptionError):
-        apply_macro(broken, (0, 0), (1,))
+        apply_domain_macro(broken, (0, 0), (1,))
 
 
 def test_macro_solve_toy_domain():
@@ -104,11 +105,12 @@ def test_macro_solve_toy_domain():
     for state in [(0, 0), (0, 1), (1, 0), (1, 1)]:
         sol = macro_solve(t, dom, state)
         assert sol is not BOTTOM
-        assert apply_macro(dom, state, tuple(op for op, _ in sol)) == (0, 0)
+        assert apply_domain_macro(dom, state, tuple(op for op, _ in sol)) == (0, 0)
     t2 = MacroTable(2, 2, (0, 0), ordering)
     assert macro_solve(t2, dom, (1, 1)) is BOTTOM
-    assert macro_solve_missing(t2, dom, (1, 1)) == (1, 1)
-    assert macro_solve_missing(t, dom, (1, 1)) is None
+    run = partial(apply_domain_macro, dom)
+    assert walk_columns(t2, (1, 1), run)[2] == (1, 1)
+    assert walk_columns(t, (1, 1), run)[2] is None
 
 
 def test_serial_parse_recovers_trajectory_cells(exhaustive_table):
@@ -196,7 +198,7 @@ def test_walk_agrees_on_partly_learned_tables(seed, examples, queries):
     for _ in range(queries):
         board = ep.random_solvable(rng)
         solution = macro_solve(learned, dom, board)
-        missing = macro_solve_missing(learned, dom, board)
+        missing = walk_columns(learned, board, partial(apply_domain_macro, dom))[2]
         assert (solution is BOTTOM) == (missing is not None)
         if missing is not None:
             assert not learned.is_filled(*missing)
