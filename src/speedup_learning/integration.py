@@ -1,6 +1,10 @@
 """The symbolic-integration domain.
 
 Expressions are immutable hash-consed ASTs mirroring the grammar below.
+Their concrete syntax is written down once, in ``_LAYOUT``: one memoized
+bottom-up walk (``_bottom_up``) reads it to give each subterm's parse
+trees (``as_exp``; ``to_tokens`` is their yield) and token count, and the
+same walk gives the goal test.  ``tree_to_expr`` reads a parse tree back.
 Rewrite operators 1-7 are the classic integral table (constant factoring,
 sum/difference splitting, integration by parts, the power/sin/cos rules);
 8-10 round out the integrals the problem distribution needs; 11-17 are
@@ -36,7 +40,7 @@ from .errors import (
     LocationError,
     ParameterError,
 )
-from .grammar import Grammar, Node, cap_matches_tree, form_to_cap, parse
+from .grammar import Grammar, Node, cap_matches_tree, form_to_cap, parse, tree_yield
 
 GRAMMAR_TEXT = """\
 # Integration problems: integrals and derivatives over polynomials in x,
@@ -83,6 +87,12 @@ class Expr:
 
     ``children`` are the Expr arguments: none for the leaves (whose one
     argument is an int or a name), all of ``args`` for every other kind.
+
+    ``cache`` holds what is derived from the subterm alone, one key each:
+    ``"trees"`` (its P-term, Term and Exp parse trees), ``"ntok"`` (its
+    token count) and ``"goal"`` (``is_goal``), all set by ``_bottom_up``;
+    ``"tr"`` (``teacher_trace``'s steps and normal form); and ``"capm"``
+    (``unit_matches``' results by cap).
     """
 
     __slots__ = ("kind", "args", "children", "cache")
@@ -108,7 +118,8 @@ def _mk(kind: str, *args) -> Expr:
 
 
 def clear_expr_caches():
-    """Drop the interning table and all per-expression caches.
+    """Drop the interning table and all per-expression caches (their keys
+    are listed on ``Expr``).
 
     The module constants are interned again at once: operators test them
     by identity (``is ONE``), so a fresh ``num(1)`` must be ``ONE``.
@@ -184,89 +195,122 @@ def _is_const(e: Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Serialization to the token language
+# Concrete syntax: parse trees, tokens and the walk that derives them
 # ---------------------------------------------------------------------------
 
-# Grammatical categories, loosest to tightest.  A node whose natural
+# Grammatical categories, tightest to loosest.  A node whose natural
 # category is looser than the one required by its context gets wrapped in
 # parentheses (the P-term -> ( Exp ) production).
-_EXP, _TERM, _PTERM = 2, 1, 0
+_PTERM, _TERM, _EXP = 0, 1, 2
+_CATEGORY = ("P-term", "Term", "Exp")
 _NATURAL = {SUM: _EXP, DIFF: _EXP, PROD: _TERM, QUOT: _TERM}
 
-
-# Each kind's tokens: literal tokens and (argument index, category) slots.
+# The concrete syntax, written once.  A kind's parse tree in its natural
+# category is that category's node over the body, with the body first put
+# under the nonterminal given here, if any.  A body is literal tokens and
+# (argument index, category) slots; the token x is always the node Var(x).
+# A named constant's body is its name, an integer's its digits as an Int
+# chain (Int -> Digit | Digit Int).
 _LAYOUT = {
-    INTEGRAL: ("∫", (0, _EXP), "d", "x"),
-    DERIV: ("D", (0, _EXP), "x"),
-    SUM: ((0, _TERM), "+", (1, _EXP)),
-    DIFF: ((0, _TERM), "-", (1, _EXP)),
-    PROD: ((0, _PTERM), "*", (1, _TERM)),
-    QUOT: ((0, _PTERM), "/", (1, _TERM)),
-    NEG: ("(", "-", (0, _TERM), ")"),
-    POWER: ("(", "x", "^", (1, _TERM), ")"),
-    SIN: ("(", "sin", "x", ")"),
-    COS: ("(", "cos", "x", ")"),
-    VAR: ("x",),
+    INTEGRAL: ("Prob", ("∫", (0, _EXP), "d", "x")),
+    DERIV: ("Prob", ("D", (0, _EXP), "x")),
+    SUM: (None, ((0, _TERM), "+", (1, _EXP))),
+    DIFF: (None, ((0, _TERM), "-", (1, _EXP))),
+    PROD: (None, ((0, _PTERM), "*", (1, _TERM))),
+    QUOT: (None, ((0, _PTERM), "/", (1, _TERM))),
+    NEG: (None, ("(", "-", (0, _TERM), ")")),
+    POWER: ("Power", ("(", "x", "^", (1, _TERM), ")")),
+    SIN: ("Trig", ("(", "sin", "x", ")")),
+    COS: ("Trig", ("(", "cos", "x", ")")),
+    VAR: (None, ("x",)),
+    NAMED: ("Const", None),
+    NUM: ("Const", None),
 }
 
-
-def _layout(e: Expr, cat: int) -> tuple:
-    """The tokens of ``e`` where its context requires category ``cat``, with
-    its arguments left as (Expr, category) slots."""
-    if e.kind == NUM:
-        parts = tuple(str(e.args[0]))
-    elif e.kind == NAMED:
-        parts = (e.args[0],)
-    else:
-        parts = tuple(p if isinstance(p, str) else (e.args[p[0]], p[1]) for p in _LAYOUT[e.kind])
-    if _NATURAL.get(e.kind, _PTERM) > cat:
-        parts = ("(",) + parts + (")",)
-    return parts
+# One shared tree per literal token: the token itself, Var(x) or Digit(d).
+_LEAF = {t: Node(t) for t in GRAMMAR.terminals}
+_LEAF["x"] = Node("Var", (_LEAF["x"],))
+_LEAF.update((d, Node("Digit", (_LEAF[d],))) for d in "0123456789")
 
 
-def _tokens(e: Expr, cat: int) -> tuple:
-    """The tokens of ``e`` in a context requiring ``cat``; memoized on ``e``
-    alone (one tuple per subterm would take memory quadratic in the depth of
-    a nested sum).  Explicit stack, no recursion."""
-    key = ("tok", cat)
-    t = e.cache.get(key)
-    if t is None:
-        out = []
-        stack = [(e, cat)]
+def _bottom_up(e: Expr, key: str, make: Callable[[Expr], object]):
+    """``make(x)`` for ``e``, memoized as ``x.cache[key]`` on every subterm
+    ``x``; ``make`` runs only once every child of ``x`` has its value.
+    Explicit stack, no recursion."""
+    if key not in e.cache:
+        stack = [e]
         while stack:
-            part = stack.pop()
-            if isinstance(part, str):
-                out.append(part)
-            else:
-                stack.extend(reversed(_layout(*part)))
-        t = e.cache[key] = tuple(out)
-    return t
+            x = stack[-1]
+            if key in x.cache:
+                stack.pop()
+                continue
+            todo = [c for c in x.children if key not in c.cache]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            x.cache[key] = make(x)
+    return e.cache[key]
+
+
+def _trees(x: Expr) -> tuple:
+    """x's (P-term, Term, Exp) parse trees, from its children's."""
+    kind = x.kind
+    head, body = _LAYOUT[kind]
+    if kind == NUM:
+        kids = ()
+        for d in reversed(str(x.args[0])):
+            kids = (Node("Int", (_LEAF[d],) + kids),)
+    elif kind == NAMED:
+        kids = (_LEAF[x.args[0]],)
+    else:
+        kids = tuple(
+            _LEAF[p] if isinstance(p, str) else x.args[p[0]].cache["trees"][p[1]] for p in body
+        )
+    if head is not None:
+        kids = (Node(head, kids),)
+    nat = _NATURAL.get(kind, _PTERM)
+    trees = [None, None, None]
+    trees[nat] = Node(_CATEGORY[nat], kids)
+    for cat in range(nat + 1, 3):
+        trees[cat] = Node(_CATEGORY[cat], (trees[cat - 1],))
+    if nat > _PTERM:
+        trees[_PTERM] = Node("P-term", (_LEAF["("], trees[_EXP], _LEAF[")"]))
+    for cat in range(_TERM, nat):
+        trees[cat] = Node(_CATEGORY[cat], (trees[cat - 1],))
+    return tuple(trees)
+
+
+def _token_count(x: Expr) -> int:
+    """x's token count, from its children's."""
+    kind = x.kind
+    if kind == NUM:
+        return len(str(x.args[0]))
+    if kind == NAMED:
+        return 1
+    n = 0
+    for p in _LAYOUT[kind][1]:
+        if isinstance(p, str):
+            n += 1
+        else:
+            arg = x.args[p[0]]
+            n += arg.cache["ntok"] + 2 * (_NATURAL.get(arg.kind, _PTERM) > p[1])
+    return n
+
+
+def as_exp(e: Expr) -> Node:
+    """The Exp-rooted parse tree of ``e``, as ``parse`` would give it."""
+    return _bottom_up(e, "trees", _trees)[_EXP]
 
 
 def to_tokens(e: Expr) -> tuple:
-    return _tokens(e, _EXP)
+    return tree_yield(as_exp(e))
 
 
 def token_count(e: Expr) -> int:
     """``len(to_tokens(e))``, memoized on every subterm: the rule solver's
-    step and size limits read it on every step.  No recursion."""
-    stack = [e]
-    while stack:
-        x = stack[-1]
-        if "ntok" in x.cache:
-            stack.pop()
-            continue
-        parts = _layout(x, _NATURAL.get(x.kind, _PTERM))
-        todo = [p[0] for p in parts if not isinstance(p, str) and "ntok" not in p[0].cache]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        x.cache["ntok"] = sum(
-            1 if isinstance(p, str) else p[0].cache["ntok"] + 2 * (_NATURAL.get(p[0].kind, _PTERM) > p[1])
-            for p in parts
-        )
-    return e.cache["ntok"]
+    step and size limits read it on every step."""
+    return _bottom_up(e, "ntok", _token_count)
 
 
 def to_text(e: Expr) -> str:
@@ -338,83 +382,6 @@ def tree_to_expr(node: Node) -> Expr:
             del values[len(values) - item:]
             values.append(make(*args))
     return values[0]
-
-
-# ---------------------------------------------------------------------------
-# Parse-tree construction without reparsing
-# ---------------------------------------------------------------------------
-
-_VAR_NODE = Node("Var", (Node("x"),))
-
-
-def _int_node(n: int) -> Node:
-    node = None
-    for ch in reversed(str(n)):
-        digit = Node("Digit", (Node(ch),))
-        node = Node("Int", (digit,) if node is None else (digit, node))
-    return node
-
-
-def as_pterm(e: Expr) -> Node:
-    t = e.cache.get("pterm")
-    if t is not None:
-        return t
-    k = e.kind
-    if k == NUM:
-        t = Node("P-term", (Node("Const", (_int_node(e.args[0]),)),))
-    elif k == NAMED:
-        t = Node("P-term", (Node("Const", (Node(e.args[0]),)),))
-    elif k == VAR:
-        t = Node("P-term", (_VAR_NODE,))
-    elif k == NEG:
-        t = Node("P-term", (Node("("), Node("-"), as_term(e.args[0]), Node(")")))
-    elif k == SIN:
-        t = Node("P-term", (Node("Trig", (Node("("), Node("sin"), _VAR_NODE, Node(")"))),))
-    elif k == COS:
-        t = Node("P-term", (Node("Trig", (Node("("), Node("cos"), _VAR_NODE, Node(")"))),))
-    elif k == POWER:
-        t = Node(
-            "P-term",
-            (Node("Power", (Node("("), _VAR_NODE, Node("^"), as_term(e.args[1]), Node(")"))),),
-        )
-    elif k == INTEGRAL:
-        prob = Node("Prob", (Node("∫"), as_exp(e.args[0]), Node("d"), _VAR_NODE))
-        t = Node("P-term", (prob,))
-    elif k == DERIV:
-        prob = Node("Prob", (Node("D"), as_exp(e.args[0]), _VAR_NODE))
-        t = Node("P-term", (prob,))
-    else:  # sum/diff/prod/quot wrapped in parens
-        t = Node("P-term", (Node("("), as_exp(e), Node(")")))
-    e.cache["pterm"] = t
-    return t
-
-
-def as_term(e: Expr) -> Node:
-    t = e.cache.get("term")
-    if t is not None:
-        return t
-    if e.kind == PROD:
-        t = Node("Term", (as_pterm(e.args[0]), Node("*"), as_term(e.args[1])))
-    elif e.kind == QUOT:
-        t = Node("Term", (as_pterm(e.args[0]), Node("/"), as_term(e.args[1])))
-    else:
-        t = Node("Term", (as_pterm(e),))
-    e.cache["term"] = t
-    return t
-
-
-def as_exp(e: Expr) -> Node:
-    t = e.cache.get("exp")
-    if t is not None:
-        return t
-    if e.kind == SUM:
-        t = Node("Exp", (as_term(e.args[0]), Node("+"), as_exp(e.args[1])))
-    elif e.kind == DIFF:
-        t = Node("Exp", (as_term(e.args[0]), Node("-"), as_exp(e.args[1])))
-    else:
-        t = Node("Exp", (as_term(e),))
-    e.cache["exp"] = t
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -593,25 +560,38 @@ def subexpr_at(e: Expr, loc: Sequence[int]) -> Expr:
 
 
 def replace_at(e: Expr, loc: Sequence[int], new: Expr) -> Expr:
-    if not loc:
-        return new
-    i = loc[0]
-    kids = list(e.children)
-    if not 0 <= i < len(kids):
-        raise LocationError(f"index {i} invalid at {to_text(e)!r}")
-    kids[i] = replace_at(kids[i], loc[1:], new)
-    return _mk(e.kind, *kids)
+    spine = []
+    for i in loc:
+        kids = e.children
+        if not 0 <= i < len(kids):
+            raise LocationError(f"index {i} invalid at {to_text(e)!r}")
+        spine.append((e, i))
+        e = kids[i]
+    for parent, i in reversed(spine):
+        kids = list(parent.children)
+        kids[i] = new
+        new = _mk(parent.kind, *kids)
+    return new
 
 
 def apply_at(op: RewriteOp, e: Expr, loc: Sequence[int]) -> Expr:
     return replace_at(e, loc, op.apply(subexpr_at(e, tuple(loc))))
 
 
-def iter_postorder(e: Expr, _path=()) -> Iterator[tuple]:
-    """Yield (path, subexpression) pairs in post-order."""
-    for i, child in enumerate(e.children):
-        yield from iter_postorder(child, _path + (i,))
-    yield _path, e
+def iter_postorder(e: Expr) -> Iterator[tuple]:
+    """Yield (path, subexpression) pairs in post-order.  Explicit stack."""
+    path: list = []
+    stack = [(e, enumerate(e.children))]
+    while stack:
+        x, kids = stack[-1]
+        step = next(kids, None)
+        if step is None:
+            stack.pop()
+            yield tuple(path), x
+            del path[-1:]
+        else:
+            path.append(step[0])
+            stack.append((step[1], enumerate(step[1].children)))
 
 
 def _decide_ops(e: Expr) -> Optional[RewriteOp]:
@@ -621,39 +601,17 @@ def _decide_ops(e: Expr) -> Optional[RewriteOp]:
     return None
 
 
-_MISS = object()
-
-
-def _find_first(e: Expr) -> Optional[tuple]:
-    """First post-order (path, op) where a pattern applies; memoized."""
-    r = e.cache.get("ff", _MISS)
-    if r is not _MISS:
-        return r
-    r = None
-    for i, child in enumerate(e.children):
-        sub = _find_first(child)
-        if sub is not None:
-            r = ((i,) + sub[0], sub[1])
-            break
-    if r is None:
-        op = _decide_ops(e)
-        if op is not None:
-            r = ((), op)
-    e.cache["ff"] = r
-    return r
-
-
-def _contains_prob(e: Expr) -> bool:
-    r = e.cache.get("cp")
-    if r is None:
-        r = e.kind in (INTEGRAL, DERIV) or any(_contains_prob(c) for c in e.children)
-        e.cache["cp"] = r
-    return r
+def _normal(x: Expr) -> bool:
+    return (
+        x.kind not in (INTEGRAL, DERIV)
+        and _decide_ops(x) is None
+        and all(c.cache["goal"] for c in x.children)
+    )
 
 
 def is_goal(e: Expr) -> bool:
     """No integral or derivative remains and no operator applies anywhere."""
-    return not _contains_prob(e) and _find_first(e) is None
+    return _bottom_up(e, "goal", _normal)
 
 
 # ---------------------------------------------------------------------------

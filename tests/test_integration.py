@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speedup_learning import integration as I
-from speedup_learning.control_rules import rule_solve
+from speedup_learning.control_rules import ControlRule, RuleSet, rule_solve, rule_solve_ex
 from speedup_learning.core import BOTTOM
 from speedup_learning.errors import (
     InapplicableOperatorError,
@@ -99,7 +99,7 @@ def test_as_exp_matches_reparse():
     for _ in range(30):
         p = I.generate_problem(rng)
         for e in (p.args[0], I.teacher_trace(p)[1]):
-            assert I.as_exp(e) == parse(I.GRAMMAR, I._tokens(e, 2), "Exp")
+            assert I.as_exp(e) == parse(I.GRAMMAR, I.to_tokens(e), "Exp")
 
 
 def test_worked_derivation_sin_plus_square():
@@ -213,14 +213,29 @@ def test_trace_equals_restart_from_root_reference(e, limit):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_EXPRS, _EXPRS.map(I.integral), _EXPRS.map(I.deriv)))
 def test_tokens_round_trip_and_count(e):
+    # all 13 kinds in every parenthesis context: the trees the layout table
+    # gives are the ones the Earley parser gives
     tokens = I.to_tokens(e)
     assert I.parse_expr(tokens, "Exp") is e
     assert I.token_count(e) == len(tokens)
+    assert I.as_exp(e) == parse(I.GRAMMAR, tokens, "Exp")
+
+
+def _same_tree(a, b):
+    """Structural equality on an explicit stack (``==`` recurses)."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x.label != y.label or len(x.children) != len(y.children):
+            return False
+        stack.extend(zip(x.children, y.children))
+    return True
 
 
 def test_round_trip_of_deep_inputs():
     # a 400-digit integer (Int -> Digit Int, 400 levels) and a 3000-deep
-    # negation chain: serializing, parsing and reading back recurse nowhere
+    # negation chain: serializing, parsing, reading back, the parse tree,
+    # the goal test, the unit walk and the rule solver recurse nowhere
     big = I.num(int("9876543210" * 40))
     assert I.parse_expr(I.to_tokens(big)) is big
     chain = I.VAR_X
@@ -240,6 +255,19 @@ def test_round_trip_of_deep_inputs():
     assert membership(I.GRAMMAR, tokens, tokens, "Exp")
     assert membership(I.GRAMMAR, form, tokens, "Exp")
     assert not membership(I.GRAMMAR, form, I.to_tokens(chain.args[0]), "Exp")
+    tree = I.as_exp(chain)
+    assert tree_yield(tree) == tokens
+    assert _same_tree(tree, parse(I.GRAMMAR, tokens, "Exp"))
+    assert not I.is_goal(chain) and I.is_goal(I.neg(I.sinx()))
+    assert I.token_count(I.integral(chain)) == 9004
+    units = 0
+    for path, unit in I.iter_postorder(chain):
+        units += 1
+    assert units == 3001 and path == () and unit is chain
+    deep = (0,) * 2999
+    assert I.subexpr_at(I.replace_at(chain, deep, I.cosx()), deep) is I.cosx()
+    empty = RuleSet([ControlRule(op.index) for op in I.OPERATORS])
+    assert rule_solve_ex(empty, I.IntegrationRuleDomain(), chain) == (BOTTOM, "no_match")
 
 
 def test_step_limit_returns_none_on_runaway_by_parts(monkeypatch):
