@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import BOTTOM, Example, is_consistent, solved_problem
-from .errors import (
-    ConsistencyError,
-    InapplicableOperatorError,
-    LocationError,
-    MoveError,
-    ParameterError,
-)
+from .errors import INAPPLICABLE, ConsistencyError, ParameterError
 from .grammar import Node, msc, tree_yield
 
 
@@ -87,7 +81,7 @@ def rule_solve_ex(ruleset: RuleSet, rdomain, x):
         op_index, path = found
         try:
             x = rdomain.apply(x, op_index, path)
-        except (InapplicableOperatorError, LocationError, MoveError):
+        except INAPPLICABLE:
             return BOTTOM, "no_match"
         steps.append((op_index, path))
         if len(steps) > limit:

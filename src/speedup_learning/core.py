@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import OracleIntegrityError, ParameterError, ReplayError
+from .errors import INAPPLICABLE, OracleIntegrityError, ParameterError, ReplayError
 
 
 class _Bottom:
@@ -47,18 +47,16 @@ class DomainSpec:
     """A problem domain: states, a goal predicate and ordered partial operators.
 
     ``operators[i]`` is called as ``op(state, location)`` and must either
-    return a new state or raise one of the package's "inapplicable" errors.
+    return a new state or raise one of the package's "inapplicable" errors
+    (``errors.INAPPLICABLE``).
     Indices are 1-based in solutions, matching the fixed total ordering used
     for conflict resolution.
     """
 
-    state_size: int
     goal_test: Callable[[Any], bool]
     operators: Sequence[Callable[..., Any]]
 
     def __post_init__(self):
-        if self.state_size <= 0:
-            raise ParameterError("state_size must be positive")
         if not self.operators:
             raise ParameterError("operator list must be nonempty")
 
@@ -126,9 +124,7 @@ def replay(domain: DomainSpec, problem, solution) -> list:
     for step_idx, (op_index, loc) in enumerate(solution):
         try:
             x = domain.apply(x, op_index, loc)
-        except ParameterError:
-            raise
-        except Exception as exc:
+        except INAPPLICABLE as exc:
             raise ReplayError(
                 f"operator {op_index} inapplicable: {exc}", step_idx
             ) from exc

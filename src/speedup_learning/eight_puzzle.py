@@ -229,7 +229,6 @@ def _operator(move: str):
 
 def domain_spec() -> DomainSpec:
     return DomainSpec(
-        state_size=N_TILES,
         goal_test=lambda b: b == GOAL,
         operators=tuple(_operator(m) for m in MOVE_LETTERS),
     )

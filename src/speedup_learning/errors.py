@@ -59,6 +59,11 @@ class MoveError(SpeedupLearningError):
     """A sliding-tile move is not applicable in the given board."""
 
 
+# What an operator raises when it does not apply; callers that treat that as
+# "inapplicable" catch exactly these and let anything else propagate.
+INAPPLICABLE = (InapplicableOperatorError, LocationError, MoveError)
+
+
 class TableCorruptionError(SpeedupLearningError):
     """A stored macro failed to apply; the macro table violates its invariant."""
 

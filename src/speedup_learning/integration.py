@@ -23,16 +23,20 @@ test suite cross-checks them.
 match a subterm is fully normalized before anything to its right or above
 it fires, so the steps taken inside a subterm, and its normal form, depend
 on that subterm alone.  The teacher therefore solves each interned subterm
-once, composes the result into its parents, and keeps it in the subterm's
-``cache``; the test suite checks it step for step against the
-restart-from-root interpreter.
+once, composes the result into its parents, and keeps it in ``_TRACE``;
+the test suite checks it step for step against the restart-from-root
+interpreter.  ``_TRACE`` is one of the memo tables listed in ``_MEMOS``:
+one table per value derived from a subterm alone, keyed by the interned
+``Expr``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -87,15 +91,11 @@ class Expr:
 
     ``children`` are the Expr arguments: none for the leaves (whose one
     argument is an int or a name), all of ``args`` for every other kind.
-
-    ``cache`` holds what is derived from the subterm alone, one key each:
-    ``"trees"`` (its P-term, Term and Exp parse trees), ``"ntok"`` (its
-    token count) and ``"goal"`` (``is_goal``), all set by ``_bottom_up``;
-    ``"tr"`` (``teacher_trace``'s steps and normal form); and ``"capm"``
-    (``unit_matches``' results by cap).
+    What is derived from a subterm is kept in the memo tables (``_MEMOS``),
+    not on the node.
     """
 
-    __slots__ = ("kind", "args", "children", "cache")
+    __slots__ = ("kind", "args", "children")
 
     _interned: dict = {}
 
@@ -103,7 +103,6 @@ class Expr:
         self.kind = kind
         self.args = args
         self.children = () if kind in (NUM, NAMED, VAR) else args
-        self.cache = {}
 
     def __repr__(self):
         return f"<{to_text(self)}>"
@@ -117,16 +116,26 @@ def _mk(kind: str, *args) -> Expr:
     return e
 
 
+# Memo tables, one per value derived from a subterm alone, keyed by the
+# interned Expr.
+_TREES: dict = {}  # its (P-term, Term, Exp) parse trees (``_trees``)
+_NTOK: dict = {}  # its token count (``_token_count``)
+_GOAL: dict = {}  # ``is_goal`` (``_normal``)
+_TRACE: dict = {}  # ``teacher_trace``'s (steps, normal form)
+_CAPM: dict = {}  # ``unit_matches``' results, {cap: bool}
+_MEMOS = (_TREES, _NTOK, _GOAL, _TRACE, _CAPM)
+
+
 def clear_expr_caches():
-    """Drop the interning table and all per-expression caches (their keys
-    are listed on ``Expr``).
+    """Empty the interning table and every memo table (``_MEMOS``).
 
     The module constants are interned again at once: operators test them
-    by identity (``is ONE``), so a fresh ``num(1)`` must be ``ONE``.
+    by identity (``is ONE``), so a fresh ``num(1)`` must be ``ONE``.  Their
+    memos are recomputed on demand, like any other subterm's.
     """
-    Expr._interned.clear()
+    for table in (Expr._interned,) + _MEMOS:
+        table.clear()
     for e in (VAR_X, ZERO, ONE, TWO):
-        e.cache.clear()
         Expr._interned[(e.kind, e.args)] = e
 
 
@@ -233,24 +242,24 @@ _LEAF["x"] = Node("Var", (_LEAF["x"],))
 _LEAF.update((d, Node("Digit", (_LEAF[d],))) for d in "0123456789")
 
 
-def _bottom_up(e: Expr, key: str, make: Callable[[Expr], object]):
-    """``make(x)`` for ``e``, memoized as ``x.cache[key]`` on every subterm
-    ``x``; ``make`` runs only once every child of ``x`` has its value.
-    Explicit stack, no recursion."""
-    if key not in e.cache:
+def _bottom_up(e: Expr, memo: dict, make: Callable[[Expr], object]):
+    """``make(x)`` for ``e``, memoized as ``memo[x]`` for every subterm
+    ``x``; ``make`` runs only once every child of ``x`` has its value, in
+    post-order (left to right).  Explicit stack, no recursion."""
+    if e not in memo:
         stack = [e]
         while stack:
             x = stack[-1]
-            if key in x.cache:
+            if x in memo:
                 stack.pop()
                 continue
-            todo = [c for c in x.children if key not in c.cache]
+            todo = [c for c in reversed(x.children) if c not in memo]
             if todo:
                 stack.extend(todo)
                 continue
             stack.pop()
-            x.cache[key] = make(x)
-    return e.cache[key]
+            memo[x] = make(x)
+    return memo[e]
 
 
 def _trees(x: Expr) -> tuple:
@@ -265,7 +274,7 @@ def _trees(x: Expr) -> tuple:
         kids = (_LEAF[x.args[0]],)
     else:
         kids = tuple(
-            _LEAF[p] if isinstance(p, str) else x.args[p[0]].cache["trees"][p[1]] for p in body
+            _LEAF[p] if isinstance(p, str) else _TREES[x.args[p[0]]][p[1]] for p in body
         )
     if head is not None:
         kids = (Node(head, kids),)
@@ -294,13 +303,13 @@ def _token_count(x: Expr) -> int:
             n += 1
         else:
             arg = x.args[p[0]]
-            n += arg.cache["ntok"] + 2 * (_NATURAL.get(arg.kind, _PTERM) > p[1])
+            n += _NTOK[arg] + 2 * (_NATURAL.get(arg.kind, _PTERM) > p[1])
     return n
 
 
 def as_exp(e: Expr) -> Node:
     """The Exp-rooted parse tree of ``e``, as ``parse`` would give it."""
-    return _bottom_up(e, "trees", _trees)[_EXP]
+    return _bottom_up(e, _TREES, _trees)[_EXP]
 
 
 def to_tokens(e: Expr) -> tuple:
@@ -310,7 +319,7 @@ def to_tokens(e: Expr) -> tuple:
 def token_count(e: Expr) -> int:
     """``len(to_tokens(e))``, memoized on every subterm: the rule solver's
     step and size limits read it on every step."""
-    return _bottom_up(e, "ntok", _token_count)
+    return _bottom_up(e, _NTOK, _token_count)
 
 
 def to_text(e: Expr) -> str:
@@ -323,42 +332,35 @@ def parse_expr(tokens: Sequence[str], start: Optional[str] = None) -> Expr:
     return tree_to_expr(tree)
 
 
+# How ``tree_to_expr`` reads a node back, from ``_LAYOUT``: (node label,
+# child labels) -> the maker of its kind, which takes the Exprs of the
+# node's nonterminal children.  A slot's label is its category, the token x
+# is Var(x).
+_READ = {
+    (head or _CATEGORY[_NATURAL.get(kind, _PTERM)],
+     tuple(_LEAF[p].label if isinstance(p, str) else _CATEGORY[p[1]] for p in body)):
+    partial(_mk, kind)
+    for kind, (head, body) in _LAYOUT.items() if kind not in (NUM, NAMED, VAR)
+}
+
+
 def _reading(node: Node) -> tuple:
     """How ``tree_to_expr`` reads one parse node: the children whose Exprs
     it needs, and the function making the node's Expr from them."""
     label = node.label
     kids = node.children
-    if label == "Prob":
-        return (kids[1],), integral if kids[0].label == "∫" else deriv
-    if label in ("Exp", "Term"):
-        if len(kids) == 1:
-            return (kids[0],), _same
-        return (kids[0], kids[2]), {"+": add, "-": sub, "*": mul, "/": div}[kids[1].label]
-    if label == "P-term":
-        if kids[0].label == "(":
-            if kids[1].label == "-":
-                return (kids[2],), neg
-            return (kids[1],), _same
-        return (kids[0],), _same
-    if label == "Power":
-        return (kids[3],), powx
-    if label == "Trig":
-        return (), sinx if kids[1].label == "sin" else cosx
-    if label == "Const":
-        if kids[0].label == "Int":
-            return (kids[0],), _same
-        return (), lambda: named(kids[0].label)
-    if label == "Int":
-        digits = []
-        n = node
-        while True:
-            digits.append(n.children[0].children[0].label)
-            if len(n.children) == 1:
-                break
-            n = n.children[1]
-        return (), lambda: num(int("".join(digits)))
     if label == "Var":
         return (), lambda: VAR_X
+    if label == "Int":
+        return (), lambda: num(int("".join(tree_yield(node))))
+    inner = tuple(k for k in kids if k.label in GRAMMAR.nonterminals)
+    make = _READ.get((label, tuple(k.label for k in kids)))
+    if make is not None:
+        return inner, make
+    if len(inner) == 1:
+        return inner, _same
+    if label == "Const":
+        return (), lambda: named(kids[0].label)
     raise ParameterError(f"cannot interpret parse node {label!r}")
 
 
@@ -605,13 +607,13 @@ def _normal(x: Expr) -> bool:
     return (
         x.kind not in (INTEGRAL, DERIV)
         and _decide_ops(x) is None
-        and all(c.cache["goal"] for c in x.children)
+        and all(_GOAL[c] for c in x.children)
     )
 
 
 def is_goal(e: Expr) -> bool:
     """No integral or derivative remains and no operator applies anywhere."""
-    return _bottom_up(e, "goal", _normal)
+    return _bottom_up(e, _GOAL, _normal)
 
 
 # ---------------------------------------------------------------------------
@@ -634,12 +636,12 @@ def teacher_trace(e: Expr):
     fires, so its trace depends on it alone: normalize the children left to
     right (prefixing their steps with the child's index), rebuild the node,
     and if an operator applies there, record it at () and go on with the
-    rewritten term.  Each subterm keeps (its steps, its normal form) in its
-    ``cache``.  The frames live on an explicit stack; one step count covers
+    rewritten term.  Each subterm's (steps, normal form) is kept in
+    ``_TRACE``.  The frames live on an explicit stack; one step count covers
     the call, a memo hit adds its length, and a call that passes the limit
     memoizes nothing.
     """
-    found = e.cache.get("tr")
+    found = _TRACE.get(e)
     if found is not None:
         return found if len(found[0]) <= _MAX_TEACHER_STEPS else None
     count = 0
@@ -658,7 +660,7 @@ def teacher_trace(e: Expr):
             sub, handed = handed, None
             if sub is None:
                 child = children[i]
-                sub = child.cache.get("tr") or fresh.get(child)
+                sub = _TRACE.get(child) or fresh.get(child)
                 if sub is None:
                     stack.append([child, child, [], []])
                     continue
@@ -681,8 +683,7 @@ def teacher_trace(e: Expr):
         steps.append((op.index, (), x))
         frame[1] = op.rewrite(x)
         frame[3] = []
-    for t, result in fresh.items():
-        t.cache["tr"] = result
+    _TRACE.update(fresh)
     return handed
 
 
@@ -742,63 +743,68 @@ def generate_problem(rng: random.Random) -> Expr:
 # ---------------------------------------------------------------------------
 
 
+_ARITH = {SUM: operator.add, DIFF: operator.sub, PROD: operator.mul,
+          QUOT: operator.truediv, POWER: operator.pow}
+
+
 def numeric_value(e: Expr, x: float) -> float:
-    k = e.kind
-    if k == NUM:
-        return float(e.args[0])
-    if k == VAR:
-        return x
-    if k == SUM:
-        return numeric_value(e.args[0], x) + numeric_value(e.args[1], x)
-    if k == DIFF:
-        return numeric_value(e.args[0], x) - numeric_value(e.args[1], x)
-    if k == PROD:
-        return numeric_value(e.args[0], x) * numeric_value(e.args[1], x)
-    if k == QUOT:
-        return numeric_value(e.args[0], x) / numeric_value(e.args[1], x)
-    if k == NEG:
-        return -numeric_value(e.args[0], x)
-    if k == POWER:
-        return x ** numeric_value(e.args[1], x)
-    if k == SIN:
-        return math.sin(x)
-    if k == COS:
-        return math.cos(x)
-    raise ParameterError(f"cannot evaluate {k} node numerically")
+    """The value of ``e`` at ``x``, subterm by subterm on ``_bottom_up``."""
+    value: dict = {}
+
+    def make(n: Expr) -> float:
+        k, l, r = n.kind, n.args[0], n.args[-1]
+        if k == NUM:
+            return float(l)
+        if k == VAR:
+            return x
+        if k == SIN:
+            return math.sin(x)
+        if k == COS:
+            return math.cos(x)
+        if k == NEG:
+            return -value[l]
+        if k in _ARITH:
+            return _ARITH[k](value[l], value[r])
+        raise ParameterError(f"cannot evaluate {k} node numerically")
+
+    return _bottom_up(e, value, make)
 
 
 def differentiate(e: Expr) -> Expr:
-    """Symbolic d/dx, independent of the rewrite operators (test oracle)."""
-    k = e.kind
-    if k in (NUM, NAMED):
-        return ZERO
-    if k == VAR:
-        return ONE
-    if k == SUM:
-        return add(differentiate(e.args[0]), differentiate(e.args[1]))
-    if k == DIFF:
-        return sub(differentiate(e.args[0]), differentiate(e.args[1]))
-    if k == PROD:
-        l, r = e.args
-        return add(mul(differentiate(l), r), mul(l, differentiate(r)))
-    if k == QUOT:
-        l, r = e.args
-        return div(sub(mul(differentiate(l), r), mul(l, differentiate(r))), mul(r, r))
-    if k == NEG:
-        return neg(differentiate(e.args[0]))
-    if k == POWER:
-        exp_val = e.args[1]
-        if exp_val.kind != NUM:
-            raise ParameterError("can only differentiate integer powers")
-        n = exp_val.args[0]
-        if n == 0:
+    """Symbolic d/dx, independent of the rewrite operators (test oracle),
+    subterm by subterm on ``_bottom_up``."""
+    d: dict = {}
+
+    def make(n: Expr) -> Expr:
+        k, l, r = n.kind, n.args[0], n.args[-1]
+        if k in (NUM, NAMED):
             return ZERO
-        return mul(exp_val, powx(num(n - 1)) if n != 1 else ONE)
-    if k == SIN:
-        return cosx()
-    if k == COS:
-        return neg(sinx())
-    raise ParameterError(f"cannot differentiate {k} node")
+        if k == VAR:
+            return ONE
+        if k == SIN:
+            return cosx()
+        if k == COS:
+            return neg(sinx())
+        if k == NEG:
+            return neg(d[l])
+        if k == SUM:
+            return add(d[l], d[r])
+        if k == DIFF:
+            return sub(d[l], d[r])
+        if k == PROD:
+            return add(mul(d[l], r), mul(l, d[r]))
+        if k == QUOT:
+            return div(sub(mul(d[l], r), mul(l, d[r])), mul(r, r))
+        if k != POWER:
+            raise ParameterError(f"cannot differentiate {k} node")
+        if r.kind != NUM:
+            raise ParameterError("can only differentiate integer powers")
+        m = r.args[0]
+        if m == 0:
+            return ZERO
+        return mul(r, powx(num(m - 1)) if m != 1 else ONE)
+
+    return _bottom_up(e, d, make)
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +820,6 @@ def domain_spec():
         return lambda state, loc: apply_at(op, state, loc or ())
 
     return DomainSpec(
-        state_size=1,
         goal_test=is_goal,
         operators=tuple(make_applier(op) for op in OPERATORS),
     )
@@ -841,9 +846,9 @@ class IntegrationRuleDomain:
         return as_exp(unit)
 
     def unit_matches(self, cap: Node, unit: Expr) -> bool:
-        memo = unit.cache.get("capm")
+        memo = _CAPM.get(unit)
         if memo is None:
-            memo = unit.cache["capm"] = {}
+            memo = _CAPM[unit] = {}
         r = memo.get(cap)
         if r is None:
             r = memo[cap] = cap_matches_tree(cap, as_exp(unit))

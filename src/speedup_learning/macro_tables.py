@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from .core import BOTTOM, DomainSpec, Example, replay
 from .errors import (
+    INAPPLICABLE,
     MalformedSolutionError,
     ParameterError,
     TableCorruptionError,
@@ -122,9 +123,7 @@ def apply_domain_macro(domain: DomainSpec, state, macro: Macro):
     for op_index in macro:
         try:
             state = domain.apply(state, op_index, None)
-        except ParameterError:
-            raise
-        except Exception as exc:
+        except INAPPLICABLE as exc:
             raise TableCorruptionError(
                 f"stored macro step {op_index} inapplicable: {exc}"
             ) from exc
@@ -222,9 +221,7 @@ def check_serial_decomposability(domain: DomainSpec, ordering: FeatureOrdering,
         for s in states:
             try:
                 t = domain.apply(s, op_index, None)
-            except ParameterError:
-                raise
-            except Exception:
+            except INAPPLICABLE:
                 t = None  # operator inapplicable counts as an effect too
             for i in range(1, n + 1):
                 proj = tuple(s[ordering.feature(p)] for p in range(1, i + 1))

@@ -13,6 +13,7 @@ from speedup_learning.core import (
     solved_problem,
 )
 from speedup_learning.errors import (
+    InapplicableOperatorError,
     OracleIntegrityError,
     ParameterError,
     ReplayError,
@@ -28,11 +29,10 @@ def _counter_domain(limit=5):
 
     def dec(state, loc):
         if state == 0:
-            raise ValueError("cannot decrement zero")
+            raise InapplicableOperatorError("cannot decrement zero")
         return state - 1
 
-    return DomainSpec(state_size=1, goal_test=lambda s: s == limit,
-                      operators=(inc, dec))
+    return DomainSpec(goal_test=lambda s: s == limit, operators=(inc, dec))
 
 
 def test_sample_size_pinned_values():
@@ -72,9 +72,7 @@ def test_bottom_is_falsy_singleton():
 
 def test_domain_spec_validation():
     with pytest.raises(ParameterError):
-        DomainSpec(state_size=0, goal_test=bool, operators=(lambda s, l: s,))
-    with pytest.raises(ParameterError):
-        DomainSpec(state_size=1, goal_test=bool, operators=())
+        DomainSpec(goal_test=bool, operators=())
     dom = _counter_domain()
     assert dom.num_operators == 2
     with pytest.raises(ParameterError):

@@ -57,23 +57,28 @@ def test_expressions_are_hash_consed():
 
 def test_cache_reset_keeps_constant_identities():
     # operators 22-26 test the constants by identity, so a reset must not
-    # leave num(1) a different object from ONE
-    constants = (I.VAR_X, I.ZERO, I.ONE, I.TWO)
-    saved_interned = dict(I.Expr._interned)
-    saved_caches = [dict(e.cache) for e in constants]
+    # leave num(1) a different object from ONE; every memo table empties
+    e, rd = _expr("∫ 1 * x d x"), I.IntegrationRuleDomain()
+    I.teacher_trace(e)
+    I.token_count(e)
+    I.is_goal(e)
+    rd.unit_matches(rd.unit_tree(e), e)
+    assert all(I._MEMOS)
+    tables = (I.Expr._interned,) + I._MEMOS
+    saved = [dict(t) for t in tables]
     try:
         I.clear_expr_caches()
+        assert not any(I._MEMOS)
+        assert len(I.Expr._interned) == 4
         assert I.num(1) is I.ONE and I.num(0) is I.ZERO and I.num(2) is I.TWO
         assert _expr("x") is I.VAR_X
         final = I.teacher_trace(_expr("∫ 1 * x d x"))[1]
         assert I.to_text(final) == "( x ^ 2 ) / 2"
         assert I.is_goal(final)
     finally:
-        I.Expr._interned.clear()
-        I.Expr._interned.update(saved_interned)
-        for e, cache in zip(constants, saved_caches):
-            e.cache.clear()
-            e.cache.update(cache)
+        for t, contents in zip(tables, saved):
+            t.clear()
+            t.update(contents)
 
 
 def test_serialization_round_trip():
@@ -235,7 +240,8 @@ def _same_tree(a, b):
 def test_round_trip_of_deep_inputs():
     # a 400-digit integer (Int -> Digit Int, 400 levels) and a 3000-deep
     # negation chain: serializing, parsing, reading back, the parse tree,
-    # the goal test, the unit walk and the rule solver recurse nowhere
+    # the goal test, the unit walk, the rule solver and the oracles recurse
+    # nowhere
     big = I.num(int("9876543210" * 40))
     assert I.parse_expr(I.to_tokens(big)) is big
     chain = I.VAR_X
@@ -268,6 +274,13 @@ def test_round_trip_of_deep_inputs():
     assert I.subexpr_at(I.replace_at(chain, deep, I.cosx()), deep) is I.cosx()
     empty = RuleSet([ControlRule(op.index) for op in I.OPERATORS])
     assert rule_solve_ex(empty, I.IntegrationRuleDomain(), chain) == (BOTTOM, "no_match")
+    # the numeric and symbolic oracles: d/dx of -(-(...x)) is -(-(...1))
+    d = I.differentiate(chain)
+    for _ in range(3000):
+        assert d.kind == I.NEG
+        d = d.args[0]
+    assert d is I.ONE
+    assert I.numeric_value(chain, 0.5) == 0.5
 
 
 def test_step_limit_returns_none_on_runaway_by_parts(monkeypatch):
@@ -353,6 +366,13 @@ def test_differentiate_oracle_against_finite_differences():
         for x in (0.3, 0.9):
             numeric = (I.numeric_value(e, x + h) - I.numeric_value(e, x - h)) / (2 * h)
             assert math.isclose(I.numeric_value(d, x), numeric, rel_tol=1e-4)
+    # kinds the oracles cannot handle raise ParameterError
+    for bad in (I.integral(I.VAR_X), I.deriv(I.VAR_X), I.named("a")):
+        with pytest.raises(ParameterError):
+            I.numeric_value(I.add(I.ONE, bad), 0.5)
+    for bad in (I.integral(I.VAR_X), I.deriv(I.VAR_X), I.powx(I.VAR_X)):
+        with pytest.raises(ParameterError):
+            I.differentiate(I.add(I.ONE, bad))
 
 
 def test_domain_spec_replays_teacher():

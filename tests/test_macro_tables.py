@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speedup_learning import eight_puzzle as ep
-from speedup_learning.core import BOTTOM, DomainSpec, Example
+from speedup_learning.core import BOTTOM, DomainSpec, Example, replay
 from speedup_learning.errors import (
+    InapplicableOperatorError,
     MalformedSolutionError,
     ParameterError,
     TableCorruptionError,
@@ -36,8 +37,7 @@ def _toy_domain():
     def copy_b_to_a(s, loc):
         return (s[1], s[1])
 
-    return DomainSpec(state_size=2, goal_test=lambda s: s == (0, 0),
-                      operators=(flip_b, copy_b_to_a))
+    return DomainSpec(goal_test=lambda s: s == (0, 0), operators=(flip_b, copy_b_to_a))
 
 
 def test_feature_ordering_validation():
@@ -87,11 +87,26 @@ def test_apply_macro_and_corruption():
     assert apply_domain_macro(dom, (1, 1), (2, 1)) == (1, 0)
 
     def partial(s, loc):
-        raise ValueError("never applicable")
+        raise InapplicableOperatorError("never applicable")
 
-    broken = DomainSpec(state_size=2, goal_test=lambda s: False, operators=(partial,))
+    broken = DomainSpec(goal_test=lambda s: False, operators=(partial,))
     with pytest.raises(TableCorruptionError):
         apply_domain_macro(broken, (0, 0), (1,))
+
+
+def test_programming_errors_propagate_past_inapplicable_catches():
+    # only the "inapplicable" errors mean an operator does not apply; a bug
+    # in an operator must not be turned into a replay, table or effect result
+    def buggy(s, loc):
+        raise TypeError("bug in operator")
+
+    dom = DomainSpec(goal_test=lambda s: False, operators=(buggy,))
+    with pytest.raises(TypeError):
+        replay(dom, (0, 0), ((1, None),))
+    with pytest.raises(TypeError):
+        apply_domain_macro(dom, (0, 0), (1,))
+    with pytest.raises(TypeError):
+        check_serial_decomposability(dom, FeatureOrdering((0, 1)), [(0, 0)])
 
 
 def test_macro_solve_toy_domain():
