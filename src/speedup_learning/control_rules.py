@@ -134,12 +134,8 @@ class IncrementalRuleLearner:
 
     def _merge(self, op_index: int, tree: Node):
         old = self.caps.get(op_index)
-        if old is None:
-            self.caps[op_index] = tree
-            self.version += 1
-            return
-        new = msc([old, tree])
-        if new != old:
+        new = tree if old is None else msc([old, tree])
+        if new is not old:  # msc returns ``old`` itself when it covers ``tree``
             self.caps[op_index] = new
             self.version += 1
 

@@ -12,9 +12,9 @@ in the input, and the tree is read off the one derivation the recogniser
 recorded.  When some Earley item has two derivations, or the grammar has
 nullable symbols, it falls back to plain Earley spans and a search over
 their splits, polynomial but not linear.  Parsing, ``msc``,
-``cap_matches_tree``, ``tree_yield``, ``form_to_cap`` and ``membership``
-use explicit stacks, so however deep a tree is they do not reach the
-recursion limit.
+``cap_matches_tree``, ``same_tree``, ``tree_yield``, ``form_to_cap`` and
+``membership`` use explicit stacks, so however deep a tree is they do
+not reach the recursion limit.
 
 Generalization works on *caps*: prefix-closed, sibling-closed subtrees of a
 parse tree rooted at its root.  The yield of a cap is a sentential form,
@@ -49,31 +49,30 @@ class Node:
     """An ordered tree node labeled with a grammar symbol.
 
     Used both for full parse trees (all leaves terminal) and for caps
-    (leaves may be nonterminals).  Nodes are immutable.
+    (leaves may be nonterminals).  Nodes are immutable and compare and hash
+    by identity; ``same_tree`` compares two trees by structure.
     """
 
-    __slots__ = ("label", "children", "_hash")
+    __slots__ = ("label", "children")
 
     def __init__(self, label: str, children: Sequence["Node"] = ()):
         self.label = label
         self.children = tuple(children)
-        self._hash = hash((label, self.children))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, Node)
-            and self._hash == other._hash
-            and self.label == other.label
-            and self.children == other.children
-        )
 
     def __repr__(self):
         return f"Node({self.label!r}, {len(self.children)} children)"
+
+
+def same_tree(a: Node, b: Node) -> bool:
+    """True iff the two trees have the same labels in the same shape.
+    Explicit stack, no recursion."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x.label != y.label or len(x.children) != len(y.children):
+            return False
+        stack.extend(zip(x.children, y.children))
+    return True
 
 
 def tree_yield(tree: Node) -> tuple[str, ...]:

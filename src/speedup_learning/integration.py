@@ -767,7 +767,10 @@ def numeric_value(e: Expr, x: float) -> float:
             return _ARITH[k](value[l], value[r])
         raise ParameterError(f"cannot evaluate {k} node numerically")
 
-    return _bottom_up(e, value, make)
+    try:
+        return _bottom_up(e, value, make)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ParameterError(f"cannot evaluate numerically: {exc}") from exc
 
 
 def differentiate(e: Expr) -> Expr:
@@ -849,7 +852,7 @@ class IntegrationRuleDomain:
         memo = _CAPM.get(unit)
         if memo is None:
             memo = _CAPM[unit] = {}
-        r = memo.get(cap)
+        r = memo.get(cap)  # keyed by the cap object: Nodes hash by identity
         if r is None:
             r = memo[cap] = cap_matches_tree(cap, as_exp(unit))
         return r

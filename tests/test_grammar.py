@@ -23,6 +23,7 @@ from speedup_learning.grammar import (
     msc,
     msg,
     parse,
+    same_tree,
     tree_yield,
 )
 from speedup_learning import integration as I
@@ -127,13 +128,13 @@ def test_msc_matches_brute_force():
     rng = random.Random(7)
     for _ in range(200):
         trees = [parse(SMALL, _random_small_tokens(rng)) for _ in range(rng.choice([2, 2, 3]))]
-        assert msc(trees) == _brute_msc(trees)
+        assert same_tree(msc(trees), _brute_msc(trees))
 
 
 def test_msc_identity_and_errors():
     t = parse(SMALL, "f x".split())
-    assert msc([t]) == t
-    assert msc([t, t]) == t
+    assert msc([t]) is t
+    assert msc([t, t]) is t
     with pytest.raises(IncompatibleTreesError):
         msc([])
     with pytest.raises(IncompatibleTreesError):
@@ -143,13 +144,48 @@ def test_msc_identity_and_errors():
 def test_msc_root_only_when_productions_differ():
     t1 = parse(SMALL, ["x"])
     t2 = parse(SMALL, "x + a".split())
-    assert msc([t1, t2]) == Node("S")
+    assert same_tree(msc([t1, t2]), Node("S"))
+
+
+def _random_cap(rng, tree):
+    """A cap of ``tree``: each node below the root is cut to a leaf with
+    probability 1/4.  An uncut subtree is the tree's own object."""
+    kids = [Node(k.label) if k.children and rng.random() < 0.25 else _random_cap(rng, k)
+            for k in tree.children]
+    if all(k is c for k, c in zip(kids, tree.children)):
+        return tree
+    return Node(tree.label, kids)
+
+
+def _drawn_tree(rng, integration):
+    """A SMALL parse tree, or the Exp tree of a subterm of a generated
+    integration problem; sometimes a random cap of it instead."""
+    if integration:
+        units = [u for _, u in I.iter_postorder(generate_problem(rng).args[0])]
+        tree = I.as_exp(rng.choice(units))
+    else:
+        tree = parse(SMALL, _random_small_tokens(rng))
+    return _random_cap(rng, tree) if rng.random() < 0.3 else tree
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_msc_returns_its_first_input_exactly_where_it_equals_it(rng, integration):
+    # the learner's ``new is not old`` test relies on this
+    a, b = _drawn_tree(rng, integration), _drawn_tree(rng, integration)
+    m = msc([a, b])
+    assert (m is a) == same_tree(m, a)
+    assert cap_matches_tree(m, a) and cap_matches_tree(m, b)
+    assert same_tree(msc([b, a]), m)
+    assert msc([a, a]) is a
+    cap = _random_cap(rng, a)
+    assert msc([cap, a]) is cap
 
 
 def test_all_caps_are_caps():
     tree = parse(SMALL, "f x + a".split())
     caps = list(all_caps(tree))
-    assert len(caps) == len(set(caps))
+    assert not any(same_tree(a, b) for i, a in enumerate(caps) for b in caps[:i])
     for c in caps:
         assert cap_matches_tree(c, tree)
 
@@ -199,18 +235,18 @@ def test_form_to_cap_round_trip():
     # its derivation spells
     left = Grammar.from_text("S -> S a | b")
     s_a = form_to_cap(left, ["S", "a"])
-    assert s_a == Node("S", [Node("S"), Node("a")])
+    assert same_tree(s_a, Node("S", [Node("S"), Node("a")]))
     b_a_a = form_to_cap(left, "b a a".split())
-    assert b_a_a == parse(left, "b a a".split())
+    assert same_tree(b_a_a, parse(left, "b a a".split()))
     assert cap_matches_tree(s_a, b_a_a)
-    assert form_to_cap(left, ["S"]) == Node("S")
+    assert same_tree(form_to_cap(left, ["S"]), Node("S"))
     with pytest.raises(ParseError):
         form_to_cap(left, "a S".split())
     # every cap of a tree is the one cap its own yield parses to
     rng = random.Random(5)
     for _ in range(6):
         for c in all_caps(parse(SMALL, _random_small_tokens(rng))):
-            assert form_to_cap(SMALL, tree_yield(c)) == c
+            assert same_tree(form_to_cap(SMALL, tree_yield(c)), c)
 
 
 def test_form_to_cap_errors():
@@ -359,7 +395,7 @@ def _build_unique_tree(grammar, tokens, start, completed):
         for body in bodies:
             for children in split_body(body, 0, i, j):
                 tree = Node(sym, children)
-                if found is not None and tree != found:
+                if found is not None and not same_tree(tree, found):
                     raise AmbiguityError(
                         f"two parses for {sym!r} over tokens {i}:{j}"
                     )
@@ -409,17 +445,6 @@ def _reference_parse(grammar, tokens, start=None):
     return tree
 
 
-def _same_tree(a, b):
-    """Structural equality on an explicit stack (``==`` recurses)."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x.label != y.label or len(x.children) != len(y.children):
-            return False
-        stack.extend(zip(x.children, y.children))
-    return True
-
-
 def _cyclic(grammar):
     """Does some nonterminal derive itself (A =>+ A)?"""
     nullable = {a for a in grammar.nonterminals if grammar.min_yield_len(a) == 0}
@@ -463,7 +488,7 @@ def _assert_parses_as_reference(grammar, tokens, start=None):
     else:
         assert isinstance(got, Node), (tokens, got)
         assert tree_yield(got) == tree_yield(want)  # (an empty body yields its head)
-        assert _same_tree(got, want)
+        assert same_tree(got, want)
 
 
 def _sum_sentence(rng, terms):
@@ -570,6 +595,6 @@ def test_parse_msg_membership_on_a_4096_term_sum():
     assert membership(GRAMMAR, form, s1) and membership(GRAMMAR, form, s2)
     assert not membership(GRAMMAR, form, "∫ x + x d x".split())
     # raw forms: the short generalization, and a whole sentence as a form
-    assert form_to_cap(GRAMMAR, form.symbols) == form.cap
+    assert same_tree(form_to_cap(GRAMMAR, form.symbols), form.cap)
     assert membership(GRAMMAR, form.symbols, s1)
     assert membership(GRAMMAR, s1, s1) and not membership(GRAMMAR, s1, s2)

@@ -13,7 +13,14 @@ from speedup_learning.errors import (
     LocationError,
     ParameterError,
 )
-from speedup_learning.grammar import cap_matches_tree, form_to_cap, membership, parse, tree_yield
+from speedup_learning.grammar import (
+    cap_matches_tree,
+    form_to_cap,
+    membership,
+    parse,
+    same_tree,
+    tree_yield,
+)
 
 
 def _expr(text):
@@ -104,7 +111,7 @@ def test_as_exp_matches_reparse():
     for _ in range(30):
         p = I.generate_problem(rng)
         for e in (p.args[0], I.teacher_trace(p)[1]):
-            assert I.as_exp(e) == parse(I.GRAMMAR, I.to_tokens(e), "Exp")
+            assert same_tree(I.as_exp(e), parse(I.GRAMMAR, I.to_tokens(e), "Exp"))
 
 
 def test_worked_derivation_sin_plus_square():
@@ -223,18 +230,7 @@ def test_tokens_round_trip_and_count(e):
     tokens = I.to_tokens(e)
     assert I.parse_expr(tokens, "Exp") is e
     assert I.token_count(e) == len(tokens)
-    assert I.as_exp(e) == parse(I.GRAMMAR, tokens, "Exp")
-
-
-def _same_tree(a, b):
-    """Structural equality on an explicit stack (``==`` recurses)."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x.label != y.label or len(x.children) != len(y.children):
-            return False
-        stack.extend(zip(x.children, y.children))
-    return True
+    assert same_tree(I.as_exp(e), parse(I.GRAMMAR, tokens, "Exp"))
 
 
 def test_round_trip_of_deep_inputs():
@@ -263,7 +259,12 @@ def test_round_trip_of_deep_inputs():
     assert not membership(I.GRAMMAR, form, I.to_tokens(chain.args[0]), "Exp")
     tree = I.as_exp(chain)
     assert tree_yield(tree) == tokens
-    assert _same_tree(tree, parse(I.GRAMMAR, tokens, "Exp"))
+    assert same_tree(tree, parse(I.GRAMMAR, tokens, "Exp"))
+    assert same_tree(cap, tree)
+    other = I.ONE  # the same chain over 1: the trees differ only at the bottom
+    for _ in range(3000):
+        other = I.neg(other)
+    assert not same_tree(tree, I.as_exp(other))
     assert not I.is_goal(chain) and I.is_goal(I.neg(I.sinx()))
     assert I.token_count(I.integral(chain)) == 9004
     units = 0
@@ -366,10 +367,12 @@ def test_differentiate_oracle_against_finite_differences():
         for x in (0.3, 0.9):
             numeric = (I.numeric_value(e, x + h) - I.numeric_value(e, x - h)) / (2 * h)
             assert math.isclose(I.numeric_value(d, x), numeric, rel_tol=1e-4)
-    # kinds the oracles cannot handle raise ParameterError
-    for bad in (I.integral(I.VAR_X), I.deriv(I.VAR_X), I.named("a")):
+    # kinds the oracles cannot handle, and values no float holds, raise
+    # ParameterError
+    for bad in (I.integral(I.VAR_X), I.deriv(I.VAR_X), I.named("a"),
+                I.div(I.ONE, I.ZERO), I.powx(I.num(10000))):
         with pytest.raises(ParameterError):
-            I.numeric_value(I.add(I.ONE, bad), 0.5)
+            I.numeric_value(I.add(I.ONE, bad), 1.3)
     for bad in (I.integral(I.VAR_X), I.deriv(I.VAR_X), I.powx(I.VAR_X)):
         with pytest.raises(ParameterError):
             I.differentiate(I.add(I.ONE, bad))
