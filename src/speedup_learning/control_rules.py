@@ -52,8 +52,8 @@ class RuleSet:
         return "\n".join(lines) + "\n"
 
 
-def _first_match(ruleset: RuleSet, rdomain, x):
-    for path, unit in rdomain.iter_units(x):
+def _first_match(ruleset: RuleSet, rdomain, x, start):
+    for path, unit in rdomain.iter_units(x, start):
         for rule in ruleset.rules:
             if rule.cap is not None and rdomain.unit_matches(rule.cap, unit):
                 return rule.operator_index, path
@@ -66,16 +66,21 @@ def rule_solve_ex(ruleset: RuleSet, rdomain, x):
 
     "diverged" means the state outgrew the domain's size limit; partially
     learned rule sets can loop on growth rules (e.g. by-parts), and runaway
-    states get quadratically expensive to scan, so growth is cut early
-    rather than waiting out the step limit.
+    states get ever more expensive to scan, so growth is cut early rather
+    than waiting out the step limit.
+
+    After a rewrite at ``path`` the next scan starts there: the subtrees
+    left of it are unchanged, came before the match in post-order so
+    matched no rule, and a unit's match depends on the unit alone.
     """
     limit = ruleset.step_limit
     if limit is None:
         limit = rdomain.default_step_limit(x)
     size_limit = rdomain.default_size_limit(x)
     steps = []
+    path = ()
     while not rdomain.is_goal(x):
-        found = _first_match(ruleset, rdomain, x)
+        found = _first_match(ruleset, rdomain, x, path)
         if found is None:
             return BOTTOM, "no_match"
         op_index, path = found

@@ -84,18 +84,23 @@ def _trial_rng(cfg, trial, *tags) -> random.Random:
 # ---------------------------------------------------------------------------
 
 
-def _score_integration_fast(learner, rdomain, problem) -> bool:
+def _score_integration_fast(learner, rdomain, problem, matches) -> bool:
     trace = integration.teacher_trace(problem)
     if trace is None:
         return False
     for op_index, _path, unit in trace[0]:
         cap = learner.caps.get(op_index)
-        if cap is None or not rdomain.unit_matches(cap, unit):
+        if cap is None:
+            return False
+        hit = matches.get((cap, unit))
+        if hit is None:
+            hit = matches[cap, unit] = rdomain.unit_matches(cap, unit)
+        if not hit:
             return False
     return True
 
 
-def _score_integration_full(learner, rdomain, problem) -> bool:
+def _score_integration_full(learner, rdomain, problem, _matches) -> bool:
     produced = rule_solve(learner.ruleset(), rdomain, problem)
     expected = integration.teacher_solve(problem)
     if produced is BOTTOM or expected is BOTTOM:
@@ -110,6 +115,9 @@ def _run_integration(cfg: ExperimentConfig, full_simulation: bool) -> list:
     for trial in range(cfg.trials):
         train_rng = _trial_rng(cfg, trial, "train")
         learner = IncrementalRuleLearner(rdomain)
+        # (cap, unit) -> match: eval points meet the same units and mostly
+        # unchanged caps again; nodes hash by identity, so lookups are cheap
+        matches: dict = {}
         for t in range(1, cfg.train_max + 1):
             problem = integration.generate_problem(train_rng)
             solution = integration.teacher_solve(problem)
@@ -117,7 +125,7 @@ def _run_integration(cfg: ExperimentConfig, full_simulation: bool) -> list:
             if t % cfg.eval_every == 0:
                 test_rng = _trial_rng(cfg, trial, "eval", t)
                 hits = sum(
-                    score(learner, rdomain, integration.generate_problem(test_rng))
+                    score(learner, rdomain, integration.generate_problem(test_rng), matches)
                     for _ in range(cfg.test_set_size)
                 )
                 per_trial.setdefault(t, []).append(hits / cfg.test_set_size)

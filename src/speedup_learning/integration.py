@@ -122,8 +122,7 @@ _TREES: dict = {}  # its (P-term, Term, Exp) parse trees (``_trees``)
 _NTOK: dict = {}  # its token count (``_token_count``)
 _GOAL: dict = {}  # ``is_goal`` (``_normal``)
 _TRACE: dict = {}  # ``teacher_trace``'s (steps, normal form)
-_CAPM: dict = {}  # ``unit_matches``' results, {cap: bool}
-_MEMOS = (_TREES, _NTOK, _GOAL, _TRACE, _CAPM)
+_MEMOS = (_TREES, _NTOK, _GOAL, _TRACE)
 
 
 def clear_expr_caches():
@@ -580,10 +579,17 @@ def apply_at(op: RewriteOp, e: Expr, loc: Sequence[int]) -> Expr:
     return replace_at(e, loc, op.apply(subexpr_at(e, tuple(loc))))
 
 
-def iter_postorder(e: Expr) -> Iterator[tuple]:
-    """Yield (path, subexpression) pairs in post-order.  Explicit stack."""
+def iter_postorder(e: Expr, start: Sequence[int] = ()) -> Iterator[tuple]:
+    """Yield (path, subexpression) pairs in post-order, from the subterm at
+    ``start`` on: the subtrees left of its path are skipped.  Explicit
+    stack."""
     path: list = []
-    stack = [(e, enumerate(e.children))]
+    stack = []
+    for i in start:
+        stack.append((e, enumerate(e.children[i + 1:], i + 1)))
+        path.append(i)
+        e = e.children[i]
+    stack.append((e, enumerate(e.children)))
     while stack:
         x, kids = stack[-1]
         step = next(kids, None)
@@ -842,20 +848,14 @@ class IntegrationRuleDomain:
     def is_goal(self, e: Expr) -> bool:
         return is_goal(e)
 
-    def iter_units(self, e: Expr):
-        return iter_postorder(e)
+    def iter_units(self, e: Expr, start):
+        return iter_postorder(e, start)
 
     def unit_tree(self, unit: Expr) -> Node:
         return as_exp(unit)
 
     def unit_matches(self, cap: Node, unit: Expr) -> bool:
-        memo = _CAPM.get(unit)
-        if memo is None:
-            memo = _CAPM[unit] = {}
-        r = memo.get(cap)  # keyed by the cap object: Nodes hash by identity
-        if r is None:
-            r = memo[cap] = cap_matches_tree(cap, as_exp(unit))
-        return r
+        return cap_matches_tree(cap, as_exp(unit))
 
     def subexpr(self, e: Expr, loc) -> Expr:
         return subexpr_at(e, loc)

@@ -13,7 +13,7 @@ from speedup_learning.control_rules import (
     rule_solve_ex,
 )
 from speedup_learning.core import BOTTOM, Example, OracleConfig, is_consistent
-from speedup_learning.errors import ParameterError
+from speedup_learning.errors import INAPPLICABLE, ParameterError
 from speedup_learning.grammar import Node, cap_matches_tree, msg, tree_yield
 
 
@@ -117,6 +117,60 @@ def test_rule_solve_statuses():
     # first unit, rejects it, and the solve stops there
     greedy = RuleSet([ControlRule(1, Node("Exp"))] + list(I.teacher_ruleset().rules[1:]))
     assert rule_solve_ex(greedy, rd, p) == (BOTTOM, "no_match")
+
+
+def _solve_scanning_from_the_root(ruleset, rd, x):
+    """rule_solve_ex with every scan started at the root, the oracle of the
+    resumed scan."""
+    limit = ruleset.step_limit
+    if limit is None:
+        limit = rd.default_step_limit(x)
+    size_limit = rd.default_size_limit(x)
+    steps = []
+    while not rd.is_goal(x):
+        found = next(((rule.operator_index, path) for path, unit in I.iter_postorder(x)
+                      for rule in ruleset.rules
+                      if rule.cap is not None and rd.unit_matches(rule.cap, unit)), None)
+        if found is None:
+            return BOTTOM, "no_match"
+        try:
+            x = rd.apply(x, *found)
+        except INAPPLICABLE:
+            return BOTTOM, "no_match"
+        steps.append(found)
+        if len(steps) > limit:
+            return BOTTOM, "step_limit"
+        if rd.state_size(x) > size_limit:
+            return BOTTOM, "diverged"
+    return tuple(steps), "solved"
+
+
+def test_resumed_scan_solves_as_a_scan_from_the_root():
+    # partly trained learners stop, loop and diverge, so every status shows
+    # up; a solve of n steps is rerun with step limits n and n - 1
+    rd = _rdomain()
+    statuses = set()
+    for r in range(3):
+        train_rng, test_rng = random.Random(f"train:{r}"), random.Random(f"test:{r}")
+        learner = IncrementalRuleLearner(rd)
+        for count in range(1, 13):
+            p = I.generate_problem(train_rng)
+            learner.add_example(Example(p, I.teacher_solve(p)))
+            if count not in (1, 2, 4, 8, 12):
+                continue
+            rules = learner.ruleset()
+            for _ in range(10):
+                q = I.generate_problem(test_rng)
+                got = rule_solve_ex(rules, rd, q)
+                assert got == _solve_scanning_from_the_root(rules, rd, q)
+                statuses.add(got[1])
+                if got[1] == "solved" and got[0]:
+                    for limit in (len(got[0]), len(got[0]) - 1):
+                        capped = RuleSet(rules.rules, step_limit=limit)
+                        assert rule_solve_ex(capped, rd, q) == \
+                            _solve_scanning_from_the_root(capped, rd, q)
+                        statuses.add(rule_solve_ex(capped, rd, q)[1])
+    assert statuses == {"solved", "no_match", "step_limit", "diverged"}
 
 
 def test_rule_solve_propagates_programming_errors():

@@ -181,6 +181,19 @@ def test_locations():
         I.replace_at(I.VAR_X, (0,), I.ONE)
 
 
+def test_post_order_from_a_path_skips_what_lies_left_of_it():
+    def left_of(q, start):
+        return any(q[:j] == start[:j] and q[j] < start[j] for j in range(min(len(q), len(start))))
+
+    rng = random.Random(8)
+    for _ in range(40):
+        e = I.generate_problem(rng)
+        units = list(I.iter_postorder(e))
+        for start, _ in units:
+            assert list(I.iter_postorder(e, start)) == [
+                (q, u) for q, u in units if not left_of(q, start)]
+
+
 def test_post_order_least_index_discipline():
     # the first rewrite happens at the first post-order node admitting one,
     # with the least-indexed matching operator
