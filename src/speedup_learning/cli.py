@@ -8,7 +8,9 @@ Subcommands::
     speedup-learn verify --all
 
 Set SPEEDUP_LEARN_LOG=debug|info|warning to control verbosity.  Exit code
-is 0 on success and 1 on any verification failure.
+is 0 on success, 1 on any verification failure and 2 on a usage error: a
+bad argument, or one the library rejects with one of its own errors,
+reported as a single ``speedup-learn: error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import logging
 import os
 import random
 import sys
+
+from .errors import SpeedupLearningError
 
 log = logging.getLogger("speedup_learning")
 
@@ -147,7 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SpeedupLearningError as exc:
+        print(f"speedup-learn: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

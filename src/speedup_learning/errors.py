@@ -36,7 +36,9 @@ class ParseError(SpeedupLearningError):
 
 
 class AmbiguityError(SpeedupLearningError):
-    """Two distinct parses were found; the grammar violates its contract."""
+    """An Earley item was derived twice: a prefix of a production derives
+    the same tokens in two ways, so the grammar violates its contract, even
+    when that item lies in no parse of the whole input."""
 
 
 class IncompatibleTreesError(SpeedupLearningError):

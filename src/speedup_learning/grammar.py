@@ -1,20 +1,20 @@
 """Unambiguous context-free grammar machinery.
 
-Parsing is chart-based (Earley); every sentence of a conforming grammar has
-exactly one parse tree, and discovering a second one raises
-``AmbiguityError``.  The completer visits only the items awaiting the
-completed symbol, and a deterministic right recursion (``Exp -> Term + Exp``,
-``Int -> Digit Int``) is completed through Leo's items in one step per
-token instead of one per nesting level (Leo 1991, TCS 82; Aycock &
-Horspool 2002).  So for an LR-regular grammar without nullable symbols,
-such as the integration grammar, ``parse`` takes time and memory linear
-in the input, and the tree is read off the one derivation the recogniser
-recorded.  When some Earley item has two derivations, or the grammar has
-nullable symbols, it falls back to plain Earley spans and a search over
-their splits, polynomial but not linear.  Parsing, ``msc``,
-``cap_matches_tree``, ``same_tree``, ``tree_yield``, ``form_to_cap`` and
-``membership`` use explicit stacks, so however deep a tree is they do
-not reach the recursion limit.
+Parsing is chart-based (Earley) over grammars without empty productions.
+The completer visits only the items awaiting the completed symbol, and a
+deterministic right recursion (``Exp -> Term + Exp``, ``Int -> Digit Int``)
+is completed through Leo's items in one step per token instead of one per
+nesting level (Leo 1991, TCS 82; Aycock & Horspool 2002).  So for an
+LR-regular grammar, such as the integration grammar, ``parse`` takes time
+and memory linear in the input, and the tree is read off the one
+derivation the recogniser recorded.  The recogniser raises
+``AmbiguityError`` at the first Earley item it derives twice, whether or
+not that item lies in a parse of the whole input: a prefix of a
+production then derives the same tokens in two ways, which an unambiguous
+grammar whose symbols all derive sentences never allows.  Parsing,
+``msc``, ``cap_matches_tree``, ``same_tree``, ``tree_yield``,
+``form_to_cap`` and ``membership`` use explicit stacks, so however deep a
+tree is they do not reach the recursion limit.
 
 Generalization works on *caps*: prefix-closed, sibling-closed subtrees of a
 parse tree rooted at its root.  The yield of a cap is a sentential form,
@@ -28,7 +28,7 @@ one cap matcher (``cap_matches_tree``).
 Grammar text format: one production per line, ``Head -> sym sym | sym ...``,
 ``#`` starts a comment, and the head of the first production is the start
 symbol.  Symbols are whitespace-separated; anything that never appears as a
-head is a terminal.
+head is a terminal.  An empty alternative raises ``ParameterError``.
 """
 
 from __future__ import annotations
@@ -105,19 +105,22 @@ class SententialForm:
 
 class Grammar:
     def __init__(self, productions: Sequence[tuple[str, tuple[str, ...]]], start: str):
-        self.productions = list(productions)
+        # a production listed twice adds no parse
+        self.productions = list(dict.fromkeys((head, tuple(body)) for head, body in productions))
         self.start = start
-        self.nonterminals = {head for head, _ in productions}
+        self.nonterminals = {head for head, _ in self.productions}
         self.terminals = {
             sym
-            for _, body in productions
+            for _, body in self.productions
             for sym in body
             if sym not in self.nonterminals
         }
         if start not in self.nonterminals:
             raise ParseError(f"start symbol {start!r} has no productions", 0)
         self.by_head: dict[str, list[tuple[str, ...]]] = {}
-        for head, body in productions:
+        for head, body in self.productions:
+            if not body:
+                raise ParameterError(f"empty production for {head!r}: bodies must be non-empty")
             self.by_head.setdefault(head, []).append(body)
         self._min_len: Optional[dict[str, int]] = None
         self._rules: Optional[_Rules] = None
@@ -223,15 +226,14 @@ class _Rules:
                 self.head.append(head)
                 self.body.append(body)
                 self.penult.append(d == len(body) - 1)
-        self.nullable = any(grammar.min_yield_len(a) == 0 for a in grammar.nonterminals)
         self._predictions: dict = {}
 
     def predict(self, awaited: frozenset) -> tuple[dict, dict]:
         """The rules predicted at a position where ``awaited`` nonterminals
         are awaited, as (nonterminal -> rules at dot 0 awaiting it, terminal
-        -> rules at dot 0 scanning it).  For grammars without nullable
-        symbols only, where prediction depends on ``awaited`` alone, so the
-        items it makes need not be stored per position.  Memoized."""
+        -> rules at dot 0 scanning it).  No symbol derives the empty string,
+        so prediction depends on ``awaited`` alone and the items it makes
+        need not be stored per position.  Memoized."""
         tables = self._predictions.get(awaited)
         if tables is None:
             closure, todo = set(awaited), list(awaited)
@@ -257,7 +259,7 @@ class _Column:
 
     def __init__(self):
         self.wait: dict = {}  # nonterminal -> the items here awaiting it
-        self.predicted: dict = _NONE_PREDICTED  # or the first table of Rules.predict
+        self.predicted: dict = {}  # the first table of Rules.predict, once finished
         self.links: dict = {}  # item -> the complete item that advanced it here
         self.leo: dict = {}  # nonterminal -> top of its Leo chain, or None
 
@@ -268,9 +270,6 @@ class _Column:
         if len(waiting) + len(predicted) != 1:
             return None
         return waiting[0] if waiting else (predicted[0], pos)
-
-
-_NONE_PREDICTED: dict = {}
 
 
 def _leo_top(columns: list, rules: _Rules, origin: int, sym: str):
@@ -302,26 +301,23 @@ def _leo_top(columns: list, rules: _Rules, origin: int, sym: str):
     return top
 
 
-def _recognise(rules: _Rules, tokens: tuple, start: str, leo: bool):
+def _recognise(rules: _Rules, tokens: tuple, start: str):
     """The Earley recogniser: one column per input position, each item's
     awaited nonterminal indexed, so a completion visits only the items that
     wait for it.
 
-    With ``leo`` (for grammars without nullable symbols), a completion with
-    a Leo chain above it adds only the chain's top item, so a right
-    recursion costs constant work per token instead of a completion per
-    nesting level; every item added over a nonterminal records the
-    complete item that advanced it (``_Column.links``), and the result is
-    None as soon as some item is derived twice.  Returns the columns up to
-    the last one reached, the (item, position) pairs added through a Leo
-    chain, and, without ``leo``, the completed spans: (head, origin) ->
-    {end: set of bodies}.
+    A completion with a Leo chain above it adds only the chain's top item,
+    so a right recursion costs constant work per token instead of a
+    completion per nesting level.  Every item added over a nonterminal
+    records the complete item that advanced it (``_Column.links``).  Raises
+    ``AmbiguityError`` at the first item derived twice.  Returns the
+    columns up to the last one reached and the (item, position) pairs added
+    through a Leo chain.
     """
-    after, head, first, nonterminals = rules.after, rules.head, rules.first, rules.nonterminals
+    after, head, nonterminals = rules.after, rules.head, rules.nonterminals
     n = len(tokens)
     columns: list[_Column] = []
     via_leo: set = set()
-    spans: dict = {}
     scanned = {(rules.start[start], 0)}
     for pos in range(n + 1):
         if not scanned:
@@ -333,58 +329,37 @@ def _recognise(rules: _Rules, tokens: tuple, start: str, leo: bool):
         seen = set(scanned)  # items here at dot > 0
         agenda = list(scanned)
         scanned = set()
-        empty = set()  # nonterminals completed over the empty span here
         while agenda:
             item = agenda.pop()
             r, origin = item
             sym = after[r]
             if sym is None:
                 done = head[r]
-                if leo:
-                    memo = columns[origin].leo
-                    top = memo[done] if done in memo else _leo_top(columns, rules, origin, done)
-                    if top is not None:
-                        if top in seen:
-                            return None
-                        seen.add(top)
-                        links[top] = item
-                        via_leo.add((top, pos))
-                        agenda.append(top)
-                        continue
+                memo = columns[origin].leo
+                top = memo[done] if done in memo else _leo_top(columns, rules, origin, done)
+                if top is not None:
+                    advanced = [top]
+                    via_leo.add((top, pos))
                 else:
-                    spans.setdefault((done, origin), {}).setdefault(pos, set()).add(rules.body[r])
-                    if origin == pos:
-                        empty.add(done)
-                above = columns[origin]
-                advanced = [(r2 + 1, o2) for r2, o2 in above.wait.get(done, ())]
-                predicted = above.predicted.get(done)
-                if predicted:
-                    advanced += [(r0 + 1, origin) for r0 in predicted]
+                    above = columns[origin]
+                    advanced = [(r2 + 1, o2) for r2, o2 in above.wait.get(done, ())]
+                    advanced += [(r0 + 1, origin) for r0 in above.predicted.get(done, ())]
                 for new in advanced:
                     if new in seen:
-                        if leo:
-                            return None
-                        continue
+                        label = head[new[0]] or start
+                        raise AmbiguityError(
+                            f"an item of {label!r} over tokens {new[1]}:{pos} is derived twice"
+                        )
                     seen.add(new)
                     links[new] = item
                     agenda.append(new)
             elif sym == tok:
                 scanned.add((r + 1, origin))
             elif sym in nonterminals:
-                waiting = wait.get(sym)
-                if waiting is None:
-                    wait[sym] = [item]
-                    if not leo:  # predict sym; with leo, Rules.predict does
-                        agenda.extend((r0, pos) for r0 in first[sym])
-                else:
-                    waiting.append(item)
-                if sym in empty and (r + 1, origin) not in seen:
-                    seen.add((r + 1, origin))
-                    agenda.append((r + 1, origin))
-        if leo:
-            col.predicted, scans = rules.predict(frozenset(wait))
-            scanned.update((r0 + 1, pos) for r0 in scans.get(tok, ()))
-    return columns, via_leo, spans
+                wait.setdefault(sym, []).append(item)
+        col.predicted, scans = rules.predict(frozenset(wait))
+        scanned.update((r0 + 1, pos) for r0 in scans.get(tok, ()))
+    return columns, via_leo
 
 
 def _tree_from_links(rules: _Rules, columns: list, via_leo: set, top) -> Node:
@@ -435,83 +410,14 @@ def _tree_from_links(rules: _Rules, columns: list, via_leo: set, top) -> Node:
             stack.append([child, pos, []])
 
 
-def _tree_from_spans(grammar: Grammar, tokens: tuple, start: str, spans: dict) -> Node:
-    """The unique tree for the whole input from the completed spans; raises
-    ``AmbiguityError`` when a span it visits has two derivations.
-
-    Visits every split of every body of the spans reachable from the root,
-    as a top-down search for a second parse would: the last symbol may end
-    short of its parent's end and each symbol may end as late as the
-    minimum yield of the rest of the body allows, so a few spans that are
-    in no full parse are checked too.  A span that derives itself (a
-    cyclic grammar) has endless derivations and raises too.  Explicit
-    stack, no recursion.
-    """
-    nonterminals, min_len = grammar.nonterminals, grammar.min_yield_len
-
-    def splits(span):
-        """The child spans visited, and the derivation count (up to 2) with
-        one derivation, as a tuple of terminals and child spans."""
-        sym, i, j = span
-        visited: dict = {}  # ordered set
-        count, derivation = 0, None
-        for body in spans[(sym, i)][j]:
-            need = [0] * (len(body) + 1)  # minimum yield of body[k:]
-            for k in range(len(body) - 1, -1, -1):
-                need[k] = need[k + 1] + min_len(body[k])
-            states = {i: (1, ())}  # position reached -> (count, one child tuple)
-            for k, part in enumerate(body):
-                reached: dict = {}
-                for pos, (c, kids) in states.items():
-                    if part not in nonterminals:
-                        steps = [(pos + 1, part)] if pos < j and tokens[pos] == part else []
-                    else:
-                        ends = spans.get((part, pos), ())
-                        steps = [(e, (part, pos, e)) for e in ends if e <= j - need[k + 1]]
-                        visited.update((kid, None) for _, kid in steps)
-                    for e, kid in steps:
-                        c0, kids0 = reached.get(e, (0, None))
-                        reached[e] = (min(2, c0 + c), kids0 or kids + (kid,))
-                states = reached
-            if j in states:
-                count += states[j][0]
-                derivation = derivation or states[j][1]
-        if count > 1:
-            raise AmbiguityError(f"two parses for {sym!r} over tokens {i}:{j}")
-        return list(visited), derivation
-
-    nodes: dict = {}
-    root = (start, 0, len(tokens))
-    active = {root}
-    stack = [(root, *splits(root))]
-    while stack:
-        span, pending, derivation = stack[-1]
-        while pending and pending[-1] in nodes:
-            pending.pop()
-        if pending:
-            kid = pending.pop()
-            if kid in active:
-                raise AmbiguityError(f"{kid[0]!r} derives itself over tokens {kid[1]}:{kid[2]}")
-            active.add(kid)
-            stack.append((kid, *splits(kid)))
-            continue
-        stack.pop()
-        active.discard(span)
-        nodes[span] = Node(span[0], [nodes[k] if isinstance(k, tuple) else Node(k) for k in derivation])
-    return nodes[root]
-
-
 def parse(grammar: Grammar, tokens: Sequence[str], start: Optional[str] = None) -> Node:
     """Parse a token sequence into its unique tree.
 
     Raises ``ParseError`` (with the failing position) if the tokens are not
-    in the language, and ``AmbiguityError`` if two distinct parses exist.
-
-    A grammar without nullable symbols is parsed in one pass with Leo
-    chains, and the tree comes from the recorded derivation; that pass
-    stops at the first item with two derivations.  Then, and for grammars
-    with nullable symbols, the input is recognised again without Leo chains
-    and the tree comes from a search over the completed spans.
+    in the language, and ``AmbiguityError`` at the first Earley item the
+    recogniser derives twice, even one that lies in no parse of the whole
+    input.  One pass with Leo chains; the tree is read off the derivation
+    it recorded.
     """
     tokens = tuple(tokens)
     start = start or grammar.start
@@ -521,18 +427,11 @@ def parse(grammar: Grammar, tokens: Sequence[str], start: Optional[str] = None) 
     rules = grammar._dotted_rules()
     if start not in rules.first:
         raise ParseError(f"unknown start symbol {start!r}", 0)
-    n = len(tokens)
+    columns, via_leo = _recognise(rules, tokens, start)
     top = (rules.start[start] + 1, 0)
-    chart = None if rules.nullable else _recognise(rules, tokens, start, leo=True)
-    if chart is not None:
-        columns, via_leo, _ = chart
-        if len(columns) > n and top in columns[n].links:
-            return _tree_from_links(rules, columns, via_leo, top).children[0]
-    else:
-        columns, _, spans = _recognise(rules, tokens, start, leo=False)
-        if n in spans.get((start, 0), ()):
-            return _tree_from_spans(grammar, tokens, start, spans)
-    raise ParseError(f"tokens are not derivable from {start!r}", min(len(columns) - 1, n))
+    if len(columns) > len(tokens) and top in columns[-1].links:
+        return _tree_from_links(rules, columns, via_leo, top).children[0]
+    raise ParseError(f"tokens are not derivable from {start!r}", len(columns) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -684,8 +583,8 @@ def form_to_cap(
     by ``parse`` over the form grammar, which reads a nonterminal ``A`` as
     the token ``⟨A⟩``; each ``A -> ⟨A⟩`` node of that tree becomes the leaf
     ``A``, on an explicit stack.  Raises ``ParseError`` if the form is not
-    derivable from ``start`` and ``AmbiguityError`` if two distinct
-    derivations exist.
+    derivable from ``start`` and ``AmbiguityError`` as ``parse`` does, at
+    the first item of the form grammar derived twice.
     """
     form, mark = grammar._form_grammar()
     tokens = []

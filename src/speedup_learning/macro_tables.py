@@ -75,6 +75,8 @@ class MacroTable:
     def insert(self, j: int, i: int, macro: Sequence[int]) -> bool:
         """Store a macro unless the cell is already filled (first write
         wins); returns whether the cell changed."""
+        if not (0 <= j < self.v and 1 <= i <= self.n):
+            raise ParameterError(f"no cell (value {j}, position {i}) in a {self.v} x {self.n} table")
         macro = tuple(macro)
         if len(macro) > self.max_macro_len:
             raise ParameterError(

@@ -44,6 +44,17 @@ def test_table_without_flag_errors(capsys):
     assert main(["table"]) == 2
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--epsilon", "2", "--delta", "0.1", "--dim", "81"],
+    ["curve", "--domain", "integration", "--trials", "0"],
+])
+def test_rejected_argument_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("speedup-learn: error: "), err
+
+
 def test_parser_rejects_unknown_domain():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["curve", "--domain", "chess"])

@@ -11,6 +11,7 @@ from speedup_learning.errors import (
     IncompatibleTreesError,
     ParameterError,
     ParseError,
+    SpeedupLearningError,
 )
 from speedup_learning.grammar import (
     Grammar,
@@ -172,7 +173,7 @@ def _drawn_tree(rng, integration):
 @given(st.randoms(use_true_random=False), st.booleans())
 def test_msc_returns_its_first_input_exactly_where_it_equals_it(rng, integration):
     # the learner's ``new is not old`` test relies on this
-    a, b = _drawn_tree(rng, integration), _drawn_tree(rng, integration)
+    a, b, c = (_drawn_tree(rng, integration) for _ in range(3))
     m = msc([a, b])
     assert (m is a) == same_tree(m, a)
     assert cap_matches_tree(m, a) and cap_matches_tree(m, b)
@@ -180,6 +181,12 @@ def test_msc_returns_its_first_input_exactly_where_it_equals_it(rng, integration
     assert msc([a, a]) is a
     cap = _random_cap(rng, a)
     assert msc([cap, a]) is cap
+    # associative, and monotone: generalizing a cap loses no tree it matches
+    abc = msc([a, b, c])
+    assert same_tree(msc([m, c]), abc) and same_tree(msc([a, msc([b, c])]), abc)
+    wider = msc([cap, b])
+    for t in (a, b, c):
+        assert not cap_matches_tree(cap, t) or cap_matches_tree(wider, t)
 
 
 def test_all_caps_are_caps():
@@ -307,11 +314,13 @@ def test_membership_agrees_with_enumeration_exhaustively():
 # ---------------------------------------------------------------------------
 
 
-def _earley_spans(grammar: Grammar, tokens: Sequence[str], start: str):
+def _earley_spans(grammar: Grammar, tokens: Sequence[str], start: str, chart_out=None):
     """Run the Earley recogniser; return completed spans.
 
     Result maps ``(head, i, j)`` to the set of production bodies with which
-    the nonterminal ``head`` derives ``tokens[i:j]``.
+    the nonterminal ``head`` derives ``tokens[i:j]``.  ``chart_out``, a
+    list, receives the chart: per position, its (production, dot, origin)
+    items.
     """
     n = len(tokens)
     prods = [
@@ -372,6 +381,8 @@ def _earley_spans(grammar: Grammar, tokens: Sequence[str], start: str):
                         max_pos = max(max_pos, pos + 1)
         if chart[pos]:
             max_pos = max(max_pos, pos)
+    if chart_out is not None:
+        chart_out.extend(chart)
     return completed, max_pos
 
 
@@ -446,14 +457,12 @@ def _reference_parse(grammar, tokens, start=None):
 
 
 def _cyclic(grammar):
-    """Does some nonterminal derive itself (A =>+ A)?"""
-    nullable = {a for a in grammar.nonterminals if grammar.min_yield_len(a) == 0}
+    """Does some nonterminal derive itself (A =>+ A)?  Without empty
+    productions only unit productions ``A -> B`` close a cycle."""
     edges = {a: set() for a in grammar.nonterminals}
     for head, body in grammar.productions:
-        for k, sym in enumerate(body):
-            others = body[:k] + body[k + 1:]
-            if sym in edges and all(s in nullable for s in others):
-                edges[head].add(sym)
+        if len(body) == 1 and body[0] in edges:
+            edges[head].add(body[0])
     for a in edges:
         seen, todo = set(), list(edges[a])
         while todo:
@@ -464,6 +473,39 @@ def _cyclic(grammar):
                 seen.add(b)
                 todo.extend(edges[b])
     return False
+
+
+def _derived_twice(grammar, tokens, start):
+    """Whether some item of the reference chart has a prefix that derives
+    its span in two ways, or ``start`` derives some prefix of the tokens in
+    two ways: the witness for an ``AmbiguityError`` the reference does not
+    raise, because that item lies in no parse it searches."""
+    chart: list = []
+    completed, _ = _earley_spans(grammar, tokens, start, chart)
+    counts: dict = {}
+
+    def span(sym, i, j):
+        """Derivations of tokens[i:j] from ``sym``, counted up to 2."""
+        if sym not in grammar.nonterminals:
+            return int(j == i + 1 and tokens[i] == sym)
+        if (sym, i, j) not in counts:
+            # met again while being counted, the span derives itself
+            counts[(sym, i, j)] = 2
+            counts[(sym, i, j)] = min(2, sum(ways(b, i, j) for b in completed.get((sym, i, j), ())))
+        return counts[(sym, i, j)]
+
+    def ways(symbols, i, j):
+        """Derivations of tokens[i:j] from ``symbols``, each symbol yielding
+        at least one token, counted up to 2."""
+        if not symbols:
+            return int(i == j)
+        rest = symbols[1:]
+        return min(2, sum(span(symbols[0], i, mid) * ways(rest, mid, j)
+                          for mid in range(i + 1, j - len(rest) + 1)))
+
+    return any(span(start, 0, j) > 1 for j in range(len(chart))) or any(
+        ways(grammar.productions[p][1][:dot], origin, pos) > 1
+        for pos, items in enumerate(chart) for p, dot, origin in items)
 
 
 def _outcome(fn, *args):
@@ -481,13 +523,17 @@ def _assert_parses_as_reference(grammar, tokens, start=None):
         # recursed into them, the parser reports them
         assert _cyclic(grammar), (tokens, want)
         assert isinstance(got, AmbiguityError), (tokens, got)
+    elif isinstance(got, AmbiguityError) and not isinstance(want, AmbiguityError):
+        # the parser reports an item derived twice even where it lies in no
+        # parse of the whole input
+        assert _derived_twice(grammar, tokens, start or grammar.start), (tokens, want)
     elif isinstance(want, Exception):
         assert type(got) is type(want), (tokens, want, got)
         if isinstance(want, ParseError):
             assert got.position == want.position, (tokens, want, got)
     else:
         assert isinstance(got, Node), (tokens, got)
-        assert tree_yield(got) == tree_yield(want)  # (an empty body yields its head)
+        assert tree_yield(got) == tree_yield(want)
         assert same_tree(got, want)
 
 
@@ -537,7 +583,7 @@ def test_parse_matches_reference_on_integration_inputs(seed, kind):
 
 
 _NONTERMINALS = ("S", "A", "B")
-_BODY = st.lists(st.sampled_from(_NONTERMINALS + ("a", "b")), max_size=3).map(tuple)
+_BODY = st.lists(st.sampled_from(_NONTERMINALS + ("a", "b")), min_size=1, max_size=3).map(tuple)
 _GRAMMARS = st.lists(
     st.lists(_BODY, min_size=1, max_size=3), min_size=3, max_size=3
 ).map(lambda alts: Grammar(
@@ -573,16 +619,50 @@ def test_parse_matches_reference_on_random_grammars(grammar, seed):
     ("E -> T + E | T\nT -> a | b", ["a + b + a", "a + b +", "b b"]),  # right recursion
     ("E -> E + E | a", ["a", "a + a", "a + a + a"]),  # ambiguous
     ("S -> A | a\nA -> S", ["a"]),  # cyclic
-    ("S -> A S | \nA -> a | ", ["", "a", "a a"]),  # nullable, cyclic
-    # "a b b" has one tree, S -> a (T -> b b), but the search for a second
-    # parse visits T over the first "b" alone, which derives it twice: both
-    # parsers raise AmbiguityError
+    # "a b b" has one tree, S -> a (T -> b b), but T derives the first "b"
+    # alone in two ways: the reference's search for a second parse visits
+    # that span, and the parser derives S -> a T. over it twice, so both
+    # raise AmbiguityError
     ("S -> a T\nT -> b | W | b b\nW -> b", ["a b", "a b b"]),
+    # the same dead end where the reference's search does not reach it:
+    # only the parser raises AmbiguityError
+    ("S -> A c d | a b e\nA -> a T\nT -> b | W\nW -> b", ["a b e"]),
 ])
 def test_parse_matches_reference_on_fixed_grammars(text, sentences):
     grammar = Grammar.from_text(text)
     for sentence in sentences:
         _assert_parses_as_reference(grammar, sentence.split())
+
+
+_ALPHABET = sorted(GRAMMAR.terminals | GRAMMAR.nonterminals) + ["¿"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.lists(st.sampled_from(_ALPHABET), max_size=10))
+def test_parser_entry_points_raise_only_typed_errors(seed, noise):
+    # the integration grammar is unambiguous, so no item is ever derived twice
+    rng = random.Random(seed)
+    problem = to_tokens(generate_problem(rng))
+    form = list(tree_yield(_random_cap(rng, parse(GRAMMAR, problem))))
+    start = rng.choice(sorted(GRAMMAR.nonterminals))
+    for tokens in (noise, form, _mutate(rng, form, _ALPHABET), _mutate(rng, problem, _ALPHABET)):
+        for call in (lambda: parse(GRAMMAR, tokens), lambda: parse(GRAMMAR, tokens, start),
+                     lambda: form_to_cap(GRAMMAR, tokens), lambda: form_to_cap(GRAMMAR, tokens, start),
+                     lambda: membership(GRAMMAR, tokens, problem),
+                     lambda: membership(GRAMMAR, form, tokens, start)):
+            try:
+                call()
+            except SpeedupLearningError as exc:
+                assert not isinstance(exc, AmbiguityError), (tokens, exc)
+
+
+def test_empty_productions_are_rejected():
+    # no empty body, so no nullable symbol
+    for text in ("S -> A S | \nA -> a | ", "S -> a |", "S -> a\nT ->"):
+        with pytest.raises(ParameterError):
+            Grammar.from_text(text)
+    with pytest.raises(ParameterError):
+        Grammar([("S", ("a",)), ("S", ())], "S")
 
 
 def test_parse_msg_membership_on_a_4096_term_sum():

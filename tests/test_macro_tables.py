@@ -74,6 +74,16 @@ def test_table_first_write_wins_and_limits():
         MacroTable(2, 2, (0, 0), FeatureOrdering((0,)))
 
 
+
+def test_table_rejects_cells_outside_it():
+    # values 0..v-1, positions 1..n
+    t = MacroTable(2, 2, (0, 0), FeatureOrdering((0, 1)))
+    for j, i in ((42, 0), (-1, 10), (2, 1), (-1, 1), (0, 0), (0, 3)):
+        with pytest.raises(ParameterError):
+            t.insert(j, i, (1,))
+    assert t.filled_count() == 0 and t.dump() == "? ?\n? ?\n"
+
+
 def test_table_dump():
     t = MacroTable(2, 2, (0, 0), FeatureOrdering((0, 1)))
     t.insert(0, 1, ())
