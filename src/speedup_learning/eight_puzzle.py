@@ -12,6 +12,13 @@ The goal places tile i at position i (blank in the center).  Moves are
 named for the direction the *tile* slides: "r" moves the tile left of the
 blank rightward into it, and so on.  Operator indices are r=1, l=2, u=3,
 d=4, which is also the search tie-break order.
+
+The move rule is written once.  ``_MOVE_SRC[blank]`` maps each operator
+index legal with the blank at ``blank`` to the position its tile comes
+from, in operator order; ``_slide`` is the only code that moves a tile.
+``apply_move``, the ``domain_spec()`` operators, the subgoal searches and
+``all_solvable_boards`` all go through the two; ``apply_move`` is the one
+move entry point that also takes a letter.
 """
 
 from __future__ import annotations
@@ -23,7 +30,13 @@ from typing import Optional, Sequence
 
 from .core import DomainSpec
 from .errors import MoveError, ParameterError
-from .macro_tables import FeatureOrdering, MacroTable, solution_steps, walk_columns
+from .macro_tables import (
+    FeatureOrdering,
+    MacroTable,
+    check_feature_state,
+    solution_steps,
+    walk_columns,
+)
 
 N_TILES = 9
 N_POSITIONS = 9
@@ -39,36 +52,37 @@ COORD = {
 _POS_AT = {rc: p for p, rc in COORD.items()}
 
 MOVE_LETTERS = "rlud"
-_REVERSE = {"r": "l", "l": "r", "u": "d", "d": "u"}
-# Where the moving tile comes from, relative to the blank's (row, col).
-_SOURCE_DELTA = {"r": (0, -1), "l": (0, 1), "u": (1, 0), "d": (-1, 0)}
+_LETTER_OF = dict(enumerate(MOVE_LETTERS, start=1))
+_OP_OF = {m: op for op, m in _LETTER_OF.items()}
+# Where operator op's tile comes from, relative to the blank's (row, col).
+_SOURCE_DELTA = ((0, -1), (0, 1), (1, 0), (-1, 0))
+# blank position -> {operator index: source position}, legal moves only.
+_MOVE_SRC = {
+    p: {op: _POS_AT[r + dr, c + dc]
+        for op, (dr, dc) in enumerate(_SOURCE_DELTA, start=1) if (r + dr, c + dc) in _POS_AT}
+    for p, (r, c) in COORD.items()
+}
+# operator index -> the operator that undoes it
+_BACK = (None, 2, 1, 4, 3)
 
-# blank position -> move (letter or operator index) -> source position (or
-# absent if illegal).  Keying by index too lets table walks apply stored
-# macros without translating each operator back to its letter.
-_MOVE_SRC = {}
-for _p, (_r, _c) in COORD.items():
-    _MOVE_SRC[_p] = {}
-    for _op, _m in enumerate(MOVE_LETTERS, start=1):
-        _dr, _dc = _SOURCE_DELTA[_m]
-        _src = _POS_AT.get((_r + _dr, _c + _dc))
-        if _src is not None:
-            _MOVE_SRC[_p][_m] = _MOVE_SRC[_p][_op] = _src
+
+def _slide(board: tuple, src: int) -> tuple:
+    """Slide the tile at position ``src`` into the blank."""
+    out = list(board)
+    out[board.index(src)] = board[0]
+    out[0] = src
+    return tuple(out)
 
 
 def apply_move(board: tuple, move) -> tuple:
     """Slide one tile; ``move`` is a letter or its 1-based operator index."""
     try:
-        src = _MOVE_SRC[board[0]].get(move)
+        src = _MOVE_SRC[board[0]].get(_OP_OF.get(move, move))
     except KeyError:
         raise MoveError(f"blank position {board[0]!r} is not on the board") from None
     if src is None:
         raise MoveError(f"move {move!r} not applicable with blank at {board[0]}")
-    tile = board.index(src)
-    out = list(board)
-    out[tile] = board[0]
-    out[0] = src
-    return tuple(out)
+    return _slide(board, src)
 
 
 def apply_moves(board: tuple, moves: str) -> tuple:
@@ -120,9 +134,6 @@ def apply_macro(board: tuple, macro: tuple) -> tuple:
     return tuple([perm[p] for p in board])
 
 
-_LETTER_OF = dict(enumerate(MOVE_LETTERS, start=1))
-
-
 def macro_to_letters(macro: Sequence[int]) -> str:
     try:
         return "".join([_LETTER_OF[op] for op in macro])
@@ -134,8 +145,8 @@ def macro_to_letters(macro: Sequence[int]) -> str:
 
 def letters_to_macro(letters: str) -> tuple:
     try:
-        return tuple(MOVE_LETTERS.index(m) + 1 for m in letters)
-    except ValueError:
+        return tuple(_OP_OF[m] for m in letters)
+    except (KeyError, TypeError):
         raise ParameterError(f"bad move letter in {letters!r}") from None
 
 
@@ -199,38 +210,33 @@ def all_solvable_boards():
     frontier = deque([GOAL])
     while frontier:
         b = frontier.popleft()
-        for m in MOVE_LETTERS:
-            try:
-                nb = apply_move(b, m)
-            except MoveError:
-                continue
+        for src in _MOVE_SRC[b[0]].values():
+            nb = _slide(b, src)
             if nb not in seen:
                 seen.add(nb)
                 frontier.append(nb)
     return seen
 
 
-def _operator(move: str):
-    """``apply_move`` for one fixed move, as a domain operator ``op(board,
-    loc)``: the move body runs directly under ``DomainSpec.apply``."""
-    src_of = {p: srcs.get(move) for p, srcs in _MOVE_SRC.items()}
+def _operator(op: int):
+    """``apply_move`` for one fixed operator, as a domain operator
+    ``op(board, loc)``: the slide runs directly under ``DomainSpec.apply``."""
+    move = _LETTER_OF[op]
+    src_of = {p: srcs.get(op) for p, srcs in _MOVE_SRC.items()}
 
-    def op(board, loc):
+    def run(board, loc):
         src = src_of.get(board[0])
         if src is None:
             raise MoveError(f"move {move!r} not applicable with blank at {board[0]}")
-        out = list(board)
-        out[board.index(src)] = board[0]
-        out[0] = src
-        return tuple(out)
+        return _slide(board, src)
 
-    return op
+    return run
 
 
 def domain_spec() -> DomainSpec:
     return DomainSpec(
         goal_test=lambda b: b == GOAL,
-        operators=tuple(_operator(m) for m in MOVE_LETTERS),
+        operators=tuple(_operator(op) for op in _LETTER_OF),
     )
 
 
@@ -253,47 +259,41 @@ def blank_last_ordering() -> FeatureOrdering:
 _subgoal_cache: dict = {}
 
 
-def _heuristic(board, tiles, goal):
-    return sum(manhattan(board[t], goal[t]) for t in tiles if t != 0)
+def _at_goal(board, tiles) -> bool:
+    return all(board[t] == GOAL[t] for t in tiles)
 
 
-def ida_star_subgoal(board: tuple, i: int, ordering: FeatureOrdering,
-                     goal: tuple = GOAL) -> tuple:
+def _heuristic(board, tiles):
+    return sum(manhattan(board[t], GOAL[t]) for t in tiles if t != 0)
+
+
+def ida_star_subgoal(board: tuple, i: int, ordering: FeatureOrdering) -> tuple:
     """Shortest move sequence bringing ordered features 1..i to their goal
     values, as operator indices.  Deterministic: IDA* with the Manhattan
     heuristic over the non-blank subgoal tiles, move order r<l<u<d, and
     parent-reversal pruning.
     """
-    tiles = tuple(ordering.feature(p) for p in range(1, i + 1))
-    key = (ordering.perm, i, tuple(board[t] for t in tiles), goal)
+    check_feature_state(board, N_TILES, N_POSITIONS)
+    tiles = ordering.perm[:i]
+    key = (ordering.perm, i, tuple(board[t] for t in tiles))
     hit = _subgoal_cache.get(key)
     if hit is not None:
         return hit
 
-    def satisfied(b):
-        return all(b[t] == goal[t] for t in tiles)
-
     INF = float("inf")
 
-    def search(b, g, bound, last, path):
-        h = _heuristic(b, tiles, goal)
-        f = g + h
+    def search(b, g, bound, back, path):
+        f = g + _heuristic(b, tiles)
         if f > bound:
             return f, None
-        if satisfied(b):
+        if _at_goal(b, tiles):
             return f, tuple(path)
         nxt = INF
-        for op, m in enumerate(MOVE_LETTERS, start=1):
-            if last is not None and m == _REVERSE[last]:
+        for op, src in _MOVE_SRC[b[0]].items():
+            if op == back:
                 continue
-            src = _MOVE_SRC[b[0]].get(m)
-            if src is None:
-                continue
-            nb = list(b)
-            nb[b.index(src)] = b[0]
-            nb[0] = src
             path.append(op)
-            t, found = search(tuple(nb), g + 1, bound, m, path)
+            t, found = search(_slide(b, src), g + 1, bound, _BACK[op], path)
             path.pop()
             if found is not None:
                 return t, found
@@ -301,7 +301,7 @@ def ida_star_subgoal(board: tuple, i: int, ordering: FeatureOrdering,
                 nxt = t
         return nxt, None
 
-    bound = _heuristic(board, tiles, goal)
+    bound = _heuristic(board, tiles)
     while True:
         bound, found = search(board, 0, bound, None, [])
         if found is not None:
@@ -311,29 +311,22 @@ def ida_star_subgoal(board: tuple, i: int, ordering: FeatureOrdering,
             raise ParameterError("subgoal unreachable; board is not solvable")
 
 
-def bfs_subgoal(board: tuple, i: int, ordering: FeatureOrdering,
-                goal: tuple = GOAL) -> tuple:
+def bfs_subgoal(board: tuple, i: int, ordering: FeatureOrdering) -> tuple:
     """Breadth-first subgoal solver; optimality oracle for ida_star_subgoal."""
-    tiles = tuple(ordering.feature(p) for p in range(1, i + 1))
-
-    def satisfied(b):
-        return all(b[t] == goal[t] for t in tiles)
-
-    if satisfied(board):
+    check_feature_state(board, N_TILES, N_POSITIONS)
+    tiles = ordering.perm[:i]
+    if _at_goal(board, tiles):
         return ()
     seen = {board}
     frontier = deque([(board, ())])
     while frontier:
         b, path = frontier.popleft()
-        for op, m in enumerate(MOVE_LETTERS, start=1):
-            try:
-                nb = apply_move(b, m)
-            except MoveError:
-                continue
+        for op, src in _MOVE_SRC[b[0]].items():
+            nb = _slide(b, src)
             if nb in seen:
                 continue
             npath = path + (op,)
-            if satisfied(nb):
+            if _at_goal(nb, tiles):
                 return npath
             seen.add(nb)
             frontier.append((nb, npath))
@@ -351,21 +344,19 @@ def integrated_teacher(board: tuple, table: MacroTable) -> tuple:
     from the single table it is growing."""
 
     def search(b, i):
-        return ida_star_subgoal(b, i, table.ordering, table.goal)
+        return ida_star_subgoal(b, i, table.ordering)
 
     return solution_steps(table, walk_columns(table, board, apply_macro, search)[0])
 
 
-def _canonical_state(i: int, j: int, ordering: FeatureOrdering,
-                     goal: tuple = GOAL) -> Optional[tuple]:
+def _canonical_state(i: int, j: int, ordering: FeatureOrdering) -> Optional[tuple]:
     """A solvable board with ordered features 1..i-1 at goal and feature i
     at value j, or None when no such board exists."""
     board = [None] * 9
     used = set()
-    for p in range(1, i):
-        t = ordering.feature(p)
-        board[t] = goal[t]
-        used.add(goal[t])
+    for t in ordering.perm[:i - 1]:
+        board[t] = GOAL[t]
+        used.add(GOAL[t])
     t_i = ordering.feature(i)
     if j in used:
         return None
@@ -384,15 +375,15 @@ def _canonical_state(i: int, j: int, ordering: FeatureOrdering,
     return None  # parity forces the remaining tiles; value j is unreachable
 
 
-def build_exhaustive_table(ordering: Optional[FeatureOrdering] = None) -> MacroTable:
-    """Fill every reachable cell by per-cell subgoal search.
+def build_exhaustive_table() -> MacroTable:
+    """Fill every reachable cell of the blank-first table by per-cell
+    subgoal search.
 
     Serial decomposability makes one canonical state per cell sufficient:
     the macro's effect on the constrained features is the same for every
     state matching the cell's precondition.
     """
-    if ordering is None:
-        ordering = blank_first_ordering()
+    ordering = blank_first_ordering()
     table = MacroTable(N_TILES, N_POSITIONS, GOAL, ordering)
     for i in range(1, N_TILES + 1):
         for j in range(N_POSITIONS):

@@ -873,23 +873,3 @@ class IntegrationRuleDomain:
         # teacher derivations never exceed 3x the problem's token length on
         # the distribution; 8x + 64 leaves slack while cutting runaways
         return 8 * token_count(e) + 64
-
-
-def format_example(problem: Expr, solution) -> str:
-    """`problem-tokens TAB op@path,op@path,...` (path as dotted indices)."""
-    steps = ",".join(
-        f"{op}@" + ".".join(str(i) for i in path) for op, path in solution
-    )
-    return " ".join(to_tokens(problem)) + "\t" + steps
-
-
-def parse_example(line: str):
-    text, _, steps_text = line.rstrip("\n").partition("\t")
-    problem = parse_expr(text.split())
-    steps = []
-    if steps_text:
-        for part in steps_text.split(","):
-            op_text, _, path_text = part.partition("@")
-            path = tuple(int(i) for i in path_text.split(".")) if path_text else ()
-            steps.append((int(op_text), path))
-    return problem, tuple(steps)

@@ -36,13 +36,10 @@ def test_moves_and_inverses():
     rng = random.Random(2)
     for _ in range(100):
         b = ep.random_solvable(rng)
-        for m in ep.MOVE_LETTERS:
-            try:
-                nb = ep.apply_move(b, m)
-            except MoveError:
-                continue
+        for op in ep._MOVE_SRC[b[0]]:
+            nb = ep.apply_move(b, op)
             assert nb != b
-            assert ep.apply_move(nb, ep._REVERSE[m]) == b
+            assert ep.apply_move(nb, ep._BACK[op]) == b
 
 
 def test_move_errors():
@@ -51,11 +48,46 @@ def test_move_errors():
     for m in ep.MOVE_LETTERS:
         ep.apply_move(center, m)
     corner = ep.apply_moves(center, "dr")  # blank ends at a corner
-    legal = [m for m in ep.MOVE_LETTERS if ep._MOVE_SRC[corner[0]].get(m)]
+    legal = [ep.MOVE_LETTERS[op - 1] for op in ep._MOVE_SRC[corner[0]]]
     assert len(legal) == 2
     for m in set(ep.MOVE_LETTERS) - set(legal):
         with pytest.raises(MoveError):
             ep.apply_move(corner, m)
+
+
+def _moved_or_error(apply, board, move):
+    try:
+        return apply(board, move)
+    except MoveError as exc:
+        return MoveError, exc
+
+
+@pytest.mark.parametrize("blank", list(range(9)) + [9])
+def test_every_move_entry_point_agrees(blank):
+    # blank 9 is off the board: every entry point raises MoveError
+    board = (blank,) + tuple(p for p in range(9) if p != blank)[:8]
+    dom = ep.domain_spec()
+    legal = 0
+    for op, letter in enumerate(ep.MOVE_LETTERS, start=1):
+        results = [
+            _moved_or_error(ep.apply_move, board, op),
+            _moved_or_error(ep.apply_move, board, letter),
+            _moved_or_error(dom.apply, board, op),
+            _moved_or_error(ep.apply_macro, board, (op,)),
+        ]
+        if results[0][0] is MoveError:
+            assert all(r[0] is MoveError for r in results)
+            assert repr(letter) in str(results[2][1])  # the operator names its letter
+            continue
+        legal += 1
+        assert results == [results[0]] * 4
+        nb = results[0]
+        # one tile next to the blank slid into it
+        assert blank < 9 and ep.manhattan(nb[0], blank) == 1
+        assert sorted(t for t in range(9) if nb[t] != board[t]) == [0, board.index(nb[0])]
+        assert ep.apply_move(nb, ep._BACK[op]) == board
+    corners, edges = {1, 3, 5, 7}, {2, 4, 6, 8}
+    assert legal == (2 if blank in corners else 3 if blank in edges else 4 if blank == 0 else 0)
 
 
 def test_macro_letter_round_trip():
@@ -83,6 +115,14 @@ def test_off_board_blank_raises_move_error_and_memoizes_nothing():
         ep.apply_macro(board, (1, 2))
     assert ep.apply_macro(board, ()) == board
     assert ep._macro_permutation.cache_info().currsize == 0
+
+
+def test_subgoal_searches_reject_an_off_board_blank():
+    # a typed error, not a KeyError from the move table
+    board = (9, 1, 2, 3, 4, 5, 6, 7, 8)
+    for search in (ep.ida_star_subgoal, ep.bfs_subgoal):
+        with pytest.raises(ParameterError):
+            search(board, 2, ep.blank_first_ordering())
 
 
 def _fold_moves(board, macro):

@@ -399,15 +399,3 @@ def test_domain_spec_replays_teacher():
         p = I.generate_problem(rng)
         states = replay(dom, p, I.teacher_solve(p))
         assert I.is_goal(states[-1])
-
-
-def test_example_file_format_round_trip():
-    p = _expr("∫ ( sin x ) + ( x ^ 2 ) d x")
-    sol = I.teacher_solve(p)
-    line = I.format_example(p, sol)
-    assert "\t" in line and "@" in line
-    p2, sol2 = I.parse_example(line)
-    assert p2 is p and sol2 == sol
-    # empty solution serializes and parses
-    p3, sol3 = I.parse_example(I.format_example(p, ()))
-    assert p3 is p and sol3 == ()
