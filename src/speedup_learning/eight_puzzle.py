@@ -167,34 +167,31 @@ def text_to_board(text: str) -> tuple:
     return tuple(board)
 
 
-def _permutation_sign(board: tuple) -> int:
-    seen = [False] * 9
-    sign = 1
-    for start in range(9):
-        if seen[start]:
-            continue
-        length = 0
-        t = start
-        while not seen[t]:
-            seen[t] = True
-            t = board[t]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def manhattan(pos_a: int, pos_b: int) -> int:
     (ra, ca), (rb, cb) = COORD[pos_a], COORD[pos_b]
     return abs(ra - rb) + abs(ca - cb)
 
 
+# blank position -> parity of its Manhattan distance from the center
+_BLANK_PARITY = tuple(manhattan(p, GOAL[0]) & 1 for p in range(N_POSITIONS))
+
+
+def _inversion_parity(board: tuple) -> int:
+    """Parity of the board's inversions (pairs of tiles out of order), which
+    is the parity of the permutation: 0 when even, 1 when odd."""
+    seen = inversions = 0
+    for p in board:
+        inversions += (seen >> p).bit_count()  # earlier tiles at higher positions
+        seen |= 1 << p
+    return inversions & 1
+
+
 def is_solvable(board: tuple) -> bool:
-    """Parity test: each move flips the permutation's sign and changes the
-    blank's Manhattan distance from the center by one, so reachable boards
-    have sign equal to (-1)^distance.  Validated against BFS in the tests."""
-    dist = manhattan(board[0], GOAL[0])
-    return _permutation_sign(board) == (1 if dist % 2 == 0 else -1)
+    """Parity test: each move flips the permutation's parity and changes the
+    blank's Manhattan distance from the center by one, so a board is
+    reachable iff its inversion parity equals the parity of that distance.
+    Checked against breadth-first search over all 9! boards in the tests."""
+    return _inversion_parity(board) == _BLANK_PARITY[board[0]]
 
 
 def random_solvable(rng: random.Random) -> tuple:
@@ -279,6 +276,11 @@ def ida_star_subgoal(board: tuple, i: int, ordering: FeatureOrdering) -> tuple:
     hit = _subgoal_cache.get(key)
     if hit is not None:
         return hit
+    # Fixing 8 or 9 features pins the whole board, so the subgoal is the
+    # goal itself; IDA* is a tree search and would deepen forever.  With two
+    # or more tiles free, a swap of them absorbs the parity.
+    if i >= N_TILES - 1 and not is_solvable(board):
+        raise ParameterError("subgoal unreachable; board is not solvable")
 
     INF = float("inf")
 

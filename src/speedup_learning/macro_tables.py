@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence
 
 from .core import BOTTOM, DomainSpec, Example, replay
 from .errors import (
@@ -213,27 +214,59 @@ def serial_parse(domain: DomainSpec, sample: Sequence[Example], n: int, v: int,
 
 
 def check_serial_decomposability(domain: DomainSpec, ordering: FeatureOrdering,
-                                 states: Sequence):
+                                 states: Iterable):
     """Is each operator's effect on ordered feature i a function of ordered
     features 1..i only?  Returns (True, None) or (False, witness) where the
-    witness is (op_index, position, state_a, state_b)."""
-    n = len(ordering.perm)
+    witness is (op_index, position, state_a, state_b).
+
+    ``states`` is read once, so any iterable will do.  Each operator is
+    applied once to every state; an inapplicable operator counts as one
+    more effect.  Then, for each ordered position i, the key of a state is
+    its ordered features 1..i, and the effect is ordered feature i after
+    the operator.  The effect is a function of the key exactly when there
+    are as many distinct (key, effect) pairs as distinct keys, so each
+    position costs two set sizes.  Keys are built for one position at a
+    time, which bounds the memory to one position's keys.
+
+    Only an operator that fails is scanned state by state, to name the
+    first witness: operators in index order, then states in the order
+    given, then positions from 1.  state_b is the first state whose effect
+    at some position differs from an earlier state's with the same key,
+    position is the smallest such one, and state_a is the first state with
+    that key.
+    """
+    states = list(states)
+    perm = ordering.perm
+    keys_of = [itemgetter(*perm[:i]) for i in range(1, len(perm) + 1)]
+    effect_of = [itemgetter(f) for f in perm]
+    inapplicable = (None,) * len(perm)  # every effect of an inapplicable operator is None
+    apply = domain.apply
     for op_index in range(1, domain.num_operators + 1):
-        outcomes = [dict() for _ in range(n + 1)]
+        after = []
         for s in states:
             try:
-                t = domain.apply(s, op_index, None)
+                after.append(apply(s, op_index, None))
             except INAPPLICABLE:
-                t = None  # operator inapplicable counts as an effect too
-            for i in range(1, n + 1):
-                proj = tuple(s[ordering.feature(p)] for p in range(1, i + 1))
-                effect = None if t is None else t[ordering.feature(i)]
-                seen = outcomes[i].get(proj)
-                if seen is None:
-                    outcomes[i][proj] = (effect, s)
-                elif seen[0] != effect:
-                    return False, (op_index, i, seen[1], s)
+                after.append(inapplicable)
+        for column in range(len(perm)):  # ordered position column + 1
+            keys = list(map(keys_of[column], states))
+            if len(set(zip(keys, map(effect_of[column], after)))) != len(set(keys)):
+                return False, _first_witness(op_index, column, states, after, keys_of, effect_of)
     return True, None
+
+
+def _first_witness(op_index, column, states, after, keys_of, effect_of):
+    """The first (state, position) at which ``op_index``'s effect differs
+    from an earlier state's with the same key.  Positions before
+    ``column + 1`` passed the set test, so they hold no disagreement."""
+    first_seen = {i: {} for i in range(column, len(keys_of))}
+    for s, t in zip(states, after):
+        for i, seen in first_seen.items():
+            effect = effect_of[i](t)
+            prior_effect, prior = seen.setdefault(keys_of[i](s), (effect, s))
+            if prior_effect != effect:
+                return op_index, i + 1, prior, s
+    raise AssertionError("a column failed the set test but no two states disagree")
 
 
 def verify_table(table: MacroTable, domain: DomainSpec, states: Sequence):

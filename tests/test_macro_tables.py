@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import partial
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from speedup_learning import eight_puzzle as ep
 from speedup_learning.core import BOTTOM, DomainSpec, Example, replay
 from speedup_learning.errors import (
+    INAPPLICABLE,
     InapplicableOperatorError,
     MalformedSolutionError,
     ParameterError,
@@ -29,7 +31,8 @@ from speedup_learning.macro_tables import (
 
 def _toy_domain():
     """Two binary features; op1 flips feature 1, op2 sets feature 0 to
-    feature 1 (so feature 0 depends on feature 1)."""
+    feature 1 (so feature 0 depends on feature 1), and op3 clears feature 0
+    but is inapplicable when feature 1 is set."""
 
     def flip_b(s, loc):
         return (s[0], 1 - s[1])
@@ -37,7 +40,39 @@ def _toy_domain():
     def copy_b_to_a(s, loc):
         return (s[1], s[1])
 
-    return DomainSpec(goal_test=lambda s: s == (0, 0), operators=(flip_b, copy_b_to_a))
+    def clear_a(s, loc):
+        if s[1]:
+            raise InapplicableOperatorError("feature 1 is set")
+        return (0, s[1])
+
+    return DomainSpec(goal_test=lambda s: s == (0, 0), operators=(flip_b, copy_b_to_a, clear_a))
+
+
+TOY_STATES = [(a, b) for a in range(2) for b in range(2)]
+
+
+def _reference_decomposability(domain, ordering, states):
+    """The first check_serial_decomposability, kept as the oracle: per
+    operator, one dict per position from each projection to the first
+    (effect, state) seen, scanned state by state.  It reads ``states`` once
+    per operator, so it takes a list."""
+    n = len(ordering.perm)
+    for op_index in range(1, domain.num_operators + 1):
+        outcomes = [dict() for _ in range(n + 1)]
+        for s in states:
+            try:
+                t = domain.apply(s, op_index, None)
+            except INAPPLICABLE:
+                t = None  # operator inapplicable counts as an effect too
+            for i in range(1, n + 1):
+                proj = tuple(s[ordering.feature(p)] for p in range(1, i + 1))
+                effect = None if t is None else t[ordering.feature(i)]
+                seen = outcomes[i].get(proj)
+                if seen is None:
+                    outcomes[i][proj] = (effect, s)
+                elif seen[0] != effect:
+                    return False, (op_index, i, seen[1], s)
+    return True, None
 
 
 def test_feature_ordering_validation():
@@ -167,14 +202,93 @@ def test_serial_parse_skips_bottom_and_rejects_malformed():
 
 def test_check_serial_decomposability_toy():
     dom = _toy_domain()
-    states = [(a, b) for a in range(2) for b in range(2)]
-    ok, witness = check_serial_decomposability(dom, FeatureOrdering((1, 0)), states)
+    ok, witness = check_serial_decomposability(dom, FeatureOrdering((1, 0)), TOY_STATES)
     assert ok and witness is None
-    bad, witness = check_serial_decomposability(dom, FeatureOrdering((0, 1)), states)
+    bad, witness = check_serial_decomposability(dom, FeatureOrdering((0, 1)), TOY_STATES)
     assert not bad
     op_index, position, s_a, s_b = witness
     assert op_index == 2 and position == 1
     assert s_a[0] == s_b[0] and s_a[1] != s_b[1]
+    # without op2, op3's inapplicability is the effect that depends on feature 1
+    no_copy = DomainSpec(goal_test=dom.goal_test, operators=dom.operators[::2])
+    assert check_serial_decomposability(no_copy, FeatureOrdering((0, 1)), TOY_STATES) \
+        == (False, (2, 1, (0, 0), (0, 1)))
+
+
+def test_check_serial_decomposability_reads_states_once():
+    # a one-pass iterable is checked for every operator, not the first only
+    dom = _toy_domain()
+    ordering = FeatureOrdering((0, 1))
+    got = check_serial_decomposability(dom, ordering, iter(TOY_STATES))
+    assert got == check_serial_decomposability(dom, ordering, TOY_STATES)
+    assert got == (False, (2, 1, (0, 0), (0, 1)))
+
+
+_ORDERINGS = st.one_of(st.sampled_from((ep.blank_first_ordering(), ep.blank_last_ordering())),
+                       st.permutations(range(ep.N_TILES)).map(lambda p: FeatureOrdering(tuple(p))))
+
+
+@pytest.fixture(scope="module")
+def sorted_boards(all_boards):
+    return sorted(all_boards)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.one_of(st.integers(0, 40), st.integers(0, 2000)),
+       ordering=_ORDERINGS, in_order=st.booleans())
+def test_decomposability_matches_reference_on_board_subsets(sorted_boards, seed, size, ordering,
+                                                            in_order):
+    boards = random.Random(seed).sample(sorted_boards, size)  # drawn in shuffled order
+    if in_order:
+        boards.sort()
+    dom = ep.domain_spec()
+    assert check_serial_decomposability(dom, ordering, boards) \
+        == _reference_decomposability(dom, ordering, boards)
+
+
+def _small_domain(rng):
+    """2-4 features over 2-3 values with 1-3 operators.  Each feature's
+    effect, and whether the operator applies at all, is a random function
+    of a random subset of the features, so which orderings are
+    decomposable varies, and so do the witnesses."""
+    n, v = rng.randint(2, 4), rng.randint(2, 3)
+    states = list(itertools.product(range(v), repeat=n))
+    tables = []
+    for _ in range(rng.randint(1, 3)):
+        # reads[f] for each feature f, then reads[n] for applicability
+        reads = [rng.sample(range(n), rng.randint(0, min(n, 2))) for _ in range(n + 1)]
+        funcs = [{key: rng.randrange(v) if f < n else rng.random() < 0.8
+                  for key in itertools.product(range(v), repeat=len(reads[f]))}
+                 for f in range(n + 1)]
+        effects = [[funcs[f][tuple(s[d] for d in reads[f])] for f in range(n + 1)] for s in states]
+        tables.append({s: tuple(e[:n]) for s, e in zip(states, effects) if e[n]})
+    return _table_domain(n, tables), states, n
+
+
+def _table_domain(n, tables):
+    """Operators given as tables from state to next state; a state missing
+    from a table is one where that operator is inapplicable."""
+
+    def operator(table):
+        def run(s, loc):
+            if s not in table:
+                raise InapplicableOperatorError(f"no move from {s}")
+            return table[s]
+        return run
+
+    return DomainSpec(goal_test=lambda s: s == (0,) * n, operators=tuple(map(operator, tables)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), toy=st.booleans())
+def test_decomposability_matches_reference_on_small_domains(seed, toy):
+    rng = random.Random(seed)
+    dom, universe, n = (_toy_domain(), TOY_STATES, 2) if toy else _small_domain(rng)
+    ordering = FeatureOrdering(tuple(rng.sample(range(n), n)))
+    # repeats and any order: the witness depends on the order states come in
+    states = [rng.choice(universe) for _ in range(rng.randint(0, 40))]
+    assert check_serial_decomposability(dom, ordering, iter(states)) \
+        == _reference_decomposability(dom, ordering, states)
 
 
 def test_verify_table_passes_on_sample(exhaustive_table, all_boards):
