@@ -11,7 +11,6 @@ from .control_rules import (
     ControlRule,
     IncrementalRuleLearner,
     RuleSet,
-    collect_select_examples,
     learn_rules,
     rule_solve,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "SententialForm",
     "SpeedupLearningError",
     "check_serial_decomposability",
-    "collect_select_examples",
     "control_rules",
     "core",
     "eight_puzzle",

@@ -27,22 +27,14 @@ class ControlRule:
 
 
 class RuleSet:
-    """One rule per operator, ordered by operator index.
+    """One rule per operator, ordered by operator index."""
 
-    ``step_limit`` of None means the domain's default (50 times the token
-    length of the problem).
-    """
-
-    def __init__(self, rules: Sequence[ControlRule], step_limit: Optional[int] = None):
+    def __init__(self, rules: Sequence[ControlRule]):
         rules = tuple(rules)
         indices = [r.operator_index for r in rules]
         if sorted(indices) != list(range(1, len(rules) + 1)):
             raise ParameterError("rules must cover operator indices 1..k exactly once")
         self.rules = tuple(sorted(rules, key=lambda r: r.operator_index))
-        self.step_limit = step_limit
-
-    def rule(self, op_index: int) -> ControlRule:
-        return self.rules[op_index - 1]
 
     def dump(self) -> str:
         lines = []
@@ -62,7 +54,8 @@ def _first_match(ruleset: RuleSet, rdomain, x, start):
 
 def rule_solve_ex(ruleset: RuleSet, rdomain, x):
     """Like rule_solve but returns (solution-or-⊥, status) where status is
-    one of "solved", "no_match", "step_limit", "diverged".
+    one of "solved", "no_match", "step_limit", "diverged".  Both limits
+    come from the domain: ``default_step_limit`` and ``default_size_limit``.
 
     "diverged" means the state outgrew the domain's size limit; partially
     learned rule sets can loop on growth rules (e.g. by-parts), and runaway
@@ -73,9 +66,7 @@ def rule_solve_ex(ruleset: RuleSet, rdomain, x):
     left of it are unchanged, came before the match in post-order so
     matched no rule, and a unit's match depends on the unit alone.
     """
-    limit = ruleset.step_limit
-    if limit is None:
-        limit = rdomain.default_step_limit(x)
+    limit = rdomain.default_step_limit(x)
     size_limit = rdomain.default_size_limit(x)
     steps = []
     path = ()
@@ -111,27 +102,12 @@ def _teacher_units(rdomain, example: Example):
         x = rdomain.apply(x, op_index, loc)
 
 
-def collect_select_examples(rdomain, sample: Sequence[Example]) -> dict:
-    """Map operator index -> ordered distinct matching units the teacher
-    applied that operator to, across all solved examples."""
-    collected: dict = {}
-    for example in sample:
-        for op_index, unit in _teacher_units(rdomain, example):
-            collected.setdefault(op_index, {}).setdefault(id(unit), unit)
-    return {op: list(bucket.values()) for op, bucket in collected.items()}
-
-
 class IncrementalRuleLearner:
-    """Folds examples into per-operator most specific generalizations.
-
-    ``version`` increments whenever any select-set actually changes, so
-    callers can cheaply detect convergence.
-    """
+    """Folds examples into per-operator most specific generalizations."""
 
     def __init__(self, rdomain):
         self.rdomain = rdomain
         self.caps: dict = {}  # operator index -> cap
-        self.version = 0
 
     def add_example(self, example: Example):
         for op_index, unit in _teacher_units(self.rdomain, example):
@@ -142,7 +118,6 @@ class IncrementalRuleLearner:
         new = tree if old is None else msc([old, tree])
         if new is not old:  # msc returns ``old`` itself when it covers ``tree``
             self.caps[op_index] = new
-            self.version += 1
 
     def ruleset(self) -> RuleSet:
         rules = [

@@ -264,13 +264,22 @@ def _heuristic(board, tiles):
     return sum(manhattan(board[t], GOAL[t]) for t in tiles if t != 0)
 
 
+def _check_board(board) -> tuple:
+    """The board as a tuple; ParameterError unless it puts tiles 0..8 on
+    nine distinct positions."""
+    board = check_feature_state(board, N_TILES, N_POSITIONS)
+    if len(set(board)) != N_TILES:
+        raise ParameterError(f"board must be a permutation of 0..8: {board!r}")
+    return board
+
+
 def ida_star_subgoal(board: tuple, i: int, ordering: FeatureOrdering) -> tuple:
     """Shortest move sequence bringing ordered features 1..i to their goal
     values, as operator indices.  Deterministic: IDA* with the Manhattan
     heuristic over the non-blank subgoal tiles, move order r<l<u<d, and
     parent-reversal pruning.
     """
-    check_feature_state(board, N_TILES, N_POSITIONS)
+    board = _check_board(board)
     tiles = ordering.perm[:i]
     key = (ordering.perm, i, tuple(board[t] for t in tiles))
     hit = _subgoal_cache.get(key)
@@ -315,7 +324,7 @@ def ida_star_subgoal(board: tuple, i: int, ordering: FeatureOrdering) -> tuple:
 
 def bfs_subgoal(board: tuple, i: int, ordering: FeatureOrdering) -> tuple:
     """Breadth-first subgoal solver; optimality oracle for ida_star_subgoal."""
-    check_feature_state(board, N_TILES, N_POSITIONS)
+    board = _check_board(board)
     tiles = ordering.perm[:i]
     if _at_goal(board, tiles):
         return ()

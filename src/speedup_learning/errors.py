@@ -45,10 +45,6 @@ class IncompatibleTreesError(SpeedupLearningError):
     """Trees passed to a common-cap computation have different root labels."""
 
 
-class EnumerationLimitError(SpeedupLearningError):
-    """Exhaustive sentence enumeration exceeded its explosion guard."""
-
-
 class InapplicableOperatorError(SpeedupLearningError):
     """A rewrite operator's pattern does not match the target subexpression."""
 

@@ -34,15 +34,9 @@ head is a terminal.  An empty alternative raises ``ParameterError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import (
-    AmbiguityError,
-    EnumerationLimitError,
-    IncompatibleTreesError,
-    ParameterError,
-    ParseError,
-)
+from .errors import AmbiguityError, IncompatibleTreesError, ParameterError, ParseError
 
 
 class Node:
@@ -92,12 +86,11 @@ def tree_yield(tree: Node) -> tuple[str, ...]:
 class SententialForm:
     """A string of terminals and nonterminals derivable from the start symbol.
 
-    ``cap`` records the derivation as a cap tree when the form came out of a
-    generalization; membership tests use it when present.
+    ``cap`` records its derivation as a cap tree; ``membership`` matches it.
     """
 
     symbols: tuple[str, ...]
-    cap: Optional[Node] = None
+    cap: Node
 
     def __str__(self):
         return " ".join(self.symbols)
@@ -117,12 +110,9 @@ class Grammar:
         }
         if start not in self.nonterminals:
             raise ParseError(f"start symbol {start!r} has no productions", 0)
-        self.by_head: dict[str, list[tuple[str, ...]]] = {}
         for head, body in self.productions:
             if not body:
                 raise ParameterError(f"empty production for {head!r}: bodies must be non-empty")
-            self.by_head.setdefault(head, []).append(body)
-        self._min_len: Optional[dict[str, int]] = None
         self._rules: Optional[_Rules] = None
         self._form: Optional[tuple[Grammar, dict[str, str]]] = None
 
@@ -146,26 +136,6 @@ class Grammar:
         if start is None:
             raise ParseError("empty grammar", 0)
         return cls(productions, start)
-
-    def is_nonterminal(self, sym: str) -> bool:
-        return sym in self.nonterminals
-
-    def min_yield_len(self, sym: str) -> int:
-        """Minimum number of terminals derivable from a symbol."""
-        if self._min_len is None:
-            lens = {t: 1 for t in self.terminals}
-            for nt in self.nonterminals:
-                lens[nt] = 10**9
-            changed = True
-            while changed:
-                changed = False
-                for head, body in self.productions:
-                    total = sum(lens[s] for s in body)
-                    if total < lens[head]:
-                        lens[head] = total
-                        changed = True
-            self._min_len = lens
-        return self._min_len[sym]
 
     def _dotted_rules(self) -> "_Rules":
         """The productions numbered for the Earley parser (built once)."""
@@ -209,7 +179,6 @@ class _Rules:
         self.after: list = []  # the symbol after the dot, None when complete
         self.before: list = []  # the symbol before the dot, None at the start
         self.head: list = []
-        self.body: list = []
         self.penult: list[bool] = []  # the symbol after the dot ends the body
         self.first: dict[str, list[int]] = {}  # head -> its rules, dot at 0
         self.start: dict[str, int] = {}  # nonterminal -> its start rule
@@ -224,7 +193,6 @@ class _Rules:
                 self.after.append(body[d] if d < len(body) else None)
                 self.before.append(body[d - 1] if d else None)
                 self.head.append(head)
-                self.body.append(body)
                 self.penult.append(d == len(body) - 1)
         self._predictions: dict = {}
 
@@ -439,29 +407,6 @@ def parse(grammar: Grammar, tokens: Sequence[str], start: Optional[str] = None) 
 # ---------------------------------------------------------------------------
 
 
-def all_caps(tree: Node) -> Iterable[Node]:
-    """Every cap of a tree, by exhaustive expand-or-cut choice per node.
-
-    Test oracle; exponential, desk scale only.
-    """
-    if not tree.children:
-        yield Node(tree.label)
-        return
-    yield Node(tree.label)  # cut here
-    child_options = [list(all_caps(c)) for c in tree.children]
-
-    def combos(k):
-        if k == len(child_options):
-            yield ()
-            return
-        for choice in child_options[k]:
-            for rest in combos(k + 1):
-                yield (choice,) + rest
-
-    for children in combos(0):
-        yield Node(tree.label, children)
-
-
 def msc(trees: Sequence[Node]) -> Node:
     """Most specific common cap of parse trees (or caps) sharing a root label.
 
@@ -555,18 +500,16 @@ def membership(
     """Is ``problem`` derivable from the sentential form?
 
     Parses the problem (returning False when it does not parse) and checks
-    whether the form's cap is a cap of that parse tree.  A form without a
-    cap gets one from ``form_to_cap``; a form that does not parse from the
-    tree's root derives nothing.
+    whether the form's cap is a cap of that parse tree.  Plain symbols get
+    their cap from ``form_to_cap``; symbols that do not parse from the
+    tree's root derive nothing.
     """
     try:
         tree = parse(grammar, problem, start)
     except ParseError:
         return False
     if isinstance(form, SententialForm):
-        if form.cap is not None:
-            return cap_matches_tree(form.cap, tree)
-        form = form.symbols
+        return cap_matches_tree(form.cap, tree)
     try:
         cap = form_to_cap(grammar, form, tree.label)
     except ParseError:
@@ -609,48 +552,3 @@ def form_to_cap(
             stack.append((node, True))
             stack.extend((kid, False) for kid in reversed(kids))
     return done[0]
-
-
-def enumerate_sentences(
-    grammar: Grammar,
-    root: SententialForm | Sequence[str] | str,
-    max_tokens: int,
-    limit: int = 2_000_000,
-) -> set[tuple[str, ...]]:
-    """All terminal strings of length <= max_tokens derivable from ``root``.
-
-    Exhaustive expansion with minimum-yield pruning; raises
-    ``EnumerationLimitError`` when more than ``limit`` forms are processed.
-    """
-    if isinstance(root, str):
-        symbols = (root,)
-    elif isinstance(root, SententialForm):
-        symbols = root.symbols
-    else:
-        symbols = tuple(root)
-
-    out: set[tuple[str, ...]] = set()
-    seen: set[tuple[str, ...]] = set()
-    stack = [symbols]
-    processed = 0
-    while stack:
-        form = stack.pop()
-        if form in seen:
-            continue
-        seen.add(form)
-        processed += 1
-        if processed > limit:
-            raise EnumerationLimitError(
-                f"enumeration exceeded {limit} intermediate forms"
-            )
-        if sum(grammar.min_yield_len(s) for s in form) > max_tokens:
-            continue
-        for idx, sym in enumerate(form):
-            if grammar.is_nonterminal(sym):
-                for body in grammar.by_head[sym]:
-                    stack.append(form[:idx] + body + form[idx + 1 :])
-                break
-        else:
-            if len(form) <= max_tokens:
-                out.add(form)
-    return out

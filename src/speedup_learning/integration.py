@@ -39,6 +39,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
+from .control_rules import ControlRule, RuleSet
+from .core import BOTTOM, DomainSpec
 from .errors import (
     InapplicableOperatorError,
     LocationError,
@@ -392,16 +394,21 @@ def tree_to_expr(node: Node) -> Expr:
 
 @dataclass(frozen=True)
 class RewriteOp:
-    """A structural rewrite rule plus the teacher's select-set for it."""
+    """A structural rewrite rule plus the teacher's select-set for it.
+
+    ``matches`` is the pattern below a root of kind ``kind``; it is only
+    called on such a root.
+    """
 
     index: int
     name: str
+    kind: str
     teacher_form: str  # sentential form over the grammar, rooted at Exp
     matches: Callable[[Expr], bool]
     rewrite: Callable[[Expr], Expr]
 
     def apply(self, e: Expr) -> Expr:
-        if not self.matches(e):
+        if e.kind != self.kind or not self.matches(e):
             raise InapplicableOperatorError(
                 f"operator {self.index} ({self.name}) does not match {to_text(e)!r}"
             )
@@ -415,85 +422,85 @@ def _body(e):
 def _ops() -> list:
     o = []
 
-    def op(index, name, form, matches, rewrite):
-        o.append(RewriteOp(index, name, form, matches, rewrite))
+    def op(index, name, kind, form, matches, rewrite):
+        o.append(RewriteOp(index, name, kind, form, matches, rewrite))
 
     # 1-7: the integral table
-    op(1, "const_factor", "∫ Const * Term d x",
-       lambda e: e.kind == INTEGRAL and _body(e).kind == PROD and _is_const(_body(e).args[0]),
+    op(1, "const_factor", INTEGRAL, "∫ Const * Term d x",
+       lambda e: _body(e).kind == PROD and _is_const(_body(e).args[0]),
        lambda e: mul(_body(e).args[0], integral(_body(e).args[1])))
-    op(2, "diff_split", "∫ Term - Exp d x",
-       lambda e: e.kind == INTEGRAL and _body(e).kind == DIFF,
+    op(2, "diff_split", INTEGRAL, "∫ Term - Exp d x",
+       lambda e: _body(e).kind == DIFF,
        lambda e: sub(integral(_body(e).args[0]), integral(_body(e).args[1])))
-    op(3, "sum_split", "∫ Term + Exp d x",
-       lambda e: e.kind == INTEGRAL and _body(e).kind == SUM,
+    op(3, "sum_split", INTEGRAL, "∫ Term + Exp d x",
+       lambda e: _body(e).kind == SUM,
        lambda e: add(integral(_body(e).args[0]), integral(_body(e).args[1])))
     # By parts: ∫f·g dx = g·∫f dx − ∫(∫f dx)·(Dg) dx.  The inner product
     # keeps ∫f dx first so repeated applications keep differentiating g;
     # binding the first factor as f then terminates on trig·polynomial
     # products.
-    op(4, "by_parts", "∫ P-term * Term d x",
-       lambda e: e.kind == INTEGRAL and _body(e).kind == PROD,
+    op(4, "by_parts", INTEGRAL, "∫ P-term * Term d x",
+       lambda e: _body(e).kind == PROD,
        lambda e: sub(
            mul(_body(e).args[1], integral(_body(e).args[0])),
            integral(mul(integral(_body(e).args[0]), deriv(_body(e).args[1])))))
-    op(5, "power_int", "∫ ( x ^ Term ) d x",
-       lambda e: e.kind == INTEGRAL and _body(e).kind == POWER,
+    op(5, "power_int", INTEGRAL, "∫ ( x ^ Term ) d x",
+       lambda e: _body(e).kind == POWER,
        lambda e: div(powx(add(_body(e).args[1], ONE)), add(_body(e).args[1], ONE)))
-    op(6, "sin_int", "∫ ( sin x ) d x",
-       lambda e: e.kind == INTEGRAL and _body(e).kind == SIN,
+    op(6, "sin_int", INTEGRAL, "∫ ( sin x ) d x",
+       lambda e: _body(e).kind == SIN,
        lambda e: neg(cosx()))
-    op(7, "cos_int", "∫ ( cos x ) d x",
-       lambda e: e.kind == INTEGRAL and _body(e).kind == COS,
+    op(7, "cos_int", INTEGRAL, "∫ ( cos x ) d x",
+       lambda e: _body(e).kind == COS,
        lambda e: sinx())
 
     # 8-10: remaining integral forms the distribution produces
-    op(8, "var_int", "∫ x d x",
-       lambda e: e.kind == INTEGRAL and _body(e).kind == VAR,
+    op(8, "var_int", INTEGRAL, "∫ x d x",
+       lambda e: _body(e).kind == VAR,
        lambda e: div(powx(TWO), TWO))
-    op(9, "const_int", "∫ Const d x",
-       lambda e: e.kind == INTEGRAL and _is_const(_body(e)),
+    op(9, "const_int", INTEGRAL, "∫ Const d x",
+       lambda e: _is_const(_body(e)),
        lambda e: mul(_body(e), VAR_X))
-    op(10, "neg_int", "∫ ( - Term ) d x",
-       lambda e: e.kind == INTEGRAL and _body(e).kind == NEG,
+    op(10, "neg_int", INTEGRAL, "∫ ( - Term ) d x",
+       lambda e: _body(e).kind == NEG,
        lambda e: neg(integral(_body(e).args[0])))
 
     # 11-17: differentiation
-    op(11, "deriv_const", "D Const x",
-       lambda e: e.kind == DERIV and _is_const(_body(e)),
+    op(11, "deriv_const", DERIV, "D Const x",
+       lambda e: _is_const(_body(e)),
        lambda e: ZERO)
-    op(12, "deriv_var", "D x x",
-       lambda e: e.kind == DERIV and _body(e).kind == VAR,
+    op(12, "deriv_var", DERIV, "D x x",
+       lambda e: _body(e).kind == VAR,
        lambda e: ONE)
-    op(13, "deriv_sin", "D ( sin x ) x",
-       lambda e: e.kind == DERIV and _body(e).kind == SIN,
+    op(13, "deriv_sin", DERIV, "D ( sin x ) x",
+       lambda e: _body(e).kind == SIN,
        lambda e: cosx())
-    op(14, "deriv_cos", "D ( cos x ) x",
-       lambda e: e.kind == DERIV and _body(e).kind == COS,
+    op(14, "deriv_cos", DERIV, "D ( cos x ) x",
+       lambda e: _body(e).kind == COS,
        lambda e: neg(sinx()))
-    op(15, "deriv_power", "D ( x ^ Term ) x",
-       lambda e: e.kind == DERIV and _body(e).kind == POWER,
+    op(15, "deriv_power", DERIV, "D ( x ^ Term ) x",
+       lambda e: _body(e).kind == POWER,
        lambda e: mul(_body(e).args[1], powx(sub(_body(e).args[1], ONE))))
-    op(16, "deriv_scale", "D Const * Term x",
-       lambda e: e.kind == DERIV and _body(e).kind == PROD and _is_const(_body(e).args[0]),
+    op(16, "deriv_scale", DERIV, "D Const * Term x",
+       lambda e: _body(e).kind == PROD and _is_const(_body(e).args[0]),
        lambda e: mul(_body(e).args[0], deriv(_body(e).args[1])))
-    op(17, "deriv_neg", "D ( - Term ) x",
-       lambda e: e.kind == DERIV and _body(e).kind == NEG,
+    op(17, "deriv_neg", DERIV, "D ( - Term ) x",
+       lambda e: _body(e).kind == NEG,
        lambda e: neg(deriv(_body(e).args[0])))
 
     # 18-21: integer constant folding
-    op(18, "fold_add", "Int + Int",
-       lambda e: e.kind == SUM and e.args[0].kind == NUM and e.args[1].kind == NUM,
+    op(18, "fold_add", SUM, "Int + Int",
+       lambda e: e.args[0].kind == NUM and e.args[1].kind == NUM,
        lambda e: num(e.args[0].args[0] + e.args[1].args[0]))
-    op(19, "fold_sub", "Int - Int",
-       lambda e: e.kind == DIFF and e.args[0].kind == NUM and e.args[1].kind == NUM
+    op(19, "fold_sub", DIFF, "Int - Int",
+       lambda e: e.args[0].kind == NUM and e.args[1].kind == NUM
        and e.args[0].args[0] >= e.args[1].args[0],
        lambda e: num(e.args[0].args[0] - e.args[1].args[0]))
-    op(20, "fold_mul", "Int * Int",
-       lambda e: e.kind == PROD and e.args[0].kind == NUM and e.args[1].kind == NUM,
+    op(20, "fold_mul", PROD, "Int * Int",
+       lambda e: e.args[0].kind == NUM and e.args[1].kind == NUM,
        lambda e: num(e.args[0].args[0] * e.args[1].args[0]))
-    op(21, "fold_div", "Int / Int",
-       lambda e: e.kind == QUOT and e.args[0].kind == NUM and e.args[1].kind == NUM
+    op(21, "fold_div", QUOT, "Int / Int",
+       lambda e: e.args[0].kind == NUM and e.args[1].kind == NUM
        and e.args[1].args[0] != 0 and e.args[0].args[0] % e.args[1].args[0] == 0,
        lambda e: num(e.args[0].args[0] // e.args[1].args[0]))
 
@@ -504,23 +511,23 @@ def _ops() -> list:
     # the normal form is sound.  A right-zero product must be absorbed,
     # though, or by-parts chains would never bottom out (their innermost
     # integrand ends as (∫f)·0 once the derivative of a constant appears).
-    op(22, "mul_one_left", "1 * Term",
-       lambda e: e.kind == PROD and e.args[0] is ONE,
+    op(22, "mul_one_left", PROD, "1 * Term",
+       lambda e: e.args[0] is ONE,
        lambda e: e.args[1])
-    op(23, "mul_one_right", "P-term * 1",
-       lambda e: e.kind == PROD and e.args[1] is ONE,
+    op(23, "mul_one_right", PROD, "P-term * 1",
+       lambda e: e.args[1] is ONE,
        lambda e: e.args[0])
-    op(24, "mul_zero_right", "P-term * 0",
-       lambda e: e.kind == PROD and e.args[1] is ZERO,
+    op(24, "mul_zero_right", PROD, "P-term * 0",
+       lambda e: e.args[1] is ZERO,
        lambda e: ZERO)
-    op(25, "pow_one", "( x ^ 1 )",
-       lambda e: e.kind == POWER and e.args[1] is ONE,
+    op(25, "pow_one", POWER, "( x ^ 1 )",
+       lambda e: e.args[1] is ONE,
        lambda e: VAR_X)
-    op(26, "pow_zero", "( x ^ 0 )",
-       lambda e: e.kind == POWER and e.args[1] is ZERO,
+    op(26, "pow_zero", POWER, "( x ^ 0 )",
+       lambda e: e.args[1] is ZERO,
        lambda e: ONE)
-    op(27, "neg_neg", "( - ( - Term ) )",
-       lambda e: e.kind == NEG and e.args[0].kind == NEG,
+    op(27, "neg_neg", NEG, "( - ( - Term ) )",
+       lambda e: e.args[0].kind == NEG,
        lambda e: e.args[0].args[0])
     return o
 
@@ -528,14 +535,10 @@ def _ops() -> list:
 OPERATORS: tuple = tuple(_ops())
 _OP_BY_INDEX = {op.index: op for op in OPERATORS}
 
-# Candidate operators by root node kind, for fast dispatch.
-_KIND_GROUPS = {
-    INTEGRAL: range(1, 11), DERIV: range(11, 18),
-    SUM: (18,), DIFF: (19,), PROD: (20, 22, 23, 24),
-    QUOT: (21,), POWER: (25, 26), NEG: (27,),
-}
+# Candidate operators by root node kind, in index order, for fast dispatch.
 _OPS_BY_KIND = {
-    kind: tuple(_OP_BY_INDEX[i] for i in idxs) for kind, idxs in _KIND_GROUPS.items()
+    kind: tuple(op for op in OPERATORS if op.kind == kind)
+    for kind in dict.fromkeys(op.kind for op in OPERATORS)
 }
 
 
@@ -695,8 +698,6 @@ def teacher_trace(e: Expr):
 
 def teacher_solve(e: Expr):
     """The oracle teacher: a parameterized operator list, or BOTTOM."""
-    from .core import BOTTOM
-
     trace = teacher_trace(e)
     if trace is None:
         return BOTTOM
@@ -705,8 +706,6 @@ def teacher_solve(e: Expr):
 
 def teacher_ruleset():
     """The teacher's own select-sets as grammar caps (one per operator)."""
-    from .control_rules import ControlRule, RuleSet
-
     rules = tuple(
         ControlRule(op.index, form_to_cap(GRAMMAR, op.teacher_form.split(), "Exp"))
         for op in OPERATORS
@@ -823,8 +822,6 @@ def differentiate(e: Expr) -> Expr:
 
 def domain_spec():
     """DomainSpec over expressions; operator i applies at a location path."""
-    from .core import DomainSpec
-
     def make_applier(op):
         return lambda state, loc: apply_at(op, state, loc or ())
 
@@ -841,9 +838,7 @@ class IntegrationRuleDomain:
     membership is tested against its Exp-rooted parse tree.
     """
 
-    grammar = GRAMMAR
     num_operators = len(OPERATORS)
-    unit_start = "Exp"
 
     def is_goal(self, e: Expr) -> bool:
         return is_goal(e)

@@ -25,6 +25,8 @@ from .errors import (
 
 # A macro is a tuple of 1-based operator indices; () is the null macro.
 Macro = tuple
+# The longest macro a table stores.
+MAX_MACRO_LEN = 32
 
 
 @dataclass(frozen=True)
@@ -55,15 +57,13 @@ class MacroTable:
     """Grid of macros keyed (value j, ordered position i); missing keys are
     UNFILLED, which is distinct from a stored null macro."""
 
-    def __init__(self, n: int, v: int, goal: Sequence[int], ordering: FeatureOrdering,
-                 max_macro_len: int = 32):
+    def __init__(self, n: int, v: int, goal: Sequence[int], ordering: FeatureOrdering):
         if len(ordering.perm) != n:
             raise ParameterError("ordering length must equal n")
         self.n = n
         self.v = v
         self.goal = check_feature_state(goal, n, v)
         self.ordering = ordering
-        self.max_macro_len = max_macro_len
         self.cells: dict = {}
 
     def get(self, j: int, i: int) -> Optional[Macro]:
@@ -79,10 +79,8 @@ class MacroTable:
         if not (0 <= j < self.v and 1 <= i <= self.n):
             raise ParameterError(f"no cell (value {j}, position {i}) in a {self.v} x {self.n} table")
         macro = tuple(macro)
-        if len(macro) > self.max_macro_len:
-            raise ParameterError(
-                f"macro length {len(macro)} exceeds limit {self.max_macro_len}"
-            )
+        if len(macro) > MAX_MACRO_LEN:
+            raise ParameterError(f"macro length {len(macro)} exceeds limit {MAX_MACRO_LEN}")
         if (j, i) in self.cells:
             return False
         self.cells[(j, i)] = macro

@@ -6,15 +6,14 @@ run with -s so the verdicts land in the log).
 
 import random
 
+from brute_force import all_caps, enumerate_sentences
 from speedup_learning import eight_puzzle as ep
 from speedup_learning import integration as I
 from speedup_learning import oracles
 from speedup_learning.control_rules import IncrementalRuleLearner, rule_solve
 from speedup_learning.core import Example, is_consistent
 from speedup_learning.grammar import (
-    all_caps,
     cap_matches_tree,
-    enumerate_sentences,
     membership,
     msc,
     parse,

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
+from brute_force import collect_select_examples
 from speedup_learning import integration as I
 from speedup_learning.control_rules import (
     ControlRule,
     IncrementalRuleLearner,
     RuleSet,
-    collect_select_examples,
     learn_rules,
     rule_solve,
     rule_solve_ex,
@@ -21,15 +21,25 @@ def _rdomain():
     return I.IntegrationRuleDomain()
 
 
+class StepLimitedDomain(I.IntegrationRuleDomain):
+    """The integration rule domain with a fixed step limit."""
+
+    def __init__(self, limit):
+        self.limit = limit
+
+    def default_step_limit(self, e):
+        return self.limit
+
+
 def _example(text):
     p = I.parse_expr(text.split())
     return Example(p, I.teacher_solve(p))
 
 
 def test_ruleset_validation_and_dump():
-    rules = [ControlRule(i) for i in range(1, 4)]
+    rules = [ControlRule(i) for i in (3, 1, 2)]
     rs = RuleSet(rules)
-    assert rs.rule(2).operator_index == 2
+    assert [r.operator_index for r in rs.rules] == [1, 2, 3]
     assert rs.dump() == "op1: EMPTY\nop2: EMPTY\nop3: EMPTY\n"
     with pytest.raises(ParameterError):
         RuleSet([ControlRule(1), ControlRule(3)])
@@ -71,11 +81,11 @@ def test_incremental_learner_generalizes_monotonically():
                 # each update can only climb the cap lattice
                 assert cap_matches_tree(cap, previous[op])
         previous = dict(learner.caps)
-    assert learner.version > 0
-    v = learner.version
+    assert previous
     # replaying an already-covered example changes nothing
     learner.add_example(Example(p, I.teacher_solve(p)))
-    assert learner.version == v
+    assert learner.caps.keys() == previous.keys()
+    assert all(learner.caps[op] is cap for op, cap in previous.items())
 
 
 def test_learner_cap_equals_msg_of_collected_units():
@@ -89,7 +99,7 @@ def test_learner_cap_equals_msg_of_collected_units():
         learner.add_example(ex)
     collected = collect_select_examples(rd, sample)
     for op, units in collected.items():
-        form = msg(rd.grammar, [I.to_tokens(u) for u in units], rd.unit_start)
+        form = msg(I.GRAMMAR, [I.to_tokens(u) for u in units], "Exp")
         assert tree_yield(learner.caps[op]) == form.symbols
 
 
@@ -110,9 +120,10 @@ def test_rule_solve_statuses():
     p = I.parse_expr("∫ ( sin x ) + ( x ^ 2 ) d x".split())
     empty = RuleSet([ControlRule(i) for i in range(1, rd.num_operators + 1)])
     assert rule_solve_ex(empty, rd, p) == (BOTTOM, "no_match")
-    starved = I.teacher_ruleset()
-    starved = RuleSet(starved.rules, step_limit=0)
-    assert rule_solve_ex(starved, rd, p) == (BOTTOM, "step_limit")
+    # the teacher's rules solve p in n steps: a limit of n lets them, n - 1 not
+    teacher, n = I.teacher_ruleset(), len(I.teacher_solve(p))
+    assert rule_solve_ex(teacher, StepLimitedDomain(n), p) == (I.teacher_solve(p), "solved")
+    assert rule_solve_ex(teacher, StepLimitedDomain(n - 1), p) == (BOTTOM, "step_limit")
     # a select-set wider than its operator's pattern: op 1 is picked at the
     # first unit, rejects it, and the solve stops there
     greedy = RuleSet([ControlRule(1, Node("Exp"))] + list(I.teacher_ruleset().rules[1:]))
@@ -122,9 +133,7 @@ def test_rule_solve_statuses():
 def _solve_scanning_from_the_root(ruleset, rd, x):
     """rule_solve_ex with every scan started at the root, the oracle of the
     resumed scan."""
-    limit = ruleset.step_limit
-    if limit is None:
-        limit = rd.default_step_limit(x)
+    limit = rd.default_step_limit(x)
     size_limit = rd.default_size_limit(x)
     steps = []
     while not rd.is_goal(x):
@@ -166,10 +175,10 @@ def test_resumed_scan_solves_as_a_scan_from_the_root():
                 statuses.add(got[1])
                 if got[1] == "solved" and got[0]:
                     for limit in (len(got[0]), len(got[0]) - 1):
-                        capped = RuleSet(rules.rules, step_limit=limit)
-                        assert rule_solve_ex(capped, rd, q) == \
-                            _solve_scanning_from_the_root(capped, rd, q)
-                        statuses.add(rule_solve_ex(capped, rd, q)[1])
+                        capped = StepLimitedDomain(limit)
+                        assert rule_solve_ex(rules, capped, q) == \
+                            _solve_scanning_from_the_root(rules, capped, q)
+                        statuses.add(rule_solve_ex(rules, capped, q)[1])
     assert statuses == {"solved", "no_match", "step_limit", "diverged"}
 
 

@@ -119,11 +119,12 @@ def test_off_board_blank_raises_move_error_and_memoizes_nothing():
 
 
 def test_subgoal_searches_reject_an_off_board_blank():
-    # a typed error, not a KeyError from the move table
-    board = (9, 1, 2, 3, 4, 5, 6, 7, 8)
-    for search in (ep.ida_star_subgoal, ep.bfs_subgoal):
-        with pytest.raises(ParameterError):
-            search(board, 2, ep.blank_first_ordering())
+    # a typed error, not a KeyError from the move table or a ValueError from
+    # a slide on a board with two tiles at one position
+    for board, i in (((9, 1, 2, 3, 4, 5, 6, 7, 8), 2), ((0, 1, 1, 3, 4, 5, 6, 7, 8), 3)):
+        for search in (ep.ida_star_subgoal, ep.bfs_subgoal):
+            with pytest.raises(ParameterError):
+                search(board, i, ep.blank_first_ordering())
 
 
 def test_subgoal_searches_on_an_unsolvable_board():

@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import (
+    EnumerationLimitError,
+    all_caps,
+    bodies_by_head,
+    enumerate_sentences,
+    min_yield_lens,
+)
 from speedup_learning.errors import (
     AmbiguityError,
-    EnumerationLimitError,
     IncompatibleTreesError,
     ParameterError,
     ParseError,
@@ -16,9 +22,7 @@ from speedup_learning.errors import (
 from speedup_learning.grammar import (
     Grammar,
     Node,
-    all_caps,
     cap_matches_tree,
-    enumerate_sentences,
     form_to_cap,
     membership,
     msc,
@@ -48,10 +52,10 @@ def test_from_text_structure():
 
 
 def test_min_yield_len():
-    assert SMALL.min_yield_len("A") == 1
-    assert SMALL.min_yield_len("S") == 1
-    assert GRAMMAR.min_yield_len("Trig") == 4
-    assert GRAMMAR.min_yield_len("Prob") == 3  # D Exp Var
+    assert min_yield_lens(SMALL)["A"] == 1
+    assert min_yield_lens(SMALL)["S"] == 1
+    assert min_yield_lens(GRAMMAR)["Trig"] == 4
+    assert min_yield_lens(GRAMMAR)["Prob"] == 3  # D Exp Var
 
 
 def test_parse_round_trip_small():
@@ -364,7 +368,7 @@ def _earley_spans(grammar: Grammar, tokens: Sequence[str], start: str, chart_out
                             agenda.append(nitem)
                 continue
             sym = body[dot]
-            if grammar.is_nonterminal(sym):
+            if sym in grammar.nonterminals:
                 predict(pos, sym, agenda)
                 # handle nonterminals already completed at this position
                 # (relevant for nullable symbols; none in practice, but safe)
@@ -390,9 +394,10 @@ def _build_unique_tree(grammar, tokens, start, completed):
     """Build the unique tree for the full span; raise on ambiguity."""
 
     memo: dict[tuple, Node] = {}
+    lens = min_yield_lens(grammar)
 
     def derive_symbol(sym: str, i: int, j: int) -> Optional[Node]:
-        if not grammar.is_nonterminal(sym):
+        if sym not in grammar.nonterminals:
             if j == i + 1 and tokens[i] == sym:
                 return Node(sym)
             return None
@@ -421,14 +426,14 @@ def _build_unique_tree(grammar, tokens, start, completed):
                 yield ()
             return
         sym = body[k]
-        if not grammar.is_nonterminal(sym):
+        if sym not in grammar.nonterminals:
             if i < j and tokens[i] == sym:
                 for rest in split_body(body, k + 1, i + 1, j):
                     yield (Node(sym),) + rest
             return
         # minimum lengths prune the split search
-        lo = i + grammar.min_yield_len(sym)
-        hi = j - sum(grammar.min_yield_len(s) for s in body[k + 1 :])
+        lo = i + lens[sym]
+        hi = j - sum(lens[s] for s in body[k + 1 :])
         for mid in range(lo, hi + 1):
             if (sym, i, mid) in completed:
                 sub = derive_symbol(sym, i, mid)
@@ -593,11 +598,12 @@ _GRAMMARS = st.lists(
 def _derive(grammar, rng, budget=30):
     """A sentence derived from S by random leftmost expansion, or None."""
     form = ["S"]
+    by_head = bodies_by_head(grammar)
     for _ in range(budget):
         k = next((k for k, sym in enumerate(form) if sym in grammar.nonterminals), None)
         if k is None:
             return form if len(form) <= 8 else None
-        form[k:k + 1] = rng.choice(grammar.by_head[form[k]])
+        form[k:k + 1] = rng.choice(by_head[form[k]])
     return None
 
 

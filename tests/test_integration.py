@@ -34,7 +34,7 @@ def _reference_step(e):
     such operator; None in normal form."""
     for path, unit in I.iter_postorder(e):
         for op in I.OPERATORS:
-            if op.matches(unit):
+            if unit.kind == op.kind and op.matches(unit):
                 return I.replace_at(e, path, op.rewrite(unit)), op.index, path, unit
     return None
 
@@ -155,6 +155,19 @@ def test_operator_guards_raise():
     for index, e in cases:
         with pytest.raises(InapplicableOperatorError):
             I.get_operator(index).apply(e)
+    # one unit of every kind, its arguments shaped like other kinds'
+    # patterns: each operator rejects every unit whose root is not its kind
+    one = I.ONE
+    units = [I.integral(I.mul(one, x)), I.deriv(I.mul(one, x)), I.deriv(I.neg(I.neg(x))),
+             I.add(one, one), I.sub(I.TWO, one), I.mul(one, one), I.div(I.TWO, one),
+             I.neg(I.neg(x)), I.powx(one), I.sinx(), I.cosx(), one, I.named("a"), x]
+    assert {u.kind for u in units} == {op.kind for op in I.OPERATORS} | {
+        I.SIN, I.COS, I.NUM, I.NAMED, I.VAR}
+    for op in I.OPERATORS:
+        for unit in units:
+            if unit.kind != op.kind:
+                with pytest.raises(InapplicableOperatorError):
+                    op.apply(unit)
 
 
 def test_operator_rewrites_spot_checks():

@@ -99,12 +99,14 @@ def test_table_unfilled_vs_null_macro():
 
 
 def test_table_first_write_wins_and_limits():
-    t = MacroTable(2, 2, (0, 0), FeatureOrdering((0, 1)), max_macro_len=3)
+    t = MacroTable(2, 2, (0, 0), FeatureOrdering((0, 1)))
     assert t.insert(1, 1, (1,))
     assert not t.insert(1, 1, (2, 2))
     assert t.get(1, 1) == (1,)
+    assert t.insert(0, 2, (1,) * 32)
     with pytest.raises(ParameterError):
-        t.insert(0, 2, (1, 1, 1, 1))
+        t.insert(1, 2, (1,) * 33)
+    assert not t.is_filled(1, 2)
     with pytest.raises(ParameterError):
         MacroTable(2, 2, (0, 0), FeatureOrdering((0,)))
 
