@@ -87,6 +87,10 @@ def _cmd_table(args) -> int:
 def _cmd_verify(args) -> int:
     from . import eight_puzzle, oracles
 
+    # Reject a bad count before the boards and the table are built.
+    oracles.check_count("--search-instances", args.search_instances)
+    oracles.check_count("--teacher-draws", args.teacher_draws)
+    oracles.check_count("--numeric-checks", args.numeric_checks)
     boards = eight_puzzle.all_solvable_boards()
     table = eight_puzzle.build_exhaustive_table()
     # One stream, drawn in order: the subgoal instances, then the teacher's.

@@ -10,8 +10,10 @@ empty sequence solves a state that already satisfies the goal).
 
 from __future__ import annotations
 
+import gc
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -170,3 +172,34 @@ def is_consistent(solver: Callable[[Any], Solution], sample: Sequence[Example]) 
         if produced is BOTTOM or tuple(produced) != tuple(example.solution):
             return False
     return True
+
+
+def _no_freeze():
+    pass
+
+
+@contextmanager
+def frozen_between_units():
+    """Keep the cyclic garbage collector off what earlier units of work
+    left alive.
+
+    Yields ``freeze``, to call at the start of each unit of work (a curve
+    trial, an oracle draw).  It moves every object tracked so far into the
+    collector's permanent generation (``gc.freeze()``), so collections
+    during the unit walk only what the unit allocates.  The memos outlive
+    every unit and are never garbage, and objects that die by reference
+    count are freed, frozen or not.
+
+    On exit, by exception or not, the frozen objects are thawed into the
+    oldest generation.  A caller that had frozen objects itself gets a
+    ``freeze`` that does nothing, since ``gc.unfreeze()`` would thaw its
+    objects too.
+    """
+    # get_freeze_count walks the frozen list: read it once, here.
+    if gc.get_freeze_count():
+        yield _no_freeze
+        return
+    try:
+        yield gc.freeze
+    finally:
+        gc.unfreeze()

@@ -24,6 +24,7 @@ move entry point that also takes a letter.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from collections import deque
 from typing import Optional, Sequence
@@ -291,35 +292,39 @@ def ida_star_subgoal(board: tuple, i: int, ordering: FeatureOrdering) -> tuple:
     if i >= N_TILES - 1 and not is_solvable(board):
         raise ParameterError("subgoal unreachable; board is not solvable")
 
-    INF = float("inf")
-
-    def search(b, g, bound, back, path):
-        f = g + _heuristic(b, tiles)
-        if f > bound:
-            return f, None
-        if _at_goal(b, tiles):
-            return f, tuple(path)
-        nxt = INF
-        for op, src in _MOVE_SRC[b[0]].items():
-            if op == back:
-                continue
-            path.append(op)
-            t, found = search(_slide(b, src), g + 1, bound, _BACK[op], path)
-            path.pop()
-            if found is not None:
-                return t, found
-            if t < nxt:
-                nxt = t
-        return nxt, None
-
     bound = _heuristic(board, tiles)
     while True:
-        bound, found = search(board, 0, bound, None, [])
+        bound, found = _ida_search(tiles, board, 0, bound, None, [])
         if found is not None:
             _subgoal_cache[key] = found
             return found
-        if bound == INF:
+        if bound == math.inf:
             raise ParameterError("subgoal unreachable; board is not solvable")
+
+
+def _ida_search(tiles, b, g, bound, back, path):
+    """One bounded depth-first pass of ``ida_star_subgoal`` from board ``b``
+    at cost ``g``: ``(f, moves)`` on reaching the subgoal, else ``(least f
+    over the bound, None)``.  Module-level, not a closure: a closure that
+    calls itself is a reference cycle, which only the cyclic collector
+    frees."""
+    f = g + _heuristic(b, tiles)
+    if f > bound:
+        return f, None
+    if _at_goal(b, tiles):
+        return f, tuple(path)
+    nxt = math.inf
+    for op, src in _MOVE_SRC[b[0]].items():
+        if op == back:
+            continue
+        path.append(op)
+        t, found = _ida_search(tiles, _slide(b, src), g + 1, bound, _BACK[op], path)
+        path.pop()
+        if found is not None:
+            return t, found
+        if t < nxt:
+            nxt = t
+    return nxt, None
 
 
 def bfs_subgoal(board: tuple, i: int, ordering: FeatureOrdering) -> tuple:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import eight_puzzle, integration
 from .control_rules import IncrementalRuleLearner, rule_solve
-from .core import BOTTOM, Example
+from .core import BOTTOM, Example, frozen_between_units
 from .errors import ParameterError
 from .macro_tables import MacroTable, macro_solve, serial_parse_into, walk_columns
 
@@ -108,11 +108,12 @@ def _score_integration_full(learner, rdomain, problem, _matches) -> bool:
     return tuple(produced) == tuple(expected)
 
 
-def _run_integration(cfg: ExperimentConfig, full_simulation: bool) -> list:
+def _run_integration(cfg: ExperimentConfig, full_simulation: bool, freeze) -> list:
     rdomain = integration.IntegrationRuleDomain()
     per_trial: dict = {}
     score = _score_integration_full if full_simulation else _score_integration_fast
     for trial in range(cfg.trials):
+        freeze()
         train_rng = _trial_rng(cfg, trial, "train")
         learner = IncrementalRuleLearner(rdomain)
         # (cap, unit) -> match: eval points meet the same units and mostly
@@ -147,12 +148,13 @@ def target_puzzle_table() -> MacroTable:
     return _target_table
 
 
-def _run_eightpuzzle(cfg: ExperimentConfig, full_simulation: bool) -> list:
+def _run_eightpuzzle(cfg: ExperimentConfig, full_simulation: bool, freeze) -> list:
     domain = eight_puzzle.domain_spec()
     target = target_puzzle_table() if full_simulation else None
     ordering = eight_puzzle.blank_first_ordering()
     per_trial: dict = {}
     for trial in range(cfg.trials):
+        freeze()
         train_rng = _trial_rng(cfg, trial, "train")
         teacher_table = MacroTable(
             eight_puzzle.N_TILES, eight_puzzle.N_POSITIONS, eight_puzzle.GOAL, ordering
@@ -199,12 +201,15 @@ def run_curve(config: ExperimentConfig, full_simulation: bool = False) -> list:
     select-sets along the teacher's trace, and the Eight Puzzle walks the
     learner's own macro table, a hit when it meets no unfilled cell (the
     test suite asserts the equivalence on a reduced configuration).
+
+    Each trial starts by freezing the heap, so the collector skips what
+    earlier trials left alive (``core.frozen_between_units``); the
+    collector's state is restored when this returns or raises.
     """
     cfg = config.resolved()
-    if cfg.domain == "integration":
-        points = _run_integration(cfg, full_simulation)
-    else:
-        points = _run_eightpuzzle(cfg, full_simulation)
+    run = _run_integration if cfg.domain == "integration" else _run_eightpuzzle
+    with frozen_between_units() as freeze:
+        points = run(cfg, full_simulation, freeze)
     if cfg.output:
         emit_csv(points, cfg.output)
     return points

@@ -14,9 +14,17 @@ from typing import Optional
 
 from . import eight_puzzle as ep
 from . import integration
-from .core import sample_size
+from .core import frozen_between_units, sample_size
+from .errors import ParameterError
 from .grammar import msg
 from .macro_tables import MacroTable, check_serial_decomposability, verify_table, walk_columns
+
+
+def check_count(name: str, value, low: int = 0) -> int:
+    """``value`` if it is an integer of at least ``low``, else ParameterError."""
+    if not isinstance(value, int) or value < low:
+        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def sample_bounds():
@@ -66,6 +74,10 @@ def subgoal_optimality(rng: random.Random, count: int, max_column: int,
     """IDA* subgoal lengths equal BFS ones on ``count`` random boards, each
     with a column drawn from 1..max_column.  With a table, each board is
     first walked through the table's earlier columns."""
+    check_count("count", count)
+    check_count("max_column", max_column, 1)
+    if max_column > ep.N_TILES:
+        raise ParameterError(f"max_column must be at most {ep.N_TILES}, got {max_column}")
     ordering = ep.blank_first_ordering()
     for _ in range(count):
         board = ep.random_solvable(rng)
@@ -83,19 +95,23 @@ def teacher_soundness(rng: random.Random, draws: int, numeric_checks: int):
     """The teacher normalizes ``draws`` random problems, and on the first
     ``numeric_checks`` the derivative of its answer equals the integrand at
     three points."""
+    check_count("draws", draws)
+    check_count("numeric_checks", numeric_checks)
     bad_solve = bad_numeric = 0
-    for t in range(draws):
-        p = integration.generate_problem(rng)
-        trace = integration.teacher_trace(p)
-        if trace is None or not integration.is_goal(trace[1]):
-            bad_solve += 1
-        elif t < numeric_checks:
-            d = integration.differentiate(trace[1])
-            bad_numeric += not all(
-                math.isclose(integration.numeric_value(d, x),
-                             integration.numeric_value(p.args[0], x),
-                             rel_tol=1e-6, abs_tol=1e-9)
-                for x in (0.1, 0.5, 1.3))
+    with frozen_between_units() as freeze:
+        for t in range(draws):
+            freeze()
+            p = integration.generate_problem(rng)
+            trace = integration.teacher_trace(p)
+            if trace is None or not integration.is_goal(trace[1]):
+                bad_solve += 1
+            elif t < numeric_checks:
+                d = integration.differentiate(trace[1])
+                bad_numeric += not all(
+                    math.isclose(integration.numeric_value(d, x),
+                                 integration.numeric_value(p.args[0], x),
+                                 rel_tol=1e-6, abs_tol=1e-9)
+                    for x in (0.1, 0.5, 1.3))
     return bad_solve == bad_numeric == 0, (
         f"{bad_solve} of {draws} not normalized, "
         f"{bad_numeric} of {min(draws, numeric_checks)} numerically unsound")

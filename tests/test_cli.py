@@ -48,11 +48,37 @@ def test_table_without_flag_errors(capsys):
 @pytest.mark.parametrize("argv", [
     ["bound", "--epsilon", "2", "--delta", "0.1", "--dim", "81"],
     ["curve", "--domain", "integration", "--trials", "0"],
+    ["verify", "--all", "--teacher-draws", "-1"],
+    ["verify", "--all", "--numeric-checks", "-1"],
+    ["verify", "--all", "--search-instances", "-1"],
 ])
-def test_rejected_argument_is_a_usage_error(argv, capsys):
+def test_rejected_argument_is_a_usage_error(argv, capsys, monkeypatch):
+    from speedup_learning import eight_puzzle
+
+    def unreachable():
+        raise AssertionError("a bad argument must be rejected before the boards are built")
+
+    monkeypatch.setattr(eight_puzzle, "all_solvable_boards", unreachable)
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("speedup-learn: error: "), err
+
+
+@pytest.mark.parametrize("check, args", [
+    ("teacher_soundness", (-5, -3)),
+    ("teacher_soundness", (5, -1)),
+    ("subgoal_optimality", (-1, 7)),
+    ("subgoal_optimality", (2, 0)),
+    ("subgoal_optimality", (2, 10)),
+])
+def test_oracles_reject_bad_counts(check, args):
+    import random
+
+    from speedup_learning import oracles
+    from speedup_learning.errors import ParameterError
+
+    with pytest.raises(ParameterError):
+        getattr(oracles, check)(random.Random(0), *args)
 
 
 def test_parser_rejects_unknown_domain():

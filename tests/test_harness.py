@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speedup_learning import eight_puzzle as ep
+from speedup_learning import integration
 from speedup_learning.core import Example
 from speedup_learning.errors import ParameterError
 from speedup_learning.harness import (
@@ -91,6 +93,77 @@ def test_fast_scoring_equals_full_simulation(domain):
     cfg = ExperimentConfig(domain=domain, trials=3, train_max=8, eval_every=2,
                            test_set_size=25, seed=7)
     assert run_curve(cfg) == run_curve(cfg, full_simulation=True)
+
+
+def _gc_state():
+    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+
+_DRAWS = {"integration": (integration, "generate_problem"),
+          "eightpuzzle": (ep, "random_solvable")}
+
+
+@pytest.mark.parametrize("domain", ["integration", "eightpuzzle"])
+@pytest.mark.parametrize("caller", ["plain", "collector_off", "already_frozen"])
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_run_curve_restores_the_gc_state(domain, caller, fails, monkeypatch):
+    # run_curve freezes the heap at the start of each trial and leaves the
+    # collector as it found it, whether it returns or raises mid-trial
+    module, name = _DRAWS[domain]
+    draw, draws = getattr(module, name), []
+
+    def failing_draw(rng):
+        draws.append(rng)
+        if len(draws) == 10:  # in the first trial
+            raise RuntimeError("mid-trial")
+        return draw(rng)
+
+    if fails:
+        monkeypatch.setattr(module, name, failing_draw)
+    was_enabled, freeze, freezes = gc.isenabled(), gc.freeze, []
+    if caller == "collector_off":
+        gc.disable()
+    elif caller == "already_frozen":
+        gc.freeze()
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1) or freeze())
+    try:
+        before = _gc_state()
+        if fails:
+            with pytest.raises(RuntimeError, match="mid-trial"):
+                run_curve(_tiny(domain))
+        else:
+            run_curve(_tiny(domain))
+        assert _gc_state() == before
+    finally:
+        gc.unfreeze()
+        if was_enabled:
+            gc.enable()
+    # unfreezing would thaw a caller's frozen objects too, so then nothing
+    # is frozen; otherwise each trial started freezes
+    assert len(freezes) == (0 if caller == "already_frozen" else 1 if fails else 2)
+
+
+@pytest.mark.parametrize("domain", ["integration", "eightpuzzle"])
+@pytest.mark.parametrize("full_simulation", [False, True], ids=["fast", "full"])
+def test_curve_leaves_no_cyclic_garbage(domain, full_simulation, monkeypatch):
+    # What a trial leaves behind must die by reference count: under the
+    # GC policy cyclic garbage would stay frozen until run_curve returns.
+    # A cold subgoal cache makes the teacher search.  Freezing first keeps
+    # whatever the process holds already out of the count (and the
+    # collection short).
+    monkeypatch.setattr(ep, "_subgoal_cache", {})
+    flags, kept = gc.get_debug(), len(gc.garbage)
+    gc.freeze()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_curve(_tiny(domain, seed=11), full_simulation=full_simulation)
+        gc.collect()
+        garbage = gc.garbage[kept:]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[kept:]
+        gc.unfreeze()
+    assert not garbage, f"{len(garbage)} objects, such as {garbage[:4]!r}"
 
 
 def test_eightpuzzle_curve_learns():
