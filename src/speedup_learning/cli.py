@@ -16,6 +16,7 @@ reported as a single ``speedup-learn: error: ...`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import os
 import random
@@ -153,6 +154,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; ``argv`` defaults to the process's arguments.
+
+    Without ``argv``, as the console script and ``python -m`` call it, this
+    is the process's last work: once the output is written the heap is
+    frozen, so the collection at interpreter exit skips everything the run
+    built.  A caller that passes ``argv`` keeps its collector as it was.
+    """
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
@@ -160,6 +168,9 @@ def main(argv=None) -> int:
     except SpeedupLearningError as exc:
         print(f"speedup-learn: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -17,7 +17,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import INAPPLICABLE, OracleIntegrityError, ParameterError, ReplayError
+from .errors import (
+    INAPPLICABLE,
+    OracleIntegrityError,
+    ParameterError,
+    ReplayError,
+    TableCorruptionError,
+)
 
 
 class _Bottom:
@@ -53,10 +59,17 @@ class DomainSpec:
     (``errors.INAPPLICABLE``).
     Indices are 1-based in solutions, matching the fixed total ordering used
     for conflict resolution.
+
+    ``macro_runner(state, macro)``, when given, is the domain's own way to
+    apply a whole macro (a tuple of operator indices) without a location.
+    It returns the state the step-by-step run would reach, or raises one of
+    the "inapplicable" errors when some step does not apply.
+    ``apply_macro`` applies a stored macro through it.
     """
 
     goal_test: Callable[[Any], bool]
     operators: Sequence[Callable[..., Any]]
+    macro_runner: Optional[Callable[[Any, tuple], Any]] = None
 
     def __post_init__(self):
         if not self.operators:
@@ -70,6 +83,28 @@ class DomainSpec:
         if not 1 <= op_index <= len(self.operators):
             raise ParameterError(f"operator index {op_index} out of range")
         return self.operators[op_index - 1](state, loc)
+
+    def apply_macro(self, state, macro):
+        """Apply a stored macro, through ``macro_runner`` when there is one.
+
+        A step that does not apply raises ``TableCorruptionError`` naming it.
+        When the runner reports one, the macro is run again step by step
+        through ``apply``, so the error is the same either way: at the same
+        step, and ``ParameterError`` for an index out of range.
+        """
+        if self.macro_runner is not None:
+            try:
+                return self.macro_runner(state, macro)
+            except INAPPLICABLE:
+                pass
+        for op_index in macro:
+            try:
+                state = self.apply(state, op_index, None)
+            except INAPPLICABLE as exc:
+                raise TableCorruptionError(
+                    f"stored macro step {op_index} inapplicable: {exc}"
+                ) from exc
+        return state
 
 
 @dataclass(frozen=True)

@@ -191,15 +191,45 @@ def is_solvable(board: tuple) -> bool:
     """Parity test: each move flips the permutation's parity and changes the
     blank's Manhattan distance from the center by one, so a board is
     reachable iff its inversion parity equals the parity of that distance.
-    Checked against breadth-first search over all 9! boards in the tests."""
+    Checked against breadth-first search over all 9! boards in the tests.
+    ParameterError unless ``board`` puts tiles 0..8 on nine distinct
+    positions."""
+    board = _check_board(board)
     return _inversion_parity(board) == _BLANK_PARITY[board[0]]
 
 
+# (n, bits) for each draw of random.sample(range(9), 9): a draw below n
+# takes getrandbits(n.bit_length()) until the value is below n.
+_DRAWS = tuple((n, n.bit_length()) for n in range(N_POSITIONS, 0, -1))
+
+
 def random_solvable(rng: random.Random) -> tuple:
+    """The first solvable board among ``tuple(rng.sample(range(9), 9))``
+    draws, with ``rng`` left in the same state.
+
+    The draw calls ``rng.getrandbits`` exactly as CPython's ``sample`` does
+    for this call (a test pins it): the pool method, each index drawn by
+    rejection, the last pool entry moved into the taken one.  That move is
+    a transposition whenever the index is not the last, and the output is
+    the final pool reversed, an even permutation of nine.  So the count of
+    such moves gives the board's parity, and solvability needs no
+    inversion count.
+    """
+    getrandbits = rng.getrandbits
     while True:
-        board = tuple(rng.sample(range(9), 9))
-        if is_solvable(board):
-            return board
+        pool = list(range(N_POSITIONS))
+        board = []
+        parity = 0
+        for n, bits in _DRAWS:
+            j = getrandbits(bits)
+            while j >= n:
+                j = getrandbits(bits)
+            board.append(pool[j])
+            if j != n - 1:
+                pool[j] = pool[n - 1]
+                parity ^= 1
+        if parity == _BLANK_PARITY[board[0]]:
+            return tuple(board)
 
 
 def all_solvable_boards():
@@ -235,6 +265,7 @@ def domain_spec() -> DomainSpec:
     return DomainSpec(
         goal_test=lambda b: b == GOAL,
         operators=tuple(_operator(op) for op in _LETTER_OF),
+        macro_runner=apply_macro,
     )
 
 

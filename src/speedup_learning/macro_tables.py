@@ -11,17 +11,11 @@ hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .core import BOTTOM, DomainSpec, Example, replay
-from .errors import (
-    INAPPLICABLE,
-    MalformedSolutionError,
-    ParameterError,
-    TableCorruptionError,
-)
+from .errors import INAPPLICABLE, MalformedSolutionError, ParameterError
 
 # A macro is a tuple of 1-based operator indices; () is the null macro.
 Macro = tuple
@@ -120,15 +114,8 @@ def _prefix_at_goal(state, table: MacroTable, upto: int) -> bool:
     )
 
 
-def apply_domain_macro(domain: DomainSpec, state, macro: Macro):
-    for op_index in macro:
-        try:
-            state = domain.apply(state, op_index, None)
-        except INAPPLICABLE as exc:
-            raise TableCorruptionError(
-                f"stored macro step {op_index} inapplicable: {exc}"
-            ) from exc
-    return state
+# apply_domain_macro(domain, state, macro): the domain's one macro path.
+apply_domain_macro = DomainSpec.apply_macro
 
 
 def walk_columns(table: MacroTable, state, run, fill=None, last: Optional[int] = None):
@@ -136,12 +123,13 @@ def walk_columns(table: MacroTable, state, run, fill=None, last: Optional[int] =
 
     ``run(state, macro)`` applies one column's whole macro and returns the
     state reached; it may raise whatever the domain raises for an
-    inapplicable step.  Eight Puzzle callers pass
-    ``eight_puzzle.apply_macro``, which moves the tiles in one permutation;
-    ``DomainSpec`` callers pass
-    ``functools.partial(apply_domain_macro, domain)``, which goes step by
-    step.  At an UNFILLED cell the walk stops, unless
-    ``fill(state, i)`` is given: its macro is then inserted and used.
+    inapplicable step.  ``DomainSpec`` callers pass ``domain.apply_macro``,
+    which goes through the domain's macro runner and raises
+    ``TableCorruptionError`` at an inapplicable step; the Eight Puzzle's
+    runner, ``eight_puzzle.apply_macro``, moves the tiles in one
+    permutation, and its harness and oracles pass it directly.  At an
+    UNFILLED cell the walk stops, unless ``fill(state, i)`` is given: its
+    macro is then inserted and used.
     Returns (cells, state, missing): the (j, i) cells used, the state reached
     and the UNFILLED cell the walk stopped at (None when it ran to the end).
     ``solution_steps`` reads the solution off the cells.
@@ -169,7 +157,7 @@ def solution_steps(table: MacroTable, cells) -> tuple:
 def macro_solve(table: MacroTable, domain: DomainSpec, state):
     """Solve by walking the columns; ⊥ on any UNFILLED cell or (defensively)
     if the walk fails to reach the goal."""
-    cells, state, missing = walk_columns(table, state, partial(apply_domain_macro, domain))
+    cells, state, missing = walk_columns(table, state, domain.apply_macro)
     if missing is not None or tuple(state) != table.goal:
         return BOTTOM
     return solution_steps(table, cells)
@@ -272,6 +260,7 @@ def verify_table(table: MacroTable, domain: DomainSpec, states: Sequence):
     against the supplied states.  Returns (True, None) or (False, witness);
     the witness is (kind, (j, i), state) with kind "property" or
     "redundant"."""
+    run = domain.apply_macro
     by_cell: dict = {}
     for s in states:
         for i in range(1, table.n + 1):
@@ -284,12 +273,11 @@ def verify_table(table: MacroTable, domain: DomainSpec, states: Sequence):
         matching = by_cell.get((j, i), [])
         prefix_ok_somewhere = not macro  # null macros are trivially minimal
         for s in matching:
-            t = apply_domain_macro(domain, s, macro)
-            if not _prefix_at_goal(t, table, i):
+            if not _prefix_at_goal(run(s, macro), table, i):
                 return False, ("property", (j, i), s)
             if not prefix_ok_somewhere:
                 if all(
-                    not _prefix_at_goal(apply_domain_macro(domain, s, macro[:cut]), table, i)
+                    not _prefix_at_goal(run(s, macro[:cut]), table, i)
                     for cut in range(len(macro))
                 ):
                     prefix_ok_somewhere = True

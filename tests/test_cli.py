@@ -1,3 +1,8 @@
+import gc
+import os
+import subprocess
+import sys
+
 import pytest
 
 from speedup_learning.cli import build_parser, main
@@ -116,3 +121,26 @@ def test_verify_all_fails_when_one_oracle_fails(monkeypatch, capsys):
     failed = [line for line in lines if line.startswith("FAIL ")]
     assert failed == ["FAIL serial decomposability: stub decomposability"]
     assert len(lines) == 7
+
+
+def test_in_process_main_leaves_the_collector_as_it_was(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert main(["curve", "--domain", "eightpuzzle", "--trials", "1", "--train-max", "2",
+                 "--eval-every", "2", "--test-set-size", "3",
+                 "--output", str(tmp_path / "c.csv")]) == 0
+    assert main(["table"]) == 2
+    assert gc.get_freeze_count() == frozen
+
+
+def test_process_entry_point_freezes_the_heap_once_output_is_written():
+    # main() without argv is the console script: the exit collection skips
+    # the heap it froze
+    code = ("import gc, sys\n"
+            "from speedup_learning.cli import main\n"
+            "sys.argv = ['speedup-learn', 'bound', '--epsilon', '0.1', '--delta', '0.1', '--dim', '81']\n"
+            "assert gc.get_freeze_count() == 0\n"
+            "assert main() == 0\n"
+            "print(gc.get_freeze_count() > 0)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
+    assert out.stdout.split() == ["585", "True"]

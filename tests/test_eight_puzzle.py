@@ -203,11 +203,34 @@ def test_is_solvable_against_reachability(all_boards):
     assert solvable == all_boards
 
 
+def test_is_solvable_rejects_non_boards():
+    # two tiles at one position, a wrong length, an off-board position
+    for board in ((0, 1, 1, 3, 4, 5, 6, 7, 8), (0, 1, 2, 3, 4, 5, 6, 7),
+                  (9, 1, 2, 3, 4, 5, 6, 7, 8), (0, 1, 2, 3, 4, 5, 6, 7, -1)):
+        with pytest.raises(ParameterError):
+            ep.is_solvable(board)
+
+
 def test_random_solvable_is_solvable_and_seeded():
     a = [ep.random_solvable(random.Random(5)) for _ in range(5)]
     b = [ep.random_solvable(random.Random(5)) for _ in range(5)]
     assert a == b
     assert all(ep.is_solvable(x) for x in a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers() | st.text(), draws=st.integers(1, 40))
+def test_random_solvable_draws_the_same_stream_as_random_sample(seed, draws):
+    # random_solvable reimplements CPython's random.sample(range(9), 9) on
+    # getrandbits; an interpreter that draws differently fails here instead
+    # of changing the curves
+    fast, ref = random.Random(seed), random.Random(seed)
+    for _ in range(draws):
+        board = tuple(ref.sample(range(9), 9))
+        while not ep.is_solvable(board):
+            board = tuple(ref.sample(range(9), 9))
+        assert ep.random_solvable(fast) == board
+    assert fast.getstate() == ref.getstate()
 
 
 def test_ida_star_matches_bfs_lengths():

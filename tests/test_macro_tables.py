@@ -1,6 +1,5 @@
 import itertools
 import random
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +155,71 @@ def test_programming_errors_propagate_past_inapplicable_catches():
         check_serial_decomposability(dom, FeatureOrdering((0, 1)), [(0, 0)])
 
 
+def _step_by_step(dom):
+    """The same domain without its macro runner."""
+    return DomainSpec(goal_test=dom.goal_test, operators=dom.operators)
+
+
+def _macro_outcome(dom, board, macro):
+    try:
+        return dom.apply_macro(board, macro)
+    except (TableCorruptionError, ParameterError) as exc:
+        return type(exc), str(exc), repr(exc.__cause__)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blank=st.integers(0, 8), rest=st.permutations(range(9)),
+       choices=st.lists(st.integers(0, 7), max_size=20),
+       bad_at=st.none() | st.integers(0, 19))
+def test_eight_puzzle_macro_runner_keeps_the_step_by_step_errors(blank, rest, choices, bad_at):
+    # a legal walk from the blank with at most one bad step: a move the
+    # blank's position forbids, or an index outside 1..4
+    board = (blank,) + tuple(p for p in rest if p != blank)
+    macro, b, bad = [], blank, None
+    for k, c in enumerate(choices):
+        legal = list(ep._MOVE_SRC[b])
+        if k == bad_at:
+            illegal = [op for op in range(-1, 7) if op not in legal]
+            bad = illegal[c % len(illegal)]
+            macro.append(bad)
+            continue
+        op = legal[c % len(legal)]
+        macro.append(op)
+        b = ep._MOVE_SRC[b][op]
+    macro = tuple(macro)
+    dom = ep.domain_spec()
+    got = _macro_outcome(dom, board, macro)
+    assert got == _macro_outcome(_step_by_step(dom), board, macro)
+    if bad is None:
+        assert got == ep.apply_macro(board, macro)
+    elif 1 <= bad <= 4:
+        assert got[0] is TableCorruptionError and f"step {bad} inapplicable" in got[1]
+    else:
+        assert got[0] is ParameterError
+
+
+def test_table_walks_agree_with_and_without_the_macro_runner(exhaustive_table, all_boards):
+    dom = ep.domain_spec()
+    ref = _step_by_step(dom)
+    sample = random.Random(4).sample(sorted(all_boards), 600)
+    for b in sample:
+        assert macro_solve(exhaustive_table, dom, b) == macro_solve(exhaustive_table, ref, b)
+    corrupt = ep.build_exhaustive_table()
+    j = 1  # blank at corner position 1, where "r" is illegal
+    corrupt.cells[(j, 1)] = ep.letters_to_macro("r") + corrupt.cells[(j, 1)]
+    padded = ep.build_exhaustive_table()
+    padded.cells[(j, 1)] += ep.letters_to_macro("rl")
+    for table in (exhaustive_table, padded):
+        assert verify_table(table, dom, sample) == verify_table(table, ref, sample)
+    board = next(b for b in sample if b[0] == j)
+    outcomes = []
+    for d in (dom, ref):
+        with pytest.raises(TableCorruptionError) as err:
+            macro_solve(corrupt, d, board)
+        outcomes.append((str(err.value), repr(err.value.__cause__)))
+    assert outcomes[0] == outcomes[1] and "step 1 inapplicable" in outcomes[0][0]
+
+
 def test_macro_solve_toy_domain():
     dom = _toy_domain()
     ordering = FeatureOrdering((1, 0))  # feature 1 first: decomposable
@@ -170,7 +234,7 @@ def test_macro_solve_toy_domain():
         assert apply_domain_macro(dom, state, tuple(op for op, _ in sol)) == (0, 0)
     t2 = MacroTable(2, 2, (0, 0), ordering)
     assert macro_solve(t2, dom, (1, 1)) is BOTTOM
-    run = partial(apply_domain_macro, dom)
+    run = dom.apply_macro
     assert walk_columns(t2, (1, 1), run)[2] == (1, 1)
     assert walk_columns(t, (1, 1), run)[2] is None
 
@@ -339,7 +403,7 @@ def test_walk_agrees_on_partly_learned_tables(seed, examples, queries):
     for _ in range(queries):
         board = ep.random_solvable(rng)
         solution = macro_solve(learned, dom, board)
-        missing = walk_columns(learned, board, partial(apply_domain_macro, dom))[2]
+        missing = walk_columns(learned, board, dom.apply_macro)[2]
         assert (solution is BOTTOM) == (missing is not None)
         if missing is not None:
             assert not learned.is_filled(*missing)
