@@ -22,7 +22,10 @@ import os
 import random
 import sys
 
+from . import eight_puzzle, oracles
+from .core import sample_size
 from .errors import SpeedupLearningError
+from .harness import DOMAINS, ExperimentConfig, csv_text, run_curve
 
 log = logging.getLogger("speedup_learning")
 
@@ -34,15 +37,11 @@ def _setup_logging():
 
 
 def _cmd_bound(args) -> int:
-    from .core import sample_size
-
     print(sample_size(args.epsilon, args.delta, args.dim))
     return 0
 
 
 def _cmd_curve(args) -> int:
-    from .harness import ExperimentConfig, csv_text, run_curve
-
     config = ExperimentConfig(
         domain=args.domain,
         trials=args.trials,
@@ -61,8 +60,6 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from . import eight_puzzle, oracles
-
     if not args.build_exhaustive:
         print("nothing to do; pass --build-exhaustive", file=sys.stderr)
         return 2
@@ -86,8 +83,6 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import eight_puzzle, oracles
-
     # Reject a bad count before the boards and the table are built.
     oracles.check_count("--search-instances", args.search_instances)
     oracles.check_count("--teacher-draws", args.teacher_draws)
@@ -127,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("curve", help="run a learning-curve experiment")
-    p.add_argument("--domain", choices=("integration", "eightpuzzle"), required=True)
+    p.add_argument("--domain", choices=DOMAINS, required=True)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--train-max", type=int, default=0)
     p.add_argument("--eval-every", type=int, default=0)

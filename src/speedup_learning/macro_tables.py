@@ -114,10 +114,6 @@ def _prefix_at_goal(state, table: MacroTable, upto: int) -> bool:
     )
 
 
-# apply_domain_macro(domain, state, macro): the domain's one macro path.
-apply_domain_macro = DomainSpec.apply_macro
-
-
 def walk_columns(table: MacroTable, state, run, fill=None, last: Optional[int] = None):
     """Walk the table's columns 1..last (default all) in order from state.
 

@@ -5,6 +5,7 @@ run with -s so the verdicts land in the log).
 """
 
 import random
+from pathlib import Path
 
 from brute_force import all_caps, enumerate_sentences
 from speedup_learning import eight_puzzle as ep
@@ -20,12 +21,18 @@ from speedup_learning.grammar import (
     same_tree,
     tree_yield,
 )
-from speedup_learning.harness import ExperimentConfig, run_curve
+from speedup_learning.harness import ExperimentConfig, csv_text, run_curve
 from speedup_learning.macro_tables import MacroTable, macro_solve, serial_parse_into
 
 
 def _ok(n, detail):
     print(f"criterion {n} PASS: {detail}")
+
+
+def _assert_pinned(points, name):
+    # the default seed-0 curve, byte for byte as the CLI writes it
+    pinned = Path(__file__).parent / "pinned" / name
+    assert csv_text(points) == pinned.read_text(encoding="utf-8"), f"differs from {name}"
 
 
 def test_criterion_01_sample_bound_exactness():
@@ -36,6 +43,7 @@ def test_criterion_01_sample_bound_exactness():
 
 def test_criterion_02_eight_puzzle_learning_curve():
     points = run_curve(ExperimentConfig(domain="eightpuzzle", seed=0))
+    _assert_pinned(points, "eightpuzzle-seed0.csv")
     by_m = {p.num_examples: p.mean_accuracy for p in points}
     final = by_m[40]
     assert 0.95 <= final <= 1.0, final
@@ -131,6 +139,7 @@ def test_criterion_08_consistency_suites():
 
 def test_criterion_09_integration_curve_and_teacher():
     points = run_curve(ExperimentConfig(domain="integration", seed=0))
+    _assert_pinned(points, "integration-seed0.csv")
     final = points[-1]
     assert final.num_examples == 30
     assert final.mean_accuracy >= 0.95, final

@@ -17,7 +17,6 @@ from speedup_learning.errors import (
 from speedup_learning.macro_tables import (
     FeatureOrdering,
     MacroTable,
-    apply_domain_macro,
     check_feature_state,
     check_serial_decomposability,
     macro_solve,
@@ -130,14 +129,14 @@ def test_table_dump():
 
 def test_apply_macro_and_corruption():
     dom = _toy_domain()
-    assert apply_domain_macro(dom, (1, 1), (2, 1)) == (1, 0)
+    assert dom.apply_macro((1, 1), (2, 1)) == (1, 0)
 
     def partial(s, loc):
         raise InapplicableOperatorError("never applicable")
 
     broken = DomainSpec(goal_test=lambda s: False, operators=(partial,))
     with pytest.raises(TableCorruptionError):
-        apply_domain_macro(broken, (0, 0), (1,))
+        broken.apply_macro((0, 0), (1,))
 
 
 def test_programming_errors_propagate_past_inapplicable_catches():
@@ -150,7 +149,7 @@ def test_programming_errors_propagate_past_inapplicable_catches():
     with pytest.raises(TypeError):
         replay(dom, (0, 0), ((1, None),))
     with pytest.raises(TypeError):
-        apply_domain_macro(dom, (0, 0), (1,))
+        dom.apply_macro((0, 0), (1,))
     with pytest.raises(TypeError):
         check_serial_decomposability(dom, FeatureOrdering((0, 1)), [(0, 0)])
 
@@ -231,7 +230,7 @@ def test_macro_solve_toy_domain():
     for state in [(0, 0), (0, 1), (1, 0), (1, 1)]:
         sol = macro_solve(t, dom, state)
         assert sol is not BOTTOM
-        assert apply_domain_macro(dom, state, tuple(op for op, _ in sol)) == (0, 0)
+        assert dom.apply_macro(state, tuple(op for op, _ in sol)) == (0, 0)
     t2 = MacroTable(2, 2, (0, 0), ordering)
     assert macro_solve(t2, dom, (1, 1)) is BOTTOM
     run = dom.apply_macro
