@@ -5,7 +5,8 @@ whose yield is a sentential form.  The solver repeatedly scans the current
 state's matching units in post-order and applies the least-indexed operator
 whose select-set contains the unit.  The learner collects, for each
 operator, the units the teacher applied it to, and generalizes each
-collection to its most specific generalization.
+collection to its most specific generalization: the meet of the units'
+trees, folded one unit at a time with the two-tree ``msc``.
 """
 
 from __future__ import annotations
@@ -111,13 +112,9 @@ class IncrementalRuleLearner:
 
     def add_example(self, example: Example):
         for op_index, unit in _teacher_units(self.rdomain, example):
-            self._merge(op_index, self.rdomain.unit_tree(unit))
-
-    def _merge(self, op_index: int, tree: Node):
-        old = self.caps.get(op_index)
-        new = tree if old is None else msc([old, tree])
-        if new is not old:  # msc returns ``old`` itself when it covers ``tree``
-            self.caps[op_index] = new
+            tree = self.rdomain.unit_tree(unit)
+            old = self.caps.get(op_index)
+            self.caps[op_index] = tree if old is None else msc(old, tree)
 
     def ruleset(self) -> RuleSet:
         rules = [

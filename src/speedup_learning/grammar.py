@@ -17,9 +17,10 @@ grammar whose symbols all derive sentences never allows.  Parsing,
 tree is they do not reach the recursion limit.
 
 Generalization works on *caps*: prefix-closed, sibling-closed subtrees of a
-parse tree rooted at its root.  The yield of a cap is a sentential form,
-and the most specific common cap (``msc``) of a set of parse trees yields
-the unique most specific generalization (``msg``) of the underlying
+parse tree rooted at its root.  The yield of a cap is a sentential form.
+The most specific common cap (``msc``) of two trees is their meet, and the
+meet of a set of parse trees, the fold of ``msc`` over it, yields the
+unique most specific generalization (``msg``) of the underlying
 sentences.  Sentential forms go through ``parse`` too, over the form
 grammar: the grammar plus ``A -> ⟨A⟩`` for each nonterminal ``A``, whose
 parse trees are exactly the grammar's caps.  So there is one parser and
@@ -34,6 +35,7 @@ head is a terminal.  An empty alternative raises ``ParameterError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Optional, Sequence
 
 from .errors import AmbiguityError, IncompatibleTreesError, ParameterError, ParseError
@@ -389,9 +391,12 @@ def parse(grammar: Grammar, tokens: Sequence[str], start: Optional[str] = None) 
     """
     tokens = tuple(tokens)
     start = start or grammar.start
-    for pos, tok in enumerate(tokens):
-        if tok not in grammar.terminals:
-            raise ParseError(f"unknown token {tok!r}", pos)
+    try:
+        for pos, tok in enumerate(tokens):
+            if tok not in grammar.terminals:
+                raise ParseError(f"unknown token {tok!r}", pos)
+    except TypeError:  # an unhashable token is no terminal
+        raise ParseError(f"unknown token {tok!r}", pos) from None
     rules = grammar._dotted_rules()
     if start not in rules.first:
         raise ParseError(f"unknown start symbol {start!r}", 0)
@@ -407,52 +412,36 @@ def parse(grammar: Grammar, tokens: Sequence[str], start: Optional[str] = None) 
 # ---------------------------------------------------------------------------
 
 
-def msc(trees: Sequence[Node]) -> Node:
-    """Most specific common cap of parse trees (or caps) sharing a root label.
+def msc(a: Node, b: Node) -> Node:
+    """Most specific common cap of two parse trees (or caps) sharing a root
+    label: their meet.  The meet of a set is the fold
+    ``functools.reduce(msc, trees)``.
 
-    Marches down all trees simultaneously, keeping a node's children exactly
-    when every input expands it with the same production.  Wherever the
-    result equals the first input's subtree it is that subtree itself, so
-    the msc of a cap and a tree it covers is the cap object.  Explicit
-    stack, no recursion.
+    Marches down both trees together, keeping a node's children exactly
+    when both expand it with the same production.  Wherever the result
+    equals ``a``'s subtree it is that subtree itself, so ``msc(a, b)`` is
+    ``a`` exactly when ``a`` is a cap of ``b``.  Explicit stack, no
+    recursion.
     """
-    if not trees:
-        raise IncompatibleTreesError("msc of an empty tree list")
-    root = trees[0].label
-    for t in trees[1:]:
-        if t.label != root:
-            raise IncompatibleTreesError(
-                f"root labels differ: {root!r} vs {t.label!r}"
-            )
+    if a.label != b.label:
+        raise IncompatibleTreesError(f"root labels differ: {a.label!r} vs {b.label!r}")
     done: list[Node] = []  # finished results, in post order
-    stack: list = [(tuple(trees), False)]
+    stack: list = [(a, b)]
     while stack:
-        nodes, expanded = stack.pop()
-        first = nodes[0]
-        kids = first.children
-        if expanded:  # the children's results are the last len(kids) done
-            got = done[len(done) - len(kids):]
-            del done[len(done) - len(kids):]
-            for g, k in zip(got, kids):
-                if g is not k:
-                    done.append(Node(first.label, got))
-                    break
-            else:
-                done.append(first)
-            continue
-        rest = nodes[1:]
-        if not kids or all(n is first for n in rest):
-            done.append(first)
-            continue
-        labels = [k.label for k in kids]
-        for n in rest:
-            if n is not first and [c.label for c in n.children] != labels:
-                done.append(Node(first.label))  # productions differ: cut here
-                break
+        x, y = stack.pop()
+        kids = x.children
+        if y is None:  # the children's results are the last len(kids) done
+            k = len(done) - len(kids)
+            got = done[k:]
+            del done[k:]
+            done.append(x if all(map(is_, got, kids)) else Node(x.label, got))
+        elif x is y or not kids:
+            done.append(x)
+        elif [c.label for c in kids] != [c.label for c in y.children]:
+            done.append(Node(x.label))  # productions differ: cut here
         else:
-            stack.append((nodes, True))
-            for i in range(len(kids) - 1, -1, -1):
-                stack.append((tuple([n.children[i] for n in nodes]), False))
+            stack.append((x, None))
+            stack.extend(zip(reversed(kids), reversed(y.children)))
     return done[0]
 
 
@@ -470,7 +459,7 @@ def msg(
         raise IncompatibleTreesError("msg of an empty problem set")
     cap = parse(grammar, problems[0], start)
     for tokens in problems[1:]:
-        cap = msc([cap, parse(grammar, tokens, start)])
+        cap = msc(cap, parse(grammar, tokens, start))
     return SententialForm(tree_yield(cap), cap)
 
 
@@ -530,11 +519,14 @@ def form_to_cap(
     the first item of the form grammar derived twice.
     """
     form, mark = grammar._form_grammar()
-    tokens = []
-    for pos, sym in enumerate(symbols):
-        if sym not in grammar.terminals and sym not in mark:
-            raise ParseError(f"unknown symbol {sym!r}", pos)
-        tokens.append(mark.get(sym, sym))
+    symbols, tokens = tuple(symbols), []
+    try:
+        for pos, sym in enumerate(symbols):
+            if sym not in grammar.terminals and sym not in mark:
+                raise ParseError(f"unknown symbol {sym!r}", pos)
+            tokens.append(mark.get(sym, sym))
+    except TypeError:  # an unhashable symbol is no grammar symbol
+        raise ParseError(f"unknown symbol {sym!r}", pos) from None
     tree = parse(form, tokens, start)
     done: list[Node] = []  # finished caps, in post order
     stack = [(tree, False)]

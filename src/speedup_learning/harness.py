@@ -14,6 +14,7 @@ domain holds what differs: its defaults, a fresh learner, ``draw``,
 
 from __future__ import annotations
 
+import functools
 import random
 import statistics
 from dataclasses import dataclass, replace
@@ -114,15 +115,10 @@ class _IntegrationTrial:
         return tuple(produced) == tuple(expected)
 
 
-_target_table: Optional[MacroTable] = None
-
-
+@functools.cache
 def target_puzzle_table() -> MacroTable:
     """The fully built macro table the teacher's solutions are drawn from."""
-    global _target_table
-    if _target_table is None:
-        _target_table = eight_puzzle.build_exhaustive_table()
-    return _target_table
+    return eight_puzzle.build_exhaustive_table()
 
 
 class _PuzzleTrial:

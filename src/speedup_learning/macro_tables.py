@@ -31,7 +31,8 @@ class FeatureOrdering:
     perm: tuple
 
     def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
+        perm = self.perm
+        if not all(isinstance(p, int) for p in perm) or sorted(perm) != list(range(len(perm))):
             raise ParameterError("ordering must be a permutation of 0..n-1")
 
     def feature(self, position: int) -> int:
@@ -42,8 +43,8 @@ def check_feature_state(values: Sequence[int], n: int, v: int) -> tuple:
     values = tuple(values)
     if len(values) != n:
         raise ParameterError(f"state must have {n} features, got {len(values)}")
-    if any(not 0 <= x < v for x in values):
-        raise ParameterError(f"feature values must lie in 0..{v - 1}")
+    if any(not (isinstance(x, int) and 0 <= x < v) for x in values):
+        raise ParameterError(f"feature values must be integers in 0..{v - 1}")
     return values
 
 
@@ -70,7 +71,8 @@ class MacroTable:
     def insert(self, j: int, i: int, macro: Sequence[int]) -> bool:
         """Store a macro unless the cell is already filled (first write
         wins); returns whether the cell changed."""
-        if not (0 <= j < self.v and 1 <= i <= self.n):
+        if not (isinstance(j, int) and isinstance(i, int)
+                and 0 <= j < self.v and 1 <= i <= self.n):
             raise ParameterError(f"no cell (value {j}, position {i}) in a {self.v} x {self.n} table")
         macro = tuple(macro)
         if len(macro) > MAX_MACRO_LEN:
@@ -125,13 +127,17 @@ def walk_columns(table: MacroTable, state, run, fill=None, last: Optional[int] =
     runner, ``eight_puzzle.apply_macro``, moves the tiles in one
     permutation, and its harness and oracles pass it directly.  At an
     UNFILLED cell the walk stops, unless ``fill(state, i)`` is given: its
-    macro is then inserted and used.
+    macro is then inserted and used.  ``last`` must lie in 0..n.
     Returns (cells, state, missing): the (j, i) cells used, the state reached
     and the UNFILLED cell the walk stopped at (None when it ran to the end).
     ``solution_steps`` reads the solution off the cells.
     """
+    if last is None:
+        last = table.n
+    elif not (isinstance(last, int) and 0 <= last <= table.n):
+        raise ParameterError(f"last column {last!r} is not in 0..{table.n}")
     perm, cells = table.ordering.perm, []
-    for i in range(1, (table.n if last is None else last) + 1):
+    for i in range(1, last + 1):
         j = state[perm[i - 1]]
         macro = table.cells.get((j, i))
         if macro is None:

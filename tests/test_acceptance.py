@@ -5,6 +5,7 @@ run with -s so the verdicts land in the log).
 """
 
 import random
+from functools import reduce
 from pathlib import Path
 
 from brute_force import all_caps, enumerate_sentences
@@ -183,7 +184,7 @@ def test_criterion_10_oracle_equivalence():
                   if all(cap_matches_tree(c, t) for t in trees[1:])]
         brute = max(common, key=size)
         assert sum(1 for c in common if size(c) == size(brute)) == 1
-        assert same_tree(msc(trees), brute)
+        assert same_tree(reduce(msc, trees), brute)
 
     language = enumerate_sentences(small, "S", 9)
     checked = 0
@@ -201,6 +202,6 @@ def test_criterion_10_oracle_equivalence():
 
     ok, detail = oracles.subgoal_optimality(rng, 100, 5)
     assert ok, detail
-    _ok(10, "msc = brute-force cap meet on 500 instances; membership matched "
+    _ok(10, "folded msc = brute-force cap meet on 500 instances; membership matched "
             "exhaustive enumeration for 20 forms; IDA* subgoal lengths "
             "BFS-optimal on 100 instances")

@@ -75,8 +75,9 @@ def _reference_decomposability(domain, ordering, states):
 
 def test_feature_ordering_validation():
     FeatureOrdering((1, 0))
-    with pytest.raises(ParameterError):
-        FeatureOrdering((0, 2))
+    for perm in ((0, 2), ("a", 0), (1.0, 0)):
+        with pytest.raises(ParameterError):
+            FeatureOrdering(perm)
     assert FeatureOrdering((2, 0, 1)).feature(1) == 2
 
 
@@ -84,8 +85,14 @@ def test_check_feature_state():
     assert check_feature_state([1, 0], 2, 2) == (1, 0)
     with pytest.raises(ParameterError):
         check_feature_state([1], 2, 2)
+    for values in ([1, 5], ["a", 0], [0.0, 1], [None, 0]):
+        with pytest.raises(ParameterError):
+            check_feature_state(values, 2, 2)
+    # the Eight Puzzle's entry points check boards through it
     with pytest.raises(ParameterError):
-        check_feature_state([1, 5], 2, 2)
+        ep.ida_star_subgoal(("a",) * 9, 1, ep.blank_first_ordering())
+    with pytest.raises(ParameterError):
+        ep.is_solvable((0.0, 1, 2, 3, 4, 5, 6, 7, 8))
 
 
 def test_table_unfilled_vs_null_macro():
@@ -113,10 +120,15 @@ def test_table_first_write_wins_and_limits():
 def test_table_rejects_cells_outside_it():
     # values 0..v-1, positions 1..n
     t = MacroTable(2, 2, (0, 0), FeatureOrdering((0, 1)))
-    for j, i in ((42, 0), (-1, 10), (2, 1), (-1, 1), (0, 0), (0, 3)):
+    for j, i in ((42, 0), (-1, 10), (2, 1), (-1, 1), (0, 0), (0, 3), ("a", 1), (0, 1.0)):
         with pytest.raises(ParameterError):
             t.insert(j, i, (1,))
     assert t.filled_count() == 0 and t.dump() == "? ?\n? ?\n"
+    # a walk covers columns 0..n
+    assert walk_columns(t, (0, 0), lambda s, m: s, last=0) == ([], (0, 0), None)
+    for last in (3, -1, "1"):
+        with pytest.raises(ParameterError):
+            walk_columns(t, (0, 0), lambda s, m: s, last=last)
 
 
 def test_table_dump():
