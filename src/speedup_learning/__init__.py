@@ -8,7 +8,6 @@ harness for reproducing their learning curves.
 
 from . import control_rules, core, eight_puzzle, grammar, harness, integration, macro_tables
 from .control_rules import (
-    ControlRule,
     IncrementalRuleLearner,
     RuleSet,
     learn_rules,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BOTTOM",
-    "ControlRule",
     "CurvePoint",
     "DomainSpec",
     "Example",

@@ -1,55 +1,44 @@
 """Select-set control rules: the rule-driven solver and its learner.
 
 A control rule pairs an operator with a select-set, stored as a grammar cap
-whose yield is a sentential form.  The solver repeatedly scans the current
-state's matching units in post-order and applies the least-indexed operator
-whose select-set contains the unit.  The learner collects, for each
-operator, the units the teacher applied it to, and generalizes each
-collection to its most specific generalization: the meet of the units'
-trees, folded one unit at a time with the two-tree ``msc``.
+whose yield is a sentential form; the operators' fixed order resolves
+conflicts, so a rule set is one cap per operator (``RuleSet.caps``).  The
+solver scans the current state's units in post-order and applies the
+least-indexed operator whose select-set holds the unit.  The learner
+replays each solution with ``core.replay``, then folds each operator's
+units into their most specific generalization with the two-tree ``msc``;
+a solution that does not replay leaves it as it was.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import BOTTOM, Example, is_consistent, solved_problem
+from .core import BOTTOM, Example, is_consistent, replay, solved_problem
 from .errors import INAPPLICABLE, ConsistencyError, ParameterError
 from .grammar import Node, msc, tree_yield
 
 
-@dataclass(frozen=True)
-class ControlRule:
-    """⟨select-set, operator⟩; cap None means EMPTY (never matches)."""
-
-    operator_index: int
-    cap: Optional[Node] = None
-
-
 class RuleSet:
-    """One rule per operator, ordered by operator index."""
+    """One select-set per operator: ``caps[i - 1]`` is operator i's cap, or
+    None for EMPTY (never matches)."""
 
-    def __init__(self, rules: Sequence[ControlRule]):
-        rules = tuple(rules)
-        indices = [r.operator_index for r in rules]
-        if sorted(indices) != list(range(1, len(rules) + 1)):
-            raise ParameterError("rules must cover operator indices 1..k exactly once")
-        self.rules = tuple(sorted(rules, key=lambda r: r.operator_index))
+    def __init__(self, caps: Sequence[Optional[Node]]):
+        self.caps = tuple(caps)
 
     def dump(self) -> str:
         lines = []
-        for r in self.rules:
-            body = "EMPTY" if r.cap is None else " ".join(tree_yield(r.cap))
-            lines.append(f"op{r.operator_index}: {body}")
+        for i, cap in enumerate(self.caps, 1):
+            body = "EMPTY" if cap is None else " ".join(tree_yield(cap))
+            lines.append(f"op{i}: {body}")
         return "\n".join(lines) + "\n"
 
 
 def _first_match(ruleset: RuleSet, rdomain, x, start):
     for path, unit in rdomain.iter_units(x, start):
-        for rule in ruleset.rules:
-            if rule.cap is not None and rdomain.unit_matches(rule.cap, unit):
-                return rule.operator_index, path
+        for i, cap in enumerate(ruleset.caps, 1):
+            if cap is not None and rdomain.unit_matches(cap, unit):
+                return i, path
     return None
 
 
@@ -92,36 +81,26 @@ def rule_solve(ruleset: RuleSet, rdomain, x):
     return rule_solve_ex(ruleset, rdomain, x)[0]
 
 
-def _teacher_units(rdomain, example: Example):
-    """(operator index, unit) for each step of the teacher's solution, in
-    order; nothing for an unsolved example."""
-    if example.solution is BOTTOM:
-        return
-    x = example.problem
-    for op_index, loc in example.solution:
-        yield op_index, rdomain.subexpr(x, loc)
-        x = rdomain.apply(x, op_index, loc)
-
-
 class IncrementalRuleLearner:
     """Folds examples into per-operator most specific generalizations."""
 
     def __init__(self, rdomain):
         self.rdomain = rdomain
-        self.caps: dict = {}  # operator index -> cap
+        self.caps: list = [None] * rdomain.num_operators  # caps[i - 1]: operator i
 
     def add_example(self, example: Example):
-        for op_index, unit in _teacher_units(self.rdomain, example):
-            tree = self.rdomain.unit_tree(unit)
-            old = self.caps.get(op_index)
-            self.caps[op_index] = tree if old is None else msc(old, tree)
+        """Replay the whole solution, then merge its units into the caps."""
+        if example.solution is BOTTOM:
+            return
+        states = replay(self.rdomain, example.problem, example.solution)
+        caps, rdomain = self.caps, self.rdomain
+        for x, (op_index, loc) in zip(states, example.solution):
+            tree = rdomain.unit_tree(rdomain.subexpr(x, loc))
+            old = caps[op_index - 1]
+            caps[op_index - 1] = tree if old is None else msc(old, tree)
 
     def ruleset(self) -> RuleSet:
-        rules = [
-            ControlRule(i, self.caps.get(i))
-            for i in range(1, self.rdomain.num_operators + 1)
-        ]
-        return RuleSet(rules)
+        return RuleSet(self.caps)
 
 
 def learn_rules(rdomain, oracle, domain, m: int) -> RuleSet:

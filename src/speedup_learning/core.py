@@ -80,8 +80,11 @@ class DomainSpec:
         return len(self.operators)
 
     def apply(self, state, op_index: int, loc=None):
-        if not 1 <= op_index <= len(self.operators):
-            raise ParameterError(f"operator index {op_index} out of range")
+        try:
+            if not 1 <= op_index <= len(self.operators):
+                raise ParameterError(f"operator index {op_index} out of range")
+        except TypeError as exc:
+            raise ParameterError(f"operator index {op_index!r} is not an integer") from exc
         return self.operators[op_index - 1](state, loc)
 
     def apply_macro(self, state, macro):
@@ -155,10 +158,21 @@ def sample_size(epsilon: float, delta: float, dim: float) -> int:
 
 
 def replay(domain: DomainSpec, problem, solution) -> list:
-    """Apply a solution step by step, returning the full trajectory x_0..x_r."""
+    """Apply a solution step by step, returning the full trajectory x_0..x_r.
+
+    ``domain`` is anything with ``apply(state, op_index, loc)``, such as a
+    ``DomainSpec`` or a rule domain.  A step that is not an ``(operator,
+    location)`` pair or does not apply raises ``ReplayError`` naming it.
+    Both learners replay a whole solution before they change anything.
+    """
     states = [problem]
     x = problem
-    for step_idx, (op_index, loc) in enumerate(solution):
+    for step_idx, step in enumerate(solution):
+        try:
+            op_index, loc = step
+        except (TypeError, ValueError) as exc:
+            raise ReplayError(f"step {step!r} is not an (operator, location) pair",
+                              step_idx) from exc
         try:
             x = domain.apply(x, op_index, loc)
         except INAPPLICABLE as exc:

@@ -97,7 +97,7 @@ class _IntegrationTrial:
             return False
         caps, matches = self.learner.caps, self.matches
         for op_index, _path, unit in trace[0]:
-            cap = caps.get(op_index)
+            cap = caps[op_index - 1]
             if cap is None:
                 return False
             hit = matches.get((cap, unit))

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
-from .control_rules import ControlRule, RuleSet
+from .control_rules import RuleSet
 from .core import BOTTOM, DomainSpec
 from .errors import (
     InapplicableOperatorError,
@@ -144,8 +144,8 @@ VAR_X = _mk(VAR, "x")
 
 
 def num(n: int) -> Expr:
-    if n < 0:
-        raise ParameterError("integer literals are nonnegative; use neg()")
+    if not isinstance(n, int) or n < 0:
+        raise ParameterError(f"integer literals are nonnegative ints, got {n!r}; use neg()")
     return _mk(NUM, n)
 
 
@@ -555,22 +555,28 @@ def get_operator(index: int) -> RewriteOp:
 
 
 def subexpr_at(e: Expr, loc: Sequence[int]) -> Expr:
-    for i in loc:
-        kids = e.children
-        if not 0 <= i < len(kids):
-            raise LocationError(f"index {i} invalid at {to_text(e)!r}")
-        e = kids[i]
+    try:
+        for i in loc:
+            kids = e.children
+            if not 0 <= i < len(kids):
+                raise LocationError(f"index {i} invalid at {to_text(e)!r}")
+            e = kids[i]
+    except TypeError as exc:
+        raise LocationError(f"location {loc!r} is not a sequence of integers") from exc
     return e
 
 
 def replace_at(e: Expr, loc: Sequence[int], new: Expr) -> Expr:
     spine = []
-    for i in loc:
-        kids = e.children
-        if not 0 <= i < len(kids):
-            raise LocationError(f"index {i} invalid at {to_text(e)!r}")
-        spine.append((e, i))
-        e = kids[i]
+    try:
+        for i in loc:
+            kids = e.children
+            if not 0 <= i < len(kids):
+                raise LocationError(f"index {i} invalid at {to_text(e)!r}")
+            spine.append((e, i))
+            e = kids[i]
+    except TypeError as exc:
+        raise LocationError(f"location {loc!r} is not a sequence of integers") from exc
     for parent, i in reversed(spine):
         kids = list(parent.children)
         kids[i] = new
@@ -579,7 +585,7 @@ def replace_at(e: Expr, loc: Sequence[int], new: Expr) -> Expr:
 
 
 def apply_at(op: RewriteOp, e: Expr, loc: Sequence[int]) -> Expr:
-    return replace_at(e, loc, op.apply(subexpr_at(e, tuple(loc))))
+    return replace_at(e, loc, op.apply(subexpr_at(e, loc)))
 
 
 def iter_postorder(e: Expr, start: Sequence[int] = ()) -> Iterator[tuple]:
@@ -705,12 +711,8 @@ def teacher_solve(e: Expr):
 
 
 def teacher_ruleset():
-    """The teacher's own select-sets as grammar caps (one per operator)."""
-    rules = tuple(
-        ControlRule(op.index, form_to_cap(GRAMMAR, op.teacher_form.split(), "Exp"))
-        for op in OPERATORS
-    )
-    return RuleSet(rules)
+    """The teacher's own select-sets as grammar caps, in operator order."""
+    return RuleSet(form_to_cap(GRAMMAR, op.teacher_form.split(), "Exp") for op in OPERATORS)
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +855,7 @@ class IntegrationRuleDomain:
         return cap_matches_tree(cap, as_exp(unit))
 
     def subexpr(self, e: Expr, loc) -> Expr:
-        return subexpr_at(e, loc)
+        return subexpr_at(e, loc or ())
 
     def apply(self, e: Expr, op_index: int, loc) -> Expr:
         return apply_at(get_operator(op_index), e, loc or ())

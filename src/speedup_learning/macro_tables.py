@@ -170,14 +170,15 @@ def serial_parse_into(table: MacroTable, domain: DomainSpec, example: Example):
 
     Replays the solution, then for each ordered position i finds the
     earliest trajectory state from the current cut whose ordered features
-    1..i all hold goal values, and stores the operator slice between cuts
-    if that cell is still unfilled.
+    1..i all hold goal values.  Once every cut is found, it stores the
+    operator slice between successive cuts in each cell that is still
+    unfilled, so a solution that cannot be cut leaves the table as it was.
     """
     if example.solution is BOTTOM:
         return
-    ops = [op for op, _ in example.solution]
     states = replay(domain, example.problem, example.solution)
-    p = 0
+    ops = [op for op, _ in example.solution]
+    cuts, p = [], 0
     for i in range(1, table.n + 1):
         j = states[p][table.ordering.feature(i)]
         k = p
@@ -187,8 +188,12 @@ def serial_parse_into(table: MacroTable, domain: DomainSpec, example: Example):
             raise MalformedSolutionError(
                 f"no trajectory point achieves ordered features 1..{i}"
             )
-        table.insert(j, i, ops[p:k])
+        if k - p > MAX_MACRO_LEN:
+            raise ParameterError(f"macro length {k - p} exceeds limit {MAX_MACRO_LEN}")
+        cuts.append((j, i, ops[p:k]))
         p = k
+    for j, i, macro in cuts:
+        table.insert(j, i, macro)
 
 
 def serial_parse(domain: DomainSpec, sample: Sequence[Example], n: int, v: int,

@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brute_force import collect_select_examples
 from speedup_learning import integration as I
 from speedup_learning.control_rules import (
-    ControlRule,
     IncrementalRuleLearner,
     RuleSet,
     learn_rules,
@@ -13,7 +14,7 @@ from speedup_learning.control_rules import (
     rule_solve_ex,
 )
 from speedup_learning.core import BOTTOM, Example, OracleConfig, is_consistent
-from speedup_learning.errors import INAPPLICABLE, ParameterError
+from speedup_learning.errors import INAPPLICABLE, ParameterError, ReplayError, SpeedupLearningError
 from speedup_learning.grammar import Node, cap_matches_tree, msg, tree_yield
 
 
@@ -37,14 +38,9 @@ def _example(text):
 
 
 def test_ruleset_validation_and_dump():
-    rules = [ControlRule(i) for i in (3, 1, 2)]
-    rs = RuleSet(rules)
-    assert [r.operator_index for r in rs.rules] == [1, 2, 3]
+    rs = RuleSet([None] * 3)
+    assert rs.caps == (None, None, None)
     assert rs.dump() == "op1: EMPTY\nop2: EMPTY\nop3: EMPTY\n"
-    with pytest.raises(ParameterError):
-        RuleSet([ControlRule(1), ControlRule(3)])
-    with pytest.raises(ParameterError):
-        RuleSet([ControlRule(1), ControlRule(1)])
 
 
 def test_dump_shows_sentential_forms():
@@ -54,7 +50,7 @@ def test_dump_shows_sentential_forms():
     learner.add_example(_example("∫ ( cos x ) + ( sin x ) d x"))
     dump = learner.ruleset().dump()
     assert "op3: ∫ Trig + P-term d x" in dump
-    assert dump.count("EMPTY") == rd.num_operators - len(learner.caps)
+    assert dump.count("EMPTY") == learner.caps.count(None)
 
 
 def test_collect_select_examples_worked_case():
@@ -72,20 +68,80 @@ def test_incremental_learner_generalizes_monotonically():
     rd = _rdomain()
     learner = IncrementalRuleLearner(rd)
     rng = random.Random(17)
-    previous = {}
+    previous = [None] * rd.num_operators
     for _ in range(12):
         p = I.generate_problem(rng)
         learner.add_example(Example(p, I.teacher_solve(p)))
-        for op, cap in learner.caps.items():
-            if op in previous:
+        for cap, old in zip(learner.caps, previous):
+            if old is not None:
                 # each update can only climb the cap lattice
-                assert cap_matches_tree(cap, previous[op])
-        previous = dict(learner.caps)
-    assert previous
+                assert cap_matches_tree(cap, old)
+        previous = list(learner.caps)
+    assert any(cap is not None for cap in previous)
     # replaying an already-covered example changes nothing
     learner.add_example(Example(p, I.teacher_solve(p)))
-    assert learner.caps.keys() == previous.keys()
-    assert all(learner.caps[op] is cap for op, cap in previous.items())
+    assert all(cap is old for cap, old in zip(learner.caps, previous))
+
+
+def _unchanged(learner, before):
+    return len(learner.caps) == len(before) and all(
+        cap is old for cap, old in zip(learner.caps, before))
+
+
+def test_a_rejected_example_leaves_the_rule_learner_as_it_was():
+    rd = _rdomain()
+    learner = IncrementalRuleLearner(rd)
+    learner.add_example(_example("∫ ( sin x ) d x"))
+    before = list(learner.caps)
+    cos = I.parse_expr("∫ ( cos x ) d x".split())
+    # op 6 (∫ sin x) does not apply to ∫ cos x; its cap must not widen first
+    with pytest.raises(ReplayError):
+        learner.add_example(Example(cos, ((6, ()),)))
+    assert _unchanged(learner, before)
+    # there is no operator 0, and caps[-1] is operator 27's cap
+    with pytest.raises(ParameterError):
+        learner.add_example(Example(cos, ((0, ()),)))
+    assert _unchanged(learner, before)
+    with pytest.raises(ReplayError):
+        learner.add_example(Example(I.VAR_X, ((1, "zz"),)))
+    assert _unchanged(learner, before)
+    # a location of None is the root, for the unit as for the rewrite
+    learner.add_example(Example(cos, ((7, None),)))
+    assert " ".join(tree_yield(learner.caps[6])) == "∫ ( cos x ) d x"
+
+
+_BAD_LOCATIONS = st.one_of(
+    st.lists(st.integers(-1, 3), max_size=4).map(tuple),
+    st.sampled_from(["zz", 5, None, (0.5,), ("a",)]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), trained=st.integers(0, 4), data=st.data())
+def test_a_rule_learner_that_rejects_a_corrupted_solution_is_unchanged(seed, trained, data):
+    # one step of a teacher solution is replaced by a drawn operator index
+    # or location; when the learner rejects the example, every cap stays
+    rd = _rdomain()
+    rng = random.Random(seed)
+    learner = IncrementalRuleLearner(rd)
+    for _ in range(trained):
+        p = I.generate_problem(rng)
+        learner.add_example(Example(p, I.teacher_solve(p)))
+    p = I.generate_problem(rng)
+    solution = I.teacher_solve(p)
+    if not solution:
+        return
+    k = data.draw(st.integers(0, len(solution) - 1))
+    op, loc = solution[k]
+    step = data.draw(st.one_of(
+        st.integers(-1, rd.num_operators + 1).map(lambda i: (i, loc)),
+        _BAD_LOCATIONS.map(lambda bad: (op, bad)),
+    ))
+    before = list(learner.caps)
+    try:
+        learner.add_example(Example(p, solution[:k] + (step,) + solution[k + 1:]))
+    except SpeedupLearningError:
+        assert _unchanged(learner, before)
 
 
 def test_learner_cap_equals_msg_of_collected_units():
@@ -95,12 +151,21 @@ def test_learner_cap_equals_msg_of_collected_units():
         _example("∫ ( cos x ) + ( sin x ) d x"),
     ]
     learner = IncrementalRuleLearner(rd)
-    for ex in sample:
-        learner.add_example(ex)
+    learner.add_example(sample[0])
+    snapshot = learner.ruleset()
+    before = list(snapshot.caps)
+    learner.add_example(sample[1])
+    # a snapshot keeps its caps: it does not alias the learner's list
+    assert all(cap is old for cap, old in zip(snapshot.caps, before))
+    assert any(cap is not new for cap, new in zip(snapshot.caps, learner.caps))
     collected = collect_select_examples(rd, sample)
     for op, units in collected.items():
         form = msg(I.GRAMMAR, [I.to_tokens(u) for u in units], "Exp")
-        assert tree_yield(learner.caps[op]) == form.symbols
+        assert tree_yield(learner.caps[op - 1]) == form.symbols
+    # an operator the teacher never applied keeps the EMPTY select-set
+    assert len(learner.caps) == rd.num_operators
+    for i in range(1, rd.num_operators + 1):
+        assert (learner.caps[i - 1] is None) == (i not in collected)
 
 
 def test_rule_solve_with_teacher_rules():
@@ -118,7 +183,7 @@ def test_rule_solve_with_teacher_rules():
 def test_rule_solve_statuses():
     rd = _rdomain()
     p = I.parse_expr("∫ ( sin x ) + ( x ^ 2 ) d x".split())
-    empty = RuleSet([ControlRule(i) for i in range(1, rd.num_operators + 1)])
+    empty = RuleSet([None] * rd.num_operators)
     assert rule_solve_ex(empty, rd, p) == (BOTTOM, "no_match")
     # the teacher's rules solve p in n steps: a limit of n lets them, n - 1 not
     teacher, n = I.teacher_ruleset(), len(I.teacher_solve(p))
@@ -126,7 +191,7 @@ def test_rule_solve_statuses():
     assert rule_solve_ex(teacher, StepLimitedDomain(n - 1), p) == (BOTTOM, "step_limit")
     # a select-set wider than its operator's pattern: op 1 is picked at the
     # first unit, rejects it, and the solve stops there
-    greedy = RuleSet([ControlRule(1, Node("Exp"))] + list(I.teacher_ruleset().rules[1:]))
+    greedy = RuleSet((Node("Exp"),) + I.teacher_ruleset().caps[1:])
     assert rule_solve_ex(greedy, rd, p) == (BOTTOM, "no_match")
 
 
@@ -137,9 +202,9 @@ def _solve_scanning_from_the_root(ruleset, rd, x):
     size_limit = rd.default_size_limit(x)
     steps = []
     while not rd.is_goal(x):
-        found = next(((rule.operator_index, path) for path, unit in I.iter_postorder(x)
-                      for rule in ruleset.rules
-                      if rule.cap is not None and rd.unit_matches(rule.cap, unit)), None)
+        found = next(((i, path) for path, unit in I.iter_postorder(x)
+                      for i, cap in enumerate(ruleset.caps, 1)
+                      if cap is not None and rd.unit_matches(cap, unit)), None)
         if found is None:
             return BOTTOM, "no_match"
         try:

@@ -79,6 +79,9 @@ def test_domain_spec_validation():
         dom.apply(0, 0)
     with pytest.raises(ParameterError):
         dom.apply(0, 3)
+    for not_an_index in ("r", None, (1,)):
+        with pytest.raises(ParameterError):
+            dom.apply(0, not_an_index)
     assert dom.apply(0, 1) == 1
 
 
@@ -89,6 +92,11 @@ def test_replay_trajectory_and_failure_step():
     with pytest.raises(ReplayError) as info:
         replay(dom, 1, ((2, None), (2, None), (1, None)))
     assert info.value.step == 1
+    # a step that is not an (operator, location) pair
+    for bad in (((1,),), ((1, None), 5), ((1, None), (1, None, None))):
+        with pytest.raises(ReplayError) as info:
+            replay(dom, 0, bad)
+        assert info.value.step == len(bad) - 1
 
 
 def test_example_solved_flag():

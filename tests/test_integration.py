@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speedup_learning import integration as I
-from speedup_learning.control_rules import ControlRule, RuleSet, rule_solve, rule_solve_ex
+from speedup_learning.control_rules import RuleSet, rule_solve, rule_solve_ex
 from speedup_learning.core import BOTTOM
 from speedup_learning.errors import (
     InapplicableOperatorError,
@@ -58,6 +58,9 @@ def test_expressions_are_hash_consed():
     assert I.num(7) is not I.num(8)
     with pytest.raises(ParameterError):
         I.num(-1)
+    for not_an_int in ("3", 1.5, None):
+        with pytest.raises(ParameterError):
+            I.num(not_an_int)
     with pytest.raises(ParameterError):
         I.named("b")
 
@@ -192,6 +195,15 @@ def test_locations():
     assert I.to_text(swapped) == "∫ ( cos x ) + ( x ^ 2 ) d x"
     with pytest.raises(LocationError):
         I.replace_at(I.VAR_X, (0,), I.ONE)
+    # a location that is not a sequence of integers
+    op = I.get_operator(6)
+    for bad in ("zz", 5, None, (0.5,), ("a",)):
+        with pytest.raises(LocationError):
+            I.subexpr_at(e, bad)
+        with pytest.raises(LocationError):
+            I.replace_at(e, bad, I.ONE)
+        with pytest.raises(LocationError):
+            I.apply_at(op, e, bad)
 
 
 def test_post_order_from_a_path_skips_what_lies_left_of_it():
@@ -299,7 +311,7 @@ def test_round_trip_of_deep_inputs():
     assert units == 3001 and path == () and unit is chain
     deep = (0,) * 2999
     assert I.subexpr_at(I.replace_at(chain, deep, I.cosx()), deep) is I.cosx()
-    empty = RuleSet([ControlRule(op.index) for op in I.OPERATORS])
+    empty = RuleSet([None] * len(I.OPERATORS))
     assert rule_solve_ex(empty, I.IntegrationRuleDomain(), chain) == (BOTTOM, "no_match")
     # the numeric and symbolic oracles: d/dx of -(-(...x)) is -(-(...1))
     d = I.differentiate(chain)

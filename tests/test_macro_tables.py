@@ -12,6 +12,7 @@ from speedup_learning.errors import (
     InapplicableOperatorError,
     MalformedSolutionError,
     ParameterError,
+    SpeedupLearningError,
     TableCorruptionError,
 )
 from speedup_learning.macro_tables import (
@@ -275,6 +276,50 @@ def test_serial_parse_skips_bottom_and_rejects_malformed():
     board = ep.text_to_board("537081642")
     with pytest.raises(MalformedSolutionError):
         serial_parse_into(t, dom, Example(board, ()))  # never reaches goal
+
+
+def test_a_rejected_example_leaves_the_macro_table_as_it_was():
+    dom = ep.domain_spec()
+    ordering = ep.blank_first_ordering()
+    teacher = MacroTable(ep.N_TILES, ep.N_POSITIONS, ep.GOAL, ordering)
+    learned = MacroTable(ep.N_TILES, ep.N_POSITIONS, ep.GOAL, ordering)
+    board = ep.text_to_board("537081642")
+    solution = ep.integrated_teacher(board, teacher)
+    # the first half reaches some columns' subgoals but not the goal
+    with pytest.raises(MalformedSolutionError):
+        serial_parse_into(learned, dom, Example(board, solution[:len(solution) // 2]))
+    assert learned.cells == {}
+    with pytest.raises(SpeedupLearningError):
+        serial_parse_into(learned, dom, Example(board, ((1,),)))
+    assert learned.cells == {}
+    # 34 moves that undo each other, before the last move, make the last
+    # column's macro longer than a table stores; earlier columns cut fine
+    padded = solution[:-1] + tuple((op, None) for op in ep.letters_to_macro("ud" * 17)) \
+        + solution[-1:]
+    with pytest.raises(ParameterError):
+        serial_parse_into(learned, dom, Example(board, padded))
+    assert learned.cells == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), trained=st.integers(0, 6), data=st.data())
+def test_a_macro_table_that_rejects_a_cut_solution_is_unchanged(seed, trained, data):
+    rng = random.Random(seed)
+    dom = ep.domain_spec()
+    ordering = ep.blank_first_ordering()
+    teacher = MacroTable(ep.N_TILES, ep.N_POSITIONS, ep.GOAL, ordering)
+    learned = MacroTable(ep.N_TILES, ep.N_POSITIONS, ep.GOAL, ordering)
+    for _ in range(trained):
+        board = ep.random_solvable(rng)
+        serial_parse_into(learned, dom, Example(board, ep.integrated_teacher(board, teacher)))
+    board = ep.random_solvable(rng)
+    solution = ep.integrated_teacher(board, teacher)
+    cut = data.draw(st.integers(0, len(solution)))
+    before = dict(learned.cells)
+    try:
+        serial_parse_into(learned, dom, Example(board, solution[:cut]))
+    except SpeedupLearningError:
+        assert learned.cells == before
 
 
 def test_check_serial_decomposability_toy():

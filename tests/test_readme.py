@@ -29,3 +29,11 @@ def test_readme_example_runs(line, code):
     printed = out.getvalue().splitlines()
     for shown in re.findall(r"^print\(.*\)\s+# (.*)$", code, re.M):
         assert shown in printed
+
+
+def test_readme_lists_the_public_names():
+    import speedup_learning
+
+    listed = _TEXT[_TEXT.index("The package's top level exports"):]
+    listed = listed[:listed.index("\n\n")]
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(speedup_learning.__all__)
