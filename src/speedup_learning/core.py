@@ -83,9 +83,10 @@ class DomainSpec:
         try:
             if not 1 <= op_index <= len(self.operators):
                 raise ParameterError(f"operator index {op_index} out of range")
+            op = self.operators[op_index - 1]  # a float index raises TypeError here
         except TypeError as exc:
             raise ParameterError(f"operator index {op_index!r} is not an integer") from exc
-        return self.operators[op_index - 1](state, loc)
+        return op(state, loc)
 
     def apply_macro(self, state, macro):
         """Apply a stored macro, through ``macro_runner`` when there is one.
@@ -171,8 +172,7 @@ def replay(domain: DomainSpec, problem, solution) -> list:
         try:
             op_index, loc = step
         except (TypeError, ValueError) as exc:
-            raise ReplayError(f"step {step!r} is not an (operator, location) pair",
-                              step_idx) from exc
+            raise ReplayError(f"step {step!r} is not an (operator, location) pair", step_idx) from exc
         try:
             x = domain.apply(x, op_index, loc)
         except INAPPLICABLE as exc:

@@ -543,7 +543,7 @@ _OPS_BY_KIND = {
 
 
 def get_operator(index: int) -> RewriteOp:
-    op = _OP_BY_INDEX.get(index)
+    op = _OP_BY_INDEX.get(index) if isinstance(index, int) else None
     if op is None:
         raise ParameterError(f"no operator with index {index}")
     return op
@@ -554,19 +554,9 @@ def get_operator(index: int) -> RewriteOp:
 # ---------------------------------------------------------------------------
 
 
-def subexpr_at(e: Expr, loc: Sequence[int]) -> Expr:
-    try:
-        for i in loc:
-            kids = e.children
-            if not 0 <= i < len(kids):
-                raise LocationError(f"index {i} invalid at {to_text(e)!r}")
-            e = kids[i]
-    except TypeError as exc:
-        raise LocationError(f"location {loc!r} is not a sequence of integers") from exc
-    return e
-
-
-def replace_at(e: Expr, loc: Sequence[int], new: Expr) -> Expr:
+def _walk(e: Expr, loc: Sequence[int]) -> tuple:
+    """The (node, child index) pairs on the path to ``loc``, and the
+    subexpression there."""
     spine = []
     try:
         for i in loc:
@@ -577,7 +567,15 @@ def replace_at(e: Expr, loc: Sequence[int], new: Expr) -> Expr:
             e = kids[i]
     except TypeError as exc:
         raise LocationError(f"location {loc!r} is not a sequence of integers") from exc
-    for parent, i in reversed(spine):
+    return spine, e
+
+
+def subexpr_at(e: Expr, loc: Sequence[int]) -> Expr:
+    return _walk(e, loc)[1]
+
+
+def replace_at(e: Expr, loc: Sequence[int], new: Expr) -> Expr:
+    for parent, i in reversed(_walk(e, loc)[0]):
         kids = list(parent.children)
         kids[i] = new
         new = _mk(parent.kind, *kids)

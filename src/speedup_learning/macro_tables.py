@@ -23,6 +23,11 @@ Macro = tuple
 MAX_MACRO_LEN = 32
 
 
+def _check_macro_len(n: int) -> None:
+    if n > MAX_MACRO_LEN:
+        raise ParameterError(f"macro length {n} exceeds limit {MAX_MACRO_LEN}")
+
+
 @dataclass(frozen=True)
 class FeatureOrdering:
     """Permutation of feature indices; position i (1-based) maps to
@@ -75,8 +80,7 @@ class MacroTable:
                 and 0 <= j < self.v and 1 <= i <= self.n):
             raise ParameterError(f"no cell (value {j}, position {i}) in a {self.v} x {self.n} table")
         macro = tuple(macro)
-        if len(macro) > MAX_MACRO_LEN:
-            raise ParameterError(f"macro length {len(macro)} exceeds limit {MAX_MACRO_LEN}")
+        _check_macro_len(len(macro))
         if (j, i) in self.cells:
             return False
         self.cells[(j, i)] = macro
@@ -188,8 +192,7 @@ def serial_parse_into(table: MacroTable, domain: DomainSpec, example: Example):
             raise MalformedSolutionError(
                 f"no trajectory point achieves ordered features 1..{i}"
             )
-        if k - p > MAX_MACRO_LEN:
-            raise ParameterError(f"macro length {k - p} exceeds limit {MAX_MACRO_LEN}")
+        _check_macro_len(k - p)
         cuts.append((j, i, ops[p:k]))
         p = k
     for j, i, macro in cuts:

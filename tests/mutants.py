@@ -1,6 +1,6 @@
 """Mutation check: every listed mutant of ``src/`` must fail its named tests.
 
-    python tests/mutants.py [NAME ...]
+    python tests/mutants.py
 
 Each mutant is one exact text edit to one file under ``src/``, plus the ids
 of the tests that must catch it.  For each mutant the script copies
@@ -9,8 +9,7 @@ named tests, with the copy first on ``PYTHONPATH``.  It fails when a named
 test passes (the mutant survives), when a named test is not run, or when
 the old text is not found exactly once in its file (the code has moved on,
 so the list must follow it).  It runs as many mutants at once as this
-process may use CPUs (``nproc``).  NAME picks mutants by name; the default
-is all of them.  Standard library only.
+process may use CPUs (``nproc``).  Standard library only.
 """
 
 from __future__ import annotations
@@ -81,17 +80,13 @@ MUTANTS = (
            (MT + "test_a_rejected_example_leaves_the_macro_table_as_it_was",
             MT + "test_a_macro_table_that_rejects_a_cut_solution_is_unchanged")),
     Mutant("long-macro-found-at-insert", "macro_tables.py",
-           "        if k - p > MAX_MACRO_LEN:\n",
-           "        if False:\n",
+           "        _check_macro_len(k - p)\n",
+           "",
            (MT + "test_a_rejected_example_leaves_the_macro_table_as_it_was",)),
     # typed errors for malformed input on the replay path
-    Mutant("subexpr-at-unguarded", "integration.py",
-           "    except TypeError as exc:\n" + _NOT_A_LOCATION + "    return e\n",
-           "    except ZeroDivisionError as exc:\n" + _NOT_A_LOCATION + "    return e\n",
-           (INT + "test_locations",)),
-    Mutant("replace-at-unguarded", "integration.py",
-           "    except TypeError as exc:\n" + _NOT_A_LOCATION + "    for parent",
-           "    except ZeroDivisionError as exc:\n" + _NOT_A_LOCATION + "    for parent",
+    Mutant("location-walk-unguarded", "integration.py",
+           "    except TypeError as exc:\n" + _NOT_A_LOCATION,
+           "    except ZeroDivisionError as exc:\n" + _NOT_A_LOCATION,
            (INT + "test_locations",)),
     Mutant("apply-at-tuple-of-location", "integration.py",
            "op.apply(subexpr_at(e, loc))",
@@ -106,6 +101,15 @@ MUTANTS = (
            "        except TypeError as exc:\n            raise ParameterError(",
            "        except ZeroDivisionError as exc:\n            raise ParameterError(",
            (CORE + "test_domain_spec_validation",)),
+    Mutant("domain-apply-truncates-float-index", "core.py",
+           "op = self.operators[op_index - 1]",
+           "op = self.operators[int(op_index) - 1]",
+           (CORE + "test_domain_spec_validation",)),
+    Mutant("get-operator-accepts-float", "integration.py",
+           "_OP_BY_INDEX.get(index) if isinstance(index, int) else None",
+           "_OP_BY_INDEX.get(index)",
+           (INT + "test_operator_inventory_shape",
+            CR + "test_a_rejected_example_leaves_the_rule_learner_as_it_was")),
     Mutant("num-accepts-non-int", "integration.py",
            "if not isinstance(n, int) or n < 0:",
            "if n < 0:",
@@ -187,26 +191,20 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def main(names) -> int:
-    by_name = {m.name: m for m in MUTANTS}
-    unknown = [n for n in names if n not in by_name]
-    if unknown:
-        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [by_name[n] for n in names] or list(MUTANTS)
-    jobs = min(_cpus(), len(chosen))
+def main() -> int:
+    jobs = min(_cpus(), len(MUTANTS))
     start = time.perf_counter()
     survivors = 0
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for m, problems, seconds in pool.map(run_mutant, chosen):
+        for m, problems, seconds in pool.map(run_mutant, MUTANTS):
             print(f"{'caught' if not problems else 'FAILED'}  {m.name}  ({seconds:.1f} s)")
             for p in problems:
                 print(f"    {p}")
             survivors += bool(problems)
-    print(f"{len(chosen) - survivors}/{len(chosen)} mutants caught "
+    print(f"{len(MUTANTS) - survivors}/{len(MUTANTS)} mutants caught "
           f"in {time.perf_counter() - start:.1f} s with {jobs} job(s)")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

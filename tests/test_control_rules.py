@@ -105,6 +105,12 @@ def test_a_rejected_example_leaves_the_rule_learner_as_it_was():
     with pytest.raises(ReplayError):
         learner.add_example(Example(I.VAR_X, ((1, "zz"),)))
     assert _unchanged(learner, before)
+    # a float index names no operator, even after steps that would merge
+    two_terms = _example("∫ ( sin x ) + ( x ^ 2 ) d x")
+    *head, (op, loc) = two_terms.solution
+    with pytest.raises(ParameterError):
+        learner.add_example(Example(two_terms.problem, (*head, (float(op), loc))))
+    assert _unchanged(learner, before)
     # a location of None is the root, for the unit as for the rewrite
     learner.add_example(Example(cos, ((7, None),)))
     assert " ".join(tree_yield(learner.caps[6])) == "∫ ( cos x ) d x"
@@ -135,6 +141,7 @@ def test_a_rule_learner_that_rejects_a_corrupted_solution_is_unchanged(seed, tra
     op, loc = solution[k]
     step = data.draw(st.one_of(
         st.integers(-1, rd.num_operators + 1).map(lambda i: (i, loc)),
+        st.sampled_from((float(op), op + 0.5, str(op), None, (op,))).map(lambda i: (i, loc)),
         _BAD_LOCATIONS.map(lambda bad: (op, bad)),
     ))
     before = list(learner.caps)

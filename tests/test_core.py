@@ -79,7 +79,7 @@ def test_domain_spec_validation():
         dom.apply(0, 0)
     with pytest.raises(ParameterError):
         dom.apply(0, 3)
-    for not_an_index in ("r", None, (1,)):
+    for not_an_index in ("r", None, (1,), 1.0, 1.5):
         with pytest.raises(ParameterError):
             dom.apply(0, not_an_index)
     assert dom.apply(0, 1) == 1

@@ -137,8 +137,9 @@ def test_operator_inventory_shape():
     assert len(I.OPERATORS) == 27
     assert [op.index for op in I.OPERATORS] == list(range(1, 28))
     assert I.get_operator(4).name == "by_parts"
-    with pytest.raises(ParameterError):
-        I.get_operator(99)
+    for not_an_index in (99, 4.0, "4", [4]):
+        with pytest.raises(ParameterError):
+            I.get_operator(not_an_index)
     # every teacher form is a valid sentential form over the grammar
     for op in I.OPERATORS:
         cap = form_to_cap(I.GRAMMAR, op.teacher_form.split(), "Exp")
