@@ -6,8 +6,10 @@ conflicts, so a rule set is one cap per operator (``RuleSet.caps``).  The
 solver scans the current state's units in post-order and applies the
 least-indexed operator whose select-set holds the unit.  The learner
 replays each solution with ``core.replay``, then folds each operator's
-units into their most specific generalization with the two-tree ``msc``;
-a solution that does not replay leaves it as it was.
+units into their most specific generalization with the two-tree ``msc``.
+It calls ``msc`` only for a unit its cap does not cover: for a covered
+unit ``msc(cap, tree) is cap``, so the cap stays the same object either
+way.  A solution that does not replay leaves the learner as it was.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional, Sequence
 
 from .core import BOTTOM, Example, is_consistent, replay, solved_problem
 from .errors import INAPPLICABLE, ConsistencyError, ParameterError
-from .grammar import Node, msc, tree_yield
+from .grammar import Node, cap_matches_tree, msc, tree_yield
 
 
 class RuleSet:
@@ -97,7 +99,10 @@ class IncrementalRuleLearner:
         for x, (op_index, loc) in zip(states, example.solution):
             tree = rdomain.unit_tree(rdomain.subexpr(x, loc))
             old = caps[op_index - 1]
-            caps[op_index - 1] = tree if old is None else msc(old, tree)
+            if old is None:
+                caps[op_index - 1] = tree
+            elif not cap_matches_tree(old, tree):
+                caps[op_index - 1] = msc(old, tree)
 
     def ruleset(self) -> RuleSet:
         return RuleSet(self.caps)

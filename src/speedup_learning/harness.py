@@ -92,11 +92,11 @@ class _IntegrationTrial:
         self.learner.add_example(Example(problem, integration.teacher_solve(problem)))
 
     def score_fast(self, problem) -> bool:
-        trace = integration.teacher_trace(problem)
-        if trace is None:
+        record = integration.teacher_record(problem)
+        if record is None:
             return False
         caps, matches = self.learner.caps, self.matches
-        for op_index, _path, unit in trace[0]:
+        for op_index, unit in integration.record_steps(record):
             cap = caps[op_index - 1]
             if cap is None:
                 return False

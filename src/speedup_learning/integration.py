@@ -15,19 +15,24 @@ node that admits one, until no operator applies anywhere.
 
 The teacher is the same interpreter driven by hand-authored select-sets,
 one sentential form per operator (``teacher_ruleset``).  Its structural
-fast path (``teacher_trace``) decides by operator pattern instead of
-select-set membership; the two agree on the problem distribution and the
-test suite cross-checks them.
+fast path (``teacher_record``, read by ``teacher_trace`` and
+``teacher_solve``) decides by operator pattern instead of select-set
+membership; the two agree on the problem distribution and the test suite
+cross-checks them.
 
-``teacher_trace`` never restarts from the root.  Under post-order first
-match a subterm is fully normalized before anything to its right or above
-it fires, so the steps taken inside a subterm, and its normal form, depend
-on that subterm alone.  The teacher therefore solves each interned subterm
-once, composes the result into its parents, and keeps it in ``_TRACE``;
-the test suite checks it step for step against the restart-from-root
-interpreter.  ``_TRACE`` is one of the memo tables listed in ``_MEMOS``:
-one table per value derived from a subterm alone, keyed by the interned
-``Expr``.
+The teacher never restarts from the root.  Under post-order first match a
+subterm is fully normalized before anything to its right or above it
+fires, so the steps taken inside a subterm, and its normal form, depend on
+that subterm alone.  The teacher therefore solves each interned subterm
+once and keeps a record of it in ``_TRACE``: its segments in firing order
+(a step at its own root, or a child's record under the child's index), its
+normal form and its step count.  A parent shares its children's records
+instead of copying their steps, so the memo grows linearly in the nesting
+depth; ``record_steps`` walks a record's steps in order, and only
+``teacher_trace`` builds paths from that walk.  The test suite checks the
+steps against the restart-from-root interpreter.  ``_TRACE`` is one of the
+memo tables listed in ``_MEMOS``: one table per value derived from a
+subterm alone, keyed by the interned ``Expr``.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .control_rules import RuleSet
 from .core import BOTTOM, DomainSpec
@@ -45,6 +50,7 @@ from .errors import (
     InapplicableOperatorError,
     LocationError,
     ParameterError,
+    ParseError,
 )
 from .grammar import Grammar, Node, cap_matches_tree, form_to_cap, parse, tree_yield
 
@@ -123,7 +129,7 @@ def _mk(kind: str, *args) -> Expr:
 _TREES: dict = {}  # its (P-term, Term, Exp) parse trees (``_trees``)
 _NTOK: dict = {}  # its token count (``_token_count``)
 _GOAL: dict = {}  # ``is_goal`` (``_normal``)
-_TRACE: dict = {}  # ``teacher_trace``'s (steps, normal form)
+_TRACE: dict = {}  # its ``TeacherRecord`` (``teacher_record``)
 _MEMOS = (_TREES, _NTOK, _GOAL, _TRACE)
 
 
@@ -246,20 +252,27 @@ _LEAF.update((d, Node("Digit", (_LEAF[d],))) for d in "0123456789")
 def _bottom_up(e: Expr, memo: dict, make: Callable[[Expr], object]):
     """``make(x)`` for ``e``, memoized as ``memo[x]`` for every subterm
     ``x``; ``make`` runs only once every child of ``x`` has its value, in
-    post-order (left to right).  Explicit stack, no recursion."""
-    if e not in memo:
-        stack = [e]
-        while stack:
-            x = stack[-1]
-            if x in memo:
-                stack.pop()
-                continue
-            todo = [c for c in reversed(x.children) if c not in memo]
-            if todo:
-                stack.extend(todo)
-                continue
+    post-order (left to right).  Explicit stack, no recursion.  Anything
+    but an ``Expr`` raises ParameterError."""
+    try:
+        if e in memo:
+            return memo[e]
+    except TypeError:  # unhashable, so not an Expr
+        pass
+    if not isinstance(e, Expr):
+        raise ParameterError(f"expected an Expr, got {e!r}")
+    stack = [e]
+    while stack:
+        x = stack[-1]
+        if x in memo:
             stack.pop()
-            memo[x] = make(x)
+            continue
+        todo = [c for c in reversed(x.children) if c not in memo]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        memo[x] = make(x)
     return memo[e]
 
 
@@ -330,7 +343,10 @@ def to_text(e: Expr) -> str:
 def parse_expr(tokens: Sequence[str], start: Optional[str] = None) -> Expr:
     """Parse a token sequence back into an AST (inverse of to_tokens)."""
     tree = parse(GRAMMAR, tokens, start or ("Prob" if tokens and tokens[0] in ("∫", "D") else "Exp"))
-    return tree_to_expr(tree)
+    try:
+        return tree_to_expr(tree)
+    except ValueError as exc:  # an Int with more digits than int() reads
+        raise ParseError(f"integer literal too long to read: {exc}", 0) from exc
 
 
 # How ``tree_to_expr`` reads a node back, from ``_LAYOUT``: (node label,
@@ -636,37 +652,47 @@ def is_goal(e: Expr) -> bool:
 _MAX_TEACHER_STEPS = 10_000
 
 
-def teacher_trace(e: Expr):
-    """Solve by post-order first match, one subterm at a time, giving the
-    steps the restart-from-root interpreter takes.
+class TeacherRecord(NamedTuple):
+    """How the teacher solves one subterm.  ``segments`` are, in firing
+    order, ``(op_index, unit)`` for a step at the subterm's own root and
+    ``(child index, child's TeacherRecord)`` for a child that took a step;
+    ``steps`` counts every step, the children's included."""
 
-    Returns (steps, final) where each step is (op_index, path, unit) and
-    unit is the subexpression the operator was applied to; None if the
-    solution takes more than ``_MAX_TEACHER_STEPS`` steps (never observed
-    on the problem distribution).
+    segments: tuple
+    normal_form: Expr
+    steps: int
 
-    A subterm is normalized before anything to its right or above it
-    fires, so its trace depends on it alone: normalize the children left to
-    right (prefixing their steps with the child's index), rebuild the node,
-    and if an operator applies there, record it at () and go on with the
-    rewritten term.  Each subterm's (steps, normal form) is kept in
-    ``_TRACE``.  The frames live on an explicit stack; one step count covers
-    the call, a memo hit adds its length, and a call that passes the limit
-    memoizes nothing.
+
+def teacher_record(e: Expr) -> Optional[TeacherRecord]:
+    """The memoized ``TeacherRecord`` of ``e``, or None if the solution
+    takes more than ``_MAX_TEACHER_STEPS`` steps (never observed on the
+    problem distribution).
+
+    Solve by post-order first match, one subterm at a time.  A subterm is
+    normalized before anything to its right or above it fires, so its trace
+    depends on it alone: normalize the children left to right, rebuild the
+    node, and if an operator applies there, record it and go on with the
+    rewritten term.  A record shares its children's records instead of
+    copying their steps; ``record_steps`` walks them.  Each subterm's
+    record is kept in ``_TRACE``.  The frames live on an explicit stack;
+    one step count covers the call, a memo hit adds its record's count,
+    and a call that passes the limit memoizes nothing.
     """
+    if not isinstance(e, Expr):
+        raise ParameterError(f"expected an Expr, got {e!r}")
     found = _TRACE.get(e)
     if found is not None:
-        return found if len(found[0]) <= _MAX_TEACHER_STEPS else None
+        return found if found.steps <= _MAX_TEACHER_STEPS else None
     count = 0
-    fresh = {}  # subterm -> result, finished in this call
-    handed = None  # result of the frame just popped, for its parent
+    fresh = {}  # subterm -> record, finished in this call
+    handed = None  # record of the frame just popped, for its parent
     # A frame normalizes one subterm: [that subterm, the term it has reached
-    # (the subterm or a rewrite of it), steps so far, normal forms of that
-    # term's first children].
-    stack = [[e, e, [], []]]
+    # (the subterm or a rewrite of it), segments so far, normal forms of
+    # that term's first children, the step count when the frame began].
+    stack = [[e, e, [], [], 0]]
     while stack:
         frame = stack[-1]
-        top, term, steps, kids = frame
+        top, term, segs, kids, began = frame
         children = term.children
         i = len(kids)
         if i < len(children):
@@ -675,29 +701,62 @@ def teacher_trace(e: Expr):
                 child = children[i]
                 sub = _TRACE.get(child) or fresh.get(child)
                 if sub is None:
-                    stack.append([child, child, [], []])
+                    stack.append([child, child, [], [], count])
                     continue
-                count += len(sub[0])
+                count += sub.steps
                 if count > _MAX_TEACHER_STEPS:
                     return None
-            steps += [(op, (i,) + path, unit) for op, path, unit in sub[0]]
-            kids.append(sub[1])
+            if sub.steps:
+                segs.append((i, sub))
+            kids.append(sub.normal_form)
             continue
         kids = tuple(kids)
         x = term if kids == children else _mk(term.kind, *kids)
         op = _decide_ops(x)
         if op is None:
-            handed = fresh[top] = (tuple(steps), x)
+            handed = fresh[top] = TeacherRecord(tuple(segs), x, count - began)
             stack.pop()
             continue
         count += 1
         if count > _MAX_TEACHER_STEPS:
             return None
-        steps.append((op.index, (), x))
+        segs.append((op.index, x))
         frame[1] = op.rewrite(x)
         frame[3] = []
     _TRACE.update(fresh)
     return handed
+
+
+def record_steps(record: TeacherRecord, path: Optional[list] = None) -> Iterator[tuple]:
+    """Yield a record's steps in firing order as (op_index, unit) pairs.
+    If ``path`` is an empty list, it holds each step's location, relative to
+    the record's subterm, while that step is yielded.  Explicit stack."""
+    if path is None:
+        path = []
+    stack = [iter(record.segments)]
+    while stack:
+        seg = next(stack[-1], None)
+        if seg is None:
+            stack.pop()
+            del path[len(stack) - 1:]
+        elif type(seg[1]) is TeacherRecord:
+            path.append(seg[0])
+            stack.append(iter(seg[1].segments))
+        else:
+            yield seg
+
+
+def teacher_trace(e: Expr):
+    """(steps, final), where each step is (op_index, path, unit) and unit is
+    the subexpression the operator was applied to: the steps the
+    restart-from-root interpreter takes, read off ``teacher_record``.  None
+    if the solution takes more than ``_MAX_TEACHER_STEPS`` steps."""
+    record = teacher_record(e)
+    if record is None:
+        return None
+    path: list = []
+    return (tuple((op, tuple(path), unit) for op, unit in record_steps(record, path)),
+            record.normal_form)
 
 
 def teacher_solve(e: Expr):

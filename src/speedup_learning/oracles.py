@@ -102,11 +102,11 @@ def teacher_soundness(rng: random.Random, draws: int, numeric_checks: int):
         for t in range(draws):
             freeze()
             p = integration.generate_problem(rng)
-            trace = integration.teacher_trace(p)
-            if trace is None or not integration.is_goal(trace[1]):
+            record = integration.teacher_record(p)
+            if record is None or not integration.is_goal(record.normal_form):
                 bad_solve += 1
             elif t < numeric_checks:
-                d = integration.differentiate(trace[1])
+                d = integration.differentiate(record.normal_form)
                 bad_numeric += not all(
                     math.isclose(integration.numeric_value(d, x),
                                  integration.numeric_value(p.args[0], x),

@@ -114,6 +114,27 @@ MUTANTS = (
            "if not isinstance(n, int) or n < 0:",
            "if n < 0:",
            (INT + "test_expressions_are_hash_consed",)),
+    # the teacher's trace records: shared segments, walked left to right
+    Mutant("trace-path-drops-child-index", "integration.py",
+           "            path.append(seg[0])\n",
+           "",
+           (INT + "test_worked_derivation_sin_plus_square",
+            INT + "test_trace_equals_restart_from_root_reference")),
+    Mutant("trace-segments-right-to-left", "integration.py",
+           "stack.append(iter(seg[1].segments))",
+           "stack.append(reversed(seg[1].segments))",
+           (INT + "test_worked_derivation_sin_plus_square",
+            INT + "test_trace_equals_restart_from_root_reference")),
+    Mutant("trace-child-count-not-added", "integration.py",
+           "                count += sub.steps\n",
+           "",
+           (INT + "test_trace_records_walk_as_the_trace_and_keep_the_limit_exact",)),
+    # a cap grows only on a unit it does not cover
+    Mutant("merge-skipped-on-a-miss", "control_rules.py",
+           "                caps[op_index - 1] = msc(old, tree)\n",
+           "                pass\n",
+           (CR + "test_incremental_learner_generalizes_monotonically",
+            CR + "test_learner_cap_equals_msg_of_collected_units")),
     # the two-tree meet
     Mutant("msc-no-production-cut", "grammar.py",
            "elif [c.label for c in kids] != [c.label for c in y.children]:",

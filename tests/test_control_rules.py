@@ -69,15 +69,20 @@ def test_incremental_learner_generalizes_monotonically():
     learner = IncrementalRuleLearner(rd)
     rng = random.Random(17)
     previous = [None] * rd.num_operators
+    seen = []
     for _ in range(12):
         p = I.generate_problem(rng)
-        learner.add_example(Example(p, I.teacher_solve(p)))
+        seen.append(Example(p, I.teacher_solve(p)))
+        learner.add_example(seen[-1])
         for cap, old in zip(learner.caps, previous):
             if old is not None:
                 # each update can only climb the cap lattice
                 assert cap_matches_tree(cap, old)
         previous = list(learner.caps)
     assert any(cap is not None for cap in previous)
+    # every unit seen lies in its operator's select-set
+    for op, units in collect_select_examples(rd, seen).items():
+        assert all(cap_matches_tree(learner.caps[op - 1], rd.unit_tree(u)) for u in units)
     # replaying an already-covered example changes nothing
     learner.add_example(Example(p, I.teacher_solve(p)))
     assert all(cap is old for cap, old in zip(learner.caps, previous))

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from speedup_learning import integration as I
 from speedup_learning.control_rules import RuleSet, rule_solve, rule_solve_ex
-from speedup_learning.core import BOTTOM
+from speedup_learning.core import BOTTOM, replay
 from speedup_learning.errors import (
     InapplicableOperatorError,
     LocationError,
     ParameterError,
+    ParseError,
 )
 from speedup_learning.grammar import (
     cap_matches_tree,
@@ -63,6 +64,15 @@ def test_expressions_are_hash_consed():
             I.num(not_an_int)
     with pytest.raises(ParameterError):
         I.named("b")
+    # the integration entry points take only Exprs, unhashable input too
+    rd = I.IntegrationRuleDomain()
+    for not_an_expr in ("x", None, 1, ["x"]):
+        for call in (I.teacher_trace, I.teacher_solve, I.teacher_record, I.is_goal,
+                     I.to_tokens, I.token_count, I.differentiate,
+                     lambda e: I.numeric_value(e, 0.5),
+                     lambda e: rule_solve_ex(I.teacher_ruleset(), rd, e)):
+            with pytest.raises(ParameterError):
+                call(not_an_expr)
 
 
 def test_cache_reset_keeps_constant_identities():
@@ -262,6 +272,37 @@ def test_trace_equals_restart_from_root_reference(e, limit):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    _EXPRS.map(I.integral),
+    _EXPRS.map(I.deriv),
+    st.integers(0, 2**32).map(lambda seed: I.generate_problem(random.Random(seed))),
+))
+def test_trace_records_walk_as_the_trace_and_keep_the_limit_exact(e):
+    # the scorer's (op, unit) walk and teacher_solve read teacher_trace's
+    # steps; a trace of n steps passes a limit of n and not n - 1, also when
+    # only its top record is missing and every part of it is memoized
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(I, "_MAX_TEACHER_STEPS", 200)
+        trace = I.teacher_trace(e)
+        if trace is None:
+            return
+        steps, final = trace
+        record = I.teacher_record(e)
+        assert list(I.record_steps(record)) == [(op, unit) for op, _, unit in steps]
+        assert I.teacher_solve(e) == tuple((op, path) for op, path, _ in steps)
+        assert record.normal_form is final and record.steps == len(steps)
+        n = len(steps)
+        if n == 0:
+            return
+        del I._TRACE[e]
+        mp.setattr(I, "_MAX_TEACHER_STEPS", n - 1)
+        assert I.teacher_trace(e) is None and e not in I._TRACE
+        mp.setattr(I, "_MAX_TEACHER_STEPS", n)
+        assert I.teacher_trace(e) == trace
+        assert I.teacher_record(e).steps == n
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.one_of(_EXPRS, _EXPRS.map(I.integral), _EXPRS.map(I.deriv)))
 def test_tokens_round_trip_and_count(e):
     # all 13 kinds in every parenthesis context: the trees the layout table
@@ -279,6 +320,9 @@ def test_round_trip_of_deep_inputs():
     # nowhere
     big = I.num(int("9876543210" * 40))
     assert I.parse_expr(I.to_tokens(big)) is big
+    # a literal longer than int() reads is a parse error, not a ValueError
+    with pytest.raises(ParseError):
+        I.parse_expr(("∫",) + ("7",) * 4301 + ("d", "x"))
     chain = I.VAR_X
     for _ in range(3000):
         chain = I.neg(chain)
@@ -321,6 +365,23 @@ def test_round_trip_of_deep_inputs():
         d = d.args[0]
     assert d is I.ONE
     assert I.numeric_value(chain, 0.5) == 0.5
+    # the teacher: 1500 neg_neg steps from the bottom up, then ∫ x d x;
+    # teacher_solve replays to the trace's normal form
+    problem = I.integral(chain)
+    steps, final = I.teacher_trace(problem)
+    assert len(steps) == 1501 and I.to_text(final) == "( x ^ 2 ) / 2"
+    assert replay(I.domain_spec(), problem, I.teacher_solve(problem))[-1] is final
+    # the memo holds each subterm's own steps and one reference per child
+    # that took a step, so its records hold O(depth) segments, not the
+    # O(depth^2) steps with their paths that copying them would
+    records, todo = {}, [I.teacher_record(problem)]
+    while todo:
+        record = todo.pop()
+        if id(record) not in records:
+            records[id(record)] = record
+            todo.extend(part for _, part in record.segments if type(part) is I.TeacherRecord)
+    assert len(records) == 3000
+    assert sum(len(record.segments) for record in records.values()) == 4500
 
 
 def test_step_limit_returns_none_on_runaway_by_parts(monkeypatch):
