@@ -152,9 +152,11 @@ def letters_to_macro(letters: str) -> tuple:
 
 
 def board_to_text(board: tuple) -> str:
-    """9 digits in position order: character p is the tile at position p."""
+    """9 digits in position order: character p is the tile at position p.
+    ParameterError unless ``board`` puts tiles 0..8 on nine distinct
+    positions."""
     at = [None] * 9
-    for tile, pos in enumerate(board):
+    for tile, pos in enumerate(_check_board(board)):
         at[pos] = tile
     return "".join(str(t) for t in at)
 

@@ -24,6 +24,7 @@ from . import eight_puzzle, integration
 from .control_rules import IncrementalRuleLearner, rule_solve
 from .core import BOTTOM, Example, frozen_between_units
 from .errors import ParameterError
+from .integration import TeacherRecord
 from .macro_tables import MacroTable, macro_solve, serial_parse_into, walk_columns
 
 
@@ -83,6 +84,12 @@ class _IntegrationTrial:
         # (cap, unit) -> match: eval points meet the same units and mostly
         # unchanged caps again; nodes hash by identity, so lookups are cheap
         self.matches: dict = {}
+        # id(record) -> record, for each teacher record whose every step
+        # passed the caps.  Caps only widen (a None cap becomes a tree, and
+        # msc(old, tree) caps old), so a covered record stays covered for the
+        # rest of the trial.  The values keep the records alive, so no id is
+        # reused; records hash by content, so they are not keys themselves.
+        self.covered: dict = {}
 
     @staticmethod
     def draw(rng):
@@ -95,16 +102,34 @@ class _IntegrationTrial:
         record = integration.teacher_record(problem)
         if record is None:
             return False
+        covered = self.covered
+        if id(record) in covered:
+            return True
         caps, matches = self.learner.caps, self.matches
-        for op_index, unit in integration.record_steps(record):
-            cap = caps[op_index - 1]
-            if cap is None:
-                return False
-            hit = matches.get((cap, unit))
-            if hit is None:
-                hit = matches[cap, unit] = self.rdomain.unit_matches(cap, unit)
-            if not hit:
-                return False
+        # Walk the segments in firing order on an explicit stack, skipping
+        # covered children; a record is covered once its last segment passes.
+        stack = [(record, iter(record.segments))]
+        while stack:
+            top, segs = stack[-1]
+            for seg in segs:
+                child = seg[1]
+                if type(child) is TeacherRecord:
+                    if id(child) not in covered:
+                        stack.append((child, iter(child.segments)))
+                        break
+                    continue
+                op_index, unit = seg
+                cap = caps[op_index - 1]
+                if cap is None:
+                    return False
+                hit = matches.get((cap, unit))
+                if hit is None:
+                    hit = matches[cap, unit] = self.rdomain.unit_matches(cap, unit)
+                if not hit:
+                    return False
+            else:
+                covered[id(top)] = top
+                stack.pop()
         return True
 
     def score_full(self, problem) -> bool:
@@ -175,7 +200,9 @@ def run_curve(config: ExperimentConfig, full_simulation: bool = False) -> list:
     checks the learner's select-sets along the teacher's trace, and the
     Eight Puzzle walks the learner's own macro table, a hit when it meets
     no unfilled cell (the test suite asserts the equivalence on a reduced
-    configuration).
+    configuration).  The integration trace scorer skips teacher records
+    already covered in the trial: the learner only widens its caps, so a
+    record whose every step passed once passes at every later eval point.
 
     Each trial starts by freezing the heap, so the collector skips what
     earlier trials left alive (``core.frozen_between_units``); the

@@ -59,6 +59,12 @@ MUTANTS = (
            "cap = caps[op_index - 1]",
            "cap = caps[op_index - 2]",
            ("tests/test_harness.py::test_fast_scoring_equals_full_simulation[integration]",)),
+    # a teacher record counts as covered only once its last segment passed
+    Mutant("covered-before-last-segment", "harness.py",
+           "                        stack.append((child, iter(child.segments)))\n",
+           "                        covered[id(child)] = child\n"
+           "                        stack.append((child, iter(child.segments)))\n",
+           ("tests/test_harness.py::test_record_walk_gives_the_step_walks_verdict_as_caps_grow",)),
     Mutant("ruleset-aliases-learner", "control_rules.py",
            "self.caps = tuple(caps)",
            "self.caps = caps",

@@ -31,6 +31,9 @@ def test_board_text_round_trip():
         ep.text_to_board("012345677")
     with pytest.raises(ParameterError):
         ep.text_to_board("01234567")
+    for bad in [(0, 1, 2, 3, 4, 5, 6, 7, 12), (0, 1, 2, 3, 4, 5, 6, 7, 7), (0, 1, 2), "012345678"]:
+        with pytest.raises(ParameterError):
+            ep.board_to_text(bad)
 
 
 def test_moves_and_inverses():

@@ -12,6 +12,7 @@ from speedup_learning.errors import ParameterError
 from speedup_learning.harness import (
     CurvePoint,
     ExperimentConfig,
+    _IntegrationTrial,
     _trial_rng,
     csv_text,
     emit_csv,
@@ -93,6 +94,47 @@ def test_fast_scoring_equals_full_simulation(domain):
     cfg = ExperimentConfig(domain=domain, trials=3, train_max=8, eval_every=2,
                            test_set_size=25, seed=7)
     assert run_curve(cfg) == run_curve(cfg, full_simulation=True)
+
+
+def _step_walk(trial, problem) -> bool:
+    # the reference verdict: every teacher step's unit passes its
+    # operator's current cap
+    record = integration.teacher_record(problem)
+    if record is None:
+        return False
+    caps = trial.learner.caps
+    return all(caps[op_index - 1] is not None
+               and trial.rdomain.unit_matches(caps[op_index - 1], unit)
+               for op_index, unit in integration.record_steps(record))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), examples=st.integers(1, 8),
+       tests=st.integers(1, 20))
+def test_record_walk_gives_the_step_walks_verdict_as_caps_grow(seed, examples, tests):
+    # one trial scores the same test problems after each example, so its
+    # covered records carry over while the caps widen under them
+    rng = random.Random(seed)
+    problems = [integration.generate_problem(rng) for _ in range(tests)]
+    trial = _IntegrationTrial()
+    for _ in range(examples):
+        trial.learn(integration.generate_problem(rng))
+        for problem in problems:
+            assert trial.score_fast(problem) == _step_walk(trial, problem)
+
+
+def test_record_walk_on_a_chain_past_the_recursion_limit():
+    # the chain's records nest about 1 500 deep, past the default recursion
+    # limit, so only a walk on an explicit stack scores it
+    chain = integration.VAR_X
+    for _ in range(1500):
+        chain = integration.neg(chain)
+    problem = integration.integral(chain)
+    trial = _IntegrationTrial()
+    assert not trial.score_fast(problem)
+    trial.learn(problem)
+    assert trial.score_fast(problem)
+    assert trial.score_fast(problem)  # now the covered top record
 
 
 def _gc_state():
