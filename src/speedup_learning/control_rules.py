@@ -3,8 +3,8 @@
 A control rule pairs an operator with a select-set, stored as a grammar cap
 whose yield is a sentential form; the operators' fixed order resolves
 conflicts, so a rule set is one cap per operator (``RuleSet.caps``).  The
-solver scans the current state's units in post-order and applies the
-least-indexed operator whose select-set holds the unit.  The learner
+solver runs the domain's post-order engine, the teacher's, picking at each
+unit the least-indexed operator whose select-set holds it.  The learner
 replays each solution with ``core.replay``, then folds each operator's
 units into their most specific generalization with the two-tree ``msc``.
 It calls ``msc`` only for a unit its cap does not cover: for a covered
@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .core import BOTTOM, Example, is_consistent, replay, solved_problem
-from .errors import INAPPLICABLE, ConsistencyError, ParameterError
+from .errors import ConsistencyError, ParameterError
 from .grammar import Node, cap_matches_tree, msc, tree_yield
 
 
@@ -36,14 +36,6 @@ class RuleSet:
         return "\n".join(lines) + "\n"
 
 
-def _first_match(ruleset: RuleSet, rdomain, x, start):
-    for path, unit in rdomain.iter_units(x, start):
-        for i, cap in enumerate(ruleset.caps, 1):
-            if cap is not None and rdomain.unit_matches(cap, unit):
-                return i, path
-    return None
-
-
 def rule_solve_ex(ruleset: RuleSet, rdomain, x):
     """Like rule_solve but returns (solution-or-⊥, status) where status is
     one of "solved", "no_match", "step_limit", "diverged".  Both limits
@@ -51,32 +43,20 @@ def rule_solve_ex(ruleset: RuleSet, rdomain, x):
 
     "diverged" means the state outgrew the domain's size limit; partially
     learned rule sets can loop on growth rules (e.g. by-parts), and runaway
-    states get ever more expensive to scan, so growth is cut early rather
-    than waiting out the step limit.
-
-    After a rewrite at ``path`` the next scan starts there: the subtrees
-    left of it are unchanged, came before the match in post-order so
-    matched no rule, and a unit's match depends on the unit alone.
+    states get ever more expensive to walk, so growth is cut early rather
+    than waiting out the step limit.  The domain's engine (``rdomain.solve``)
+    runs the solve; a unit's pick depends on the unit alone, so it is
+    made once per solve.
     """
-    limit = rdomain.default_step_limit(x)
-    size_limit = rdomain.default_size_limit(x)
-    steps = []
-    path = ()
-    while not rdomain.is_goal(x):
-        found = _first_match(ruleset, rdomain, x, path)
-        if found is None:
-            return BOTTOM, "no_match"
-        op_index, path = found
-        try:
-            x = rdomain.apply(x, op_index, path)
-        except INAPPLICABLE:
-            return BOTTOM, "no_match"
-        steps.append((op_index, path))
-        if len(steps) > limit:
-            return BOTTOM, "step_limit"
-        if rdomain.state_size(x) > size_limit:
-            return BOTTOM, "diverged"
-    return tuple(steps), "solved"
+    caps = [(i, cap) for i, cap in enumerate(ruleset.caps, 1) if cap is not None]
+    picked: dict = {}  # unit -> operator index or None, for this solve
+
+    def decide(unit):
+        if unit not in picked:
+            picked[unit] = next((i for i, cap in caps if rdomain.unit_matches(cap, unit)), None)
+        return picked[unit]
+
+    return rdomain.solve(x, decide, rdomain.default_step_limit(x), rdomain.default_size_limit(x))
 
 
 def rule_solve(ruleset: RuleSet, rdomain, x):

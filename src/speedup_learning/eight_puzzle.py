@@ -122,12 +122,15 @@ def apply_macro(board: tuple, macro: tuple) -> tuple:
     whatever tiles sit where; the permutation is memoized per (blank,
     macro), and applying it is one pass over the board.  A macro with an
     illegal move is folded through ``apply_move`` instead, so the same
-    ``MoveError`` is raised at the same step.
+    ``MoveError`` is raised at the same step.  A list, which the memo
+    cannot key, raises ``ParameterError``.
     """
     try:
         perm = _macro_permutation(board[0], macro)
     except KeyError:
         perm = None
+    except TypeError:  # no board, or a memo key that does not hash: a list, say
+        raise ParameterError(f"expected a tuple macro on a board: {macro!r} on {board!r}") from None
     if perm is None:
         for op in macro:
             board = apply_move(board, op)

@@ -9,30 +9,31 @@ Rewrite operators 1-7 are the classic integral table (constant factoring,
 sum/difference splitting, integration by parts, the power/sin/cos rules);
 8-10 round out the integrals the problem distribution needs; 11-17 are
 differentiation rules; 18-27 are simplification rules (constant folding and
-identity elimination).  A solver repeatedly visits the expression in
-post-order and applies the least-indexed applicable operator at the first
-node that admits one, until no operator applies anywhere.
+identity elimination).  A solver visits the expression in post-order and
+applies the least-indexed operator it picks at the first node that admits
+one, until no operator applies anywhere.
 
-The teacher is the same interpreter driven by hand-authored select-sets,
-one sentential form per operator (``teacher_ruleset``).  Its structural
-fast path (``teacher_record``, read by ``teacher_trace`` and
-``teacher_solve``) decides by operator pattern instead of select-set
-membership; the two agree on the problem distribution and the test suite
-cross-checks them.
-
-The teacher never restarts from the root.  Under post-order first match a
+The teacher and the learned rule solver run on one engine, ``_normalize``,
+which takes the pick as ``decide(unit)``.  Under post-order first match a
 subterm is fully normalized before anything to its right or above it
 fires, so the steps taken inside a subterm, and its normal form, depend on
-that subterm alone.  The teacher therefore solves each interned subterm
-once and keeps a record of it in ``_TRACE``: its segments in firing order
-(a step at its own root, or a child's record under the child's index), its
-normal form and its step count.  A parent shares its children's records
-instead of copying their steps, so the memo grows linearly in the nesting
-depth; ``record_steps`` walks a record's steps in order, and only
-``teacher_trace`` builds paths from that walk.  The test suite checks the
-steps against the restart-from-root interpreter.  ``_TRACE`` is one of the
-memo tables listed in ``_MEMOS``: one table per value derived from a
-subterm alone, keyed by the interned ``Expr``.
+that subterm alone.  The engine solves each subterm once, on an explicit
+stack, into a ``TeacherRecord``: its segments in firing order (a step at
+its own root, or a child's record under the child's index), its normal
+form and its step count.  A parent shares its children's records instead
+of copying their steps; ``record_steps`` walks a record's steps in order,
+and paths are built only from that walk.
+
+The teacher (``teacher_record``, read by ``teacher_trace`` and
+``teacher_solve``) decides by operator pattern, a fast path of the
+hand-authored select-sets (``teacher_ruleset``) that agrees with them on
+the problem distribution, and keeps every subterm's record in ``_TRACE``,
+so the memo grows linearly in the nesting depth.  The learned solver
+(``IntegrationRuleDomain.solve``) decides by its select-sets and keeps no
+record memo, so its step and size limits stay exact.  The test suite
+checks both against interpreters that scan the state from the root.
+``_TRACE`` is one of the memo tables listed in ``_MEMOS``: one table per
+value derived from a subterm alone, keyed by the interned ``Expr``.
 """
 
 from __future__ import annotations
@@ -276,13 +277,21 @@ def _bottom_up(e: Expr, memo: dict, make: Callable[[Expr], object]):
     return memo[e]
 
 
+def _digits(x: Expr) -> str:
+    """An integer literal's decimal digits."""
+    try:
+        return str(x.args[0])
+    except ValueError as exc:  # more digits than str() writes
+        raise ParameterError(f"integer literal too long to write: {exc}") from exc
+
+
 def _trees(x: Expr) -> tuple:
     """x's (P-term, Term, Exp) parse trees, from its children's."""
     kind = x.kind
     head, body = _LAYOUT[kind]
     if kind == NUM:
         kids = ()
-        for d in reversed(str(x.args[0])):
+        for d in reversed(_digits(x)):
             kids = (Node("Int", (_LEAF[d],) + kids),)
     elif kind == NAMED:
         kids = (_LEAF[x.args[0]],)
@@ -308,17 +317,15 @@ def _token_count(x: Expr) -> int:
     """x's token count, from its children's."""
     kind = x.kind
     if kind == NUM:
-        return len(str(x.args[0]))
+        return len(_digits(x))
     if kind == NAMED:
         return 1
-    n = 0
-    for p in _LAYOUT[kind][1]:
-        if isinstance(p, str):
-            n += 1
-        else:
-            arg = x.args[p[0]]
-            n += _NTOK[arg] + 2 * (_NATURAL.get(arg.kind, _PTERM) > p[1])
-    return n
+    return sum(1 if isinstance(p, str) else _width(x.args[p[0]], p[1]) for p in _LAYOUT[kind][1])
+
+
+def _width(e: Expr, slot: int) -> int:
+    """e's tokens in a slot of category ``slot``, parentheses included."""
+    return token_count(e) + 2 * (_NATURAL.get(e.kind, _PTERM) > slot)
 
 
 def as_exp(e: Expr) -> Node:
@@ -602,33 +609,10 @@ def apply_at(op: RewriteOp, e: Expr, loc: Sequence[int]) -> Expr:
     return replace_at(e, loc, op.apply(subexpr_at(e, loc)))
 
 
-def iter_postorder(e: Expr, start: Sequence[int] = ()) -> Iterator[tuple]:
-    """Yield (path, subexpression) pairs in post-order, from the subterm at
-    ``start`` on: the subtrees left of its path are skipped.  Explicit
-    stack."""
-    path: list = []
-    stack = []
-    for i in start:
-        stack.append((e, enumerate(e.children[i + 1:], i + 1)))
-        path.append(i)
-        e = e.children[i]
-    stack.append((e, enumerate(e.children)))
-    while stack:
-        x, kids = stack[-1]
-        step = next(kids, None)
-        if step is None:
-            stack.pop()
-            yield tuple(path), x
-            del path[-1:]
-        else:
-            path.append(step[0])
-            stack.append((step[1], enumerate(step[1].children)))
-
-
-def _decide_ops(e: Expr) -> Optional[RewriteOp]:
+def _decide_ops(e: Expr) -> Optional[int]:
     for op in _OPS_BY_KIND.get(e.kind, ()):
         if op.matches(e):
-            return op
+            return op.index
     return None
 
 
@@ -645,45 +629,35 @@ def is_goal(e: Expr) -> bool:
     return _bottom_up(e, _GOAL, _normal)
 
 
-# ---------------------------------------------------------------------------
-# Teacher
-# ---------------------------------------------------------------------------
-
-_MAX_TEACHER_STEPS = 10_000
-
-
 class TeacherRecord(NamedTuple):
-    """How the teacher solves one subterm.  ``segments`` are, in firing
-    order, ``(op_index, unit)`` for a step at the subterm's own root and
-    ``(child index, child's TeacherRecord)`` for a child that took a step;
-    ``steps`` counts every step, the children's included."""
+    """How post-order first match solves one subterm.  ``segments`` are, in
+    firing order, ``(op_index, unit)`` for a step at the subterm's own root
+    and ``(child index, child's TeacherRecord)`` for a child that took a
+    step; ``steps`` counts every step, the children's included."""
 
     segments: tuple
     normal_form: Expr
     steps: int
 
 
-def teacher_record(e: Expr) -> Optional[TeacherRecord]:
-    """The memoized ``TeacherRecord`` of ``e``, or None if the solution
-    takes more than ``_MAX_TEACHER_STEPS`` steps (never observed on the
-    problem distribution).
+# (kind, argument index) -> its slot's category, where parentheses go
+_SLOT = {(kind, p[0]): p[1] for kind, (_, body) in _LAYOUT.items()
+         for p in body or () if not isinstance(p, str)}
 
-    Solve by post-order first match, one subterm at a time.  A subterm is
-    normalized before anything to its right or above it fires, so its trace
-    depends on it alone: normalize the children left to right, rebuild the
-    node, and if an operator applies there, record it and go on with the
-    rewritten term.  A record shares its children's records instead of
-    copying their steps; ``record_steps`` walks them.  Each subterm's
-    record is kept in ``_TRACE``.  The frames live on an explicit stack;
-    one step count covers the call, a memo hit adds its record's count,
-    and a call that passes the limit memoizes nothing.
-    """
-    if not isinstance(e, Expr):
-        raise ParameterError(f"expected an Expr, got {e!r}")
-    found = _TRACE.get(e)
-    if found is not None:
-        return found if found.steps <= _MAX_TEACHER_STEPS else None
+
+def _normalize(e: Expr, decide, memo: Optional[dict], step_limit: int,
+               size_limit: Optional[int] = None) -> tuple:
+    """Solve ``e`` by post-order first match: ``(its TeacherRecord, None)``,
+    or ``(None, why)``: "step_limit" past ``step_limit`` steps, "diverged"
+    once the whole term is longer than ``size_limit`` tokens, "no_match"
+    when the operator index ``decide(unit)`` picks does not apply and the
+    whole term is not a goal.  Normalize the children left to right,
+    rebuild the node, and if ``decide`` picks an operator there, record the
+    step and go on with the rewritten term.  With a ``memo`` (subterm ->
+    record), a hit adds its record's count, and a call that passes the step
+    limit adds nothing to it."""
     count = 0
+    size = token_count(e) if size_limit is not None else 0
     fresh = {}  # subterm -> record, finished in this call
     handed = None  # record of the frame just popped, for its parent
     # A frame normalizes one subterm: [that subterm, the term it has reached
@@ -699,32 +673,68 @@ def teacher_record(e: Expr) -> Optional[TeacherRecord]:
             sub, handed = handed, None
             if sub is None:
                 child = children[i]
-                sub = _TRACE.get(child) or fresh.get(child)
+                if memo is not None:
+                    sub = memo.get(child) or fresh.get(child)
                 if sub is None:
                     stack.append([child, child, [], [], count])
                     continue
                 count += sub.steps
-                if count > _MAX_TEACHER_STEPS:
-                    return None
+                if count > step_limit:
+                    return None, "step_limit"
             if sub.steps:
                 segs.append((i, sub))
             kids.append(sub.normal_form)
             continue
         kids = tuple(kids)
         x = term if kids == children else _mk(term.kind, *kids)
-        op = _decide_ops(x)
-        if op is None:
+        op_index = decide(x)
+        if op_index is not None:
+            op = get_operator(op_index)
+            if op.kind != x.kind or not op.matches(x):  # a select-set wider than its operator
+                whole = x  # each frame below holds its first children's normal forms
+                for _, t, _, k, _ in reversed(stack[:-1]):
+                    whole = _mk(t.kind, *k, whole, *t.children[len(k) + 1:])
+                if not is_goal(whole):
+                    return None, "no_match"
+                decide, op_index = (lambda unit: None), None  # on a goal, no pick applies
+        if op_index is None:
             handed = fresh[top] = TeacherRecord(tuple(segs), x, count - began)
             stack.pop()
             continue
         count += 1
-        if count > _MAX_TEACHER_STEPS:
-            return None
-        segs.append((op.index, x))
-        frame[1] = op.rewrite(x)
+        if count > step_limit:
+            return None, "step_limit"
+        new = op.rewrite(x)
+        if size_limit is not None:
+            slot = _SLOT[stack[-2][1].kind, len(stack[-2][3])] if len(stack) > 1 else _EXP
+            size += _width(new, slot) - _width(x, slot)
+            if size > size_limit:
+                return None, "diverged"
+        segs.append((op_index, x))
+        frame[1] = new
         frame[3] = []
-    _TRACE.update(fresh)
-    return handed
+    if memo is not None:
+        memo.update(fresh)
+    return handed, None
+
+
+# ---------------------------------------------------------------------------
+# Teacher
+# ---------------------------------------------------------------------------
+
+_MAX_TEACHER_STEPS = 10_000
+
+
+def teacher_record(e: Expr) -> Optional[TeacherRecord]:
+    """The memoized ``TeacherRecord`` of ``e`` (``_normalize`` picking by
+    operator pattern, every subterm's record kept in ``_TRACE``), or None
+    past ``_MAX_TEACHER_STEPS`` steps, never seen on the distribution."""
+    if not isinstance(e, Expr):
+        raise ParameterError(f"expected an Expr, got {e!r}")
+    found = _TRACE.get(e)
+    if found is not None:
+        return found if found.steps <= _MAX_TEACHER_STEPS else None
+    return _normalize(e, _decide_ops, _TRACE, _MAX_TEACHER_STEPS)[0]
 
 
 def record_steps(record: TeacherRecord, path: Optional[list] = None) -> Iterator[tuple]:
@@ -902,9 +912,6 @@ class IntegrationRuleDomain:
     def is_goal(self, e: Expr) -> bool:
         return is_goal(e)
 
-    def iter_units(self, e: Expr, start):
-        return iter_postorder(e, start)
-
     def unit_tree(self, unit: Expr) -> Node:
         return as_exp(unit)
 
@@ -917,10 +924,19 @@ class IntegrationRuleDomain:
     def apply(self, e: Expr, op_index: int, loc) -> Expr:
         return apply_at(get_operator(op_index), e, loc or ())
 
+    def solve(self, e: Expr, decide, step_limit: int, size_limit: int) -> tuple:
+        """``control_rules.rule_solve_ex`` on ``_normalize``, with no record
+        memo: a hit would hide the step at which the size limit is passed."""
+        record, why = _normalize(e, decide, None, step_limit, size_limit)
+        if record is None or not self.is_goal(record.normal_form):
+            return BOTTOM, why or "no_match"
+        path: list = []
+        return tuple((op, tuple(path)) for op, _ in record_steps(record, path)), "solved"
+
     def default_step_limit(self, e: Expr) -> int:
         return 50 * token_count(e)
 
-    def state_size(self, e: Expr) -> int:
+    def state_size(self, e: Expr) -> int:  # what solve's running size counts
         return token_count(e)
 
     def default_size_limit(self, e: Expr) -> int:

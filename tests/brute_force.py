@@ -1,12 +1,13 @@
 """Brute-force oracles the tests check the learners against.
 
 Exponential or exhaustive by design, so desk scale only: every cap of a
-tree, every sentence up to a length, and the teacher's units per operator.
+tree, every sentence up to a length, the teacher's units per operator, and
+the post-order walk of the interpreters that scan a state from its root.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from speedup_learning.core import BOTTOM, Example
 from speedup_learning.grammar import Grammar, Node, SententialForm
@@ -118,3 +119,20 @@ def collect_select_examples(rdomain, sample: Sequence[Example]) -> dict:
             collected.setdefault(op_index, {}).setdefault(id(unit), unit)
             x = rdomain.apply(x, op_index, loc)
     return {op: list(bucket.values()) for op, bucket in collected.items()}
+
+
+def iter_postorder(e) -> Iterator[tuple]:
+    """Yield an integration Expr's (path, subexpression) pairs in
+    post-order.  Explicit stack, so deep terms do not recurse."""
+    path: list = []
+    stack = [(e, enumerate(e.children))]
+    while stack:
+        x, kids = stack[-1]
+        step = next(kids, None)
+        if step is None:
+            stack.pop()
+            yield tuple(path), x
+            del path[-1:]
+        else:
+            path.append(step[0])
+            stack.append((step[1], enumerate(step[1].children)))

@@ -1,10 +1,11 @@
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import collect_select_examples
+from brute_force import collect_select_examples, iter_postorder
 from speedup_learning import integration as I
 from speedup_learning.control_rules import (
     IncrementalRuleLearner,
@@ -13,7 +14,7 @@ from speedup_learning.control_rules import (
     rule_solve,
     rule_solve_ex,
 )
-from speedup_learning.core import BOTTOM, Example, OracleConfig, is_consistent
+from speedup_learning.core import BOTTOM, Example, OracleConfig, is_consistent, replay
 from speedup_learning.errors import INAPPLICABLE, ParameterError, ReplayError, SpeedupLearningError
 from speedup_learning.grammar import Node, cap_matches_tree, msg, tree_yield
 
@@ -22,14 +23,23 @@ def _rdomain():
     return I.IntegrationRuleDomain()
 
 
-class StepLimitedDomain(I.IntegrationRuleDomain):
-    """The integration rule domain with a fixed step limit."""
+class LimitedDomain(I.IntegrationRuleDomain):
+    """The integration rule domain with a fixed step limit, size limit or
+    both; a limit left as None is the domain's own."""
 
-    def __init__(self, limit):
-        self.limit = limit
+    def __init__(self, steps=None, size=None):
+        self.steps, self.size = steps, size
 
     def default_step_limit(self, e):
-        return self.limit
+        return super().default_step_limit(e) if self.steps is None else self.steps
+
+    def default_size_limit(self, e):
+        return super().default_size_limit(e) if self.size is None else self.size
+
+
+def _largest_state(rd, x, solution):
+    """The most tokens a state reaches after a step of ``solution``."""
+    return max(rd.state_size(y) for y in replay(rd, x, solution)[1:])
 
 
 def _example(text):
@@ -197,24 +207,44 @@ def test_rule_solve_statuses():
     p = I.parse_expr("∫ ( sin x ) + ( x ^ 2 ) d x".split())
     empty = RuleSet([None] * rd.num_operators)
     assert rule_solve_ex(empty, rd, p) == (BOTTOM, "no_match")
-    # the teacher's rules solve p in n steps: a limit of n lets them, n - 1 not
-    teacher, n = I.teacher_ruleset(), len(I.teacher_solve(p))
-    assert rule_solve_ex(teacher, StepLimitedDomain(n), p) == (I.teacher_solve(p), "solved")
-    assert rule_solve_ex(teacher, StepLimitedDomain(n - 1), p) == (BOTTOM, "step_limit")
+    # the teacher's rules solve p in n steps: a limit of n lets them, n - 1
+    # not; likewise a size limit of the largest state's tokens
+    teacher, solution = I.teacher_ruleset(), I.teacher_solve(p)
+    n, size = len(solution), _largest_state(rd, p, solution)
+    assert rule_solve_ex(teacher, LimitedDomain(steps=n), p) == (solution, "solved")
+    assert rule_solve_ex(teacher, LimitedDomain(steps=n - 1), p) == (BOTTOM, "step_limit")
+    assert rule_solve_ex(teacher, LimitedDomain(size=size), p) == (solution, "solved")
+    assert rule_solve_ex(teacher, LimitedDomain(size=size - 1), p) == (BOTTOM, "diverged")
     # a select-set wider than its operator's pattern: op 1 is picked at the
     # first unit, rejects it, and the solve stops there
     greedy = RuleSet((Node("Exp"),) + I.teacher_ruleset().caps[1:])
     assert rule_solve_ex(greedy, rd, p) == (BOTTOM, "no_match")
 
 
+def test_a_cap_wider_than_its_operator():
+    # op 19's select-set Int - Int holds 3 - 5, where fold_sub (a >= b) does
+    # not apply.  On a goal state that is no decision; elsewhere the solve
+    # stops with no_match.
+    rd, teacher = _rdomain(), I.teacher_ruleset()
+    caps = [None] * rd.num_operators
+    for op in (8, 19):  # ∫ x d x, and Int - Int
+        caps[op - 1] = teacher.caps[op - 1]
+    rules = RuleSet(caps)
+    assert tree_yield(caps[18]) == ("Int", "-", "Int")
+    three_less_five, int_x = I.sub(I.num(3), I.num(5)), I.integral(I.VAR_X)
+    assert rule_solve_ex(rules, rd, three_less_five) == ((), "solved")
+    assert rule_solve_ex(rules, rd, I.add(int_x, three_less_five)) == (((8, (0,)),), "solved")
+    assert rule_solve_ex(rules, rd, I.add(three_less_five, int_x)) == (BOTTOM, "no_match")
+
+
 def _solve_scanning_from_the_root(ruleset, rd, x):
-    """rule_solve_ex with every scan started at the root, the oracle of the
-    resumed scan."""
+    """rule_solve_ex by a scan of the whole state from the root before each
+    step, the oracle of the post-order engine."""
     limit = rd.default_step_limit(x)
     size_limit = rd.default_size_limit(x)
     steps = []
     while not rd.is_goal(x):
-        found = next(((i, path) for path, unit in I.iter_postorder(x)
+        found = next(((i, path) for path, unit in iter_postorder(x)
                       for i, cap in enumerate(ruleset.caps, 1)
                       if cap is not None and rd.unit_matches(cap, unit)), None)
         if found is None:
@@ -231,38 +261,57 @@ def _solve_scanning_from_the_root(ruleset, rd, x):
     return tuple(steps), "solved"
 
 
-def test_resumed_scan_solves_as_a_scan_from_the_root():
-    # partly trained learners stop, loop and diverge, so every status shows
-    # up; a solve of n steps is rerun with step limits n and n - 1
+def _as_the_root_scan(rules, q) -> set:
+    """Check rule_solve_ex against the root-scan oracle on ``q``, and a
+    solve of n steps again at step limits n and n - 1 and at size limits
+    of its largest state's tokens and one less; the statuses seen."""
     rd = _rdomain()
+    got = rule_solve_ex(rules, rd, q)
+    assert got == _solve_scanning_from_the_root(rules, rd, q)
+    statuses = {got[1]}
+    if got[1] == "solved" and got[0]:
+        n, size = len(got[0]), _largest_state(rd, q, got[0])
+        for capped in (LimitedDomain(steps=n), LimitedDomain(steps=n - 1),
+                       LimitedDomain(size=size), LimitedDomain(size=size - 1)):
+            got = rule_solve_ex(rules, capped, q)
+            assert got == _solve_scanning_from_the_root(rules, capped, q)
+            statuses.add(got[1])
+    return statuses
+
+
+def test_rule_solve_solves_as_a_scan_from_the_root():
+    # partly trained learners stop, loop and diverge, so every status shows up
     statuses = set()
     for r in range(3):
-        train_rng, test_rng = random.Random(f"train:{r}"), random.Random(f"test:{r}")
-        learner = IncrementalRuleLearner(rd)
-        for count in range(1, 13):
-            p = I.generate_problem(train_rng)
-            learner.add_example(Example(p, I.teacher_solve(p)))
-            if count not in (1, 2, 4, 8, 12):
-                continue
-            rules = learner.ruleset()
+        test_rng = random.Random(f"test:{r}")
+        for count in (1, 2, 4, 8, 12):
+            rules = _learned_rules(r, count)
             for _ in range(10):
-                q = I.generate_problem(test_rng)
-                got = rule_solve_ex(rules, rd, q)
-                assert got == _solve_scanning_from_the_root(rules, rd, q)
-                statuses.add(got[1])
-                if got[1] == "solved" and got[0]:
-                    for limit in (len(got[0]), len(got[0]) - 1):
-                        capped = StepLimitedDomain(limit)
-                        assert rule_solve_ex(rules, capped, q) == \
-                            _solve_scanning_from_the_root(rules, capped, q)
-                        statuses.add(rule_solve_ex(rules, capped, q)[1])
+                statuses |= _as_the_root_scan(rules, I.generate_problem(test_rng))
     assert statuses == {"solved", "no_match", "step_limit", "diverged"}
+
+
+@functools.lru_cache(maxsize=None)
+def _learned_rules(r, count):
+    """The rules learned from the first ``count`` teacher examples of the
+    stream ``train:r``."""
+    rng, learner = random.Random(f"train:{r}"), IncrementalRuleLearner(_rdomain())
+    for _ in range(count):
+        p = I.generate_problem(rng)
+        learner.add_example(Example(p, I.teacher_solve(p)))
+    return learner.ruleset()
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.integers(0, 7), count=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+def test_rule_solve_agrees_with_the_root_scan_at_both_limits(r, count, seed):
+    _as_the_root_scan(_learned_rules(r, count), I.generate_problem(random.Random(seed)))
 
 
 def test_rule_solve_propagates_programming_errors():
     class BrokenDomain(I.IntegrationRuleDomain):
-        def apply(self, e, op_index, loc):
-            raise TypeError("bug in apply")
+        def unit_matches(self, cap, unit):
+            raise TypeError("bug in unit_matches")
 
     p = I.parse_expr("∫ ( sin x ) + ( x ^ 2 ) d x".split())
     with pytest.raises(TypeError):

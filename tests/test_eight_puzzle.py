@@ -184,6 +184,9 @@ def test_apply_macro_equals_move_fold(blank, rest, choices, illegal_at):
         b = ep._MOVE_SRC[b][op]
     macro = tuple(macro)
     assert _outcome(ep.apply_macro, board, macro) == _outcome(_fold_moves, board, macro)
+    # a macro is a tuple: a list of the same moves is a typed error
+    with pytest.raises(ParameterError):
+        ep.apply_macro(board, list(macro))
     info = ep._macro_permutation.cache_info()
     assert info.currsize <= info.maxsize
 

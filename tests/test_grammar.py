@@ -11,6 +11,7 @@ from brute_force import (
     all_caps,
     bodies_by_head,
     enumerate_sentences,
+    iter_postorder,
     min_yield_lens,
 )
 from speedup_learning.errors import (
@@ -164,7 +165,7 @@ def _drawn_tree(rng, integration):
     """A SMALL parse tree, or the Exp tree of a subterm of a generated
     integration problem; sometimes a random cap of it instead."""
     if integration:
-        units = [u for _, u in I.iter_postorder(generate_problem(rng).args[0])]
+        units = [u for _, u in iter_postorder(generate_problem(rng).args[0])]
         tree = I.as_exp(rng.choice(units))
     else:
         tree = parse(SMALL, _random_small_tokens(rng))

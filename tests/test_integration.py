@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import iter_postorder
 from speedup_learning import integration as I
 from speedup_learning.control_rules import RuleSet, rule_solve, rule_solve_ex
 from speedup_learning.core import BOTTOM, replay
@@ -33,7 +34,7 @@ def _reference_step(e):
     memoized engine: (new_expr, op_index, path, unit) at the first
     post-order node some operator's pattern admits, with the least-indexed
     such operator; None in normal form."""
-    for path, unit in I.iter_postorder(e):
+    for path, unit in iter_postorder(e):
         for op in I.OPERATORS:
             if unit.kind == op.kind and op.matches(unit):
                 return I.replace_at(e, path, op.rewrite(unit)), op.index, path, unit
@@ -217,19 +218,6 @@ def test_locations():
             I.apply_at(op, e, bad)
 
 
-def test_post_order_from_a_path_skips_what_lies_left_of_it():
-    def left_of(q, start):
-        return any(q[:j] == start[:j] and q[j] < start[j] for j in range(min(len(q), len(start))))
-
-    rng = random.Random(8)
-    for _ in range(40):
-        e = I.generate_problem(rng)
-        units = list(I.iter_postorder(e))
-        for start, _ in units:
-            assert list(I.iter_postorder(e, start)) == [
-                (q, u) for q, u in units if not left_of(q, start)]
-
-
 def test_post_order_least_index_discipline():
     # the first rewrite happens at the first post-order node admitting one,
     # with the least-indexed matching operator
@@ -323,6 +311,13 @@ def test_round_trip_of_deep_inputs():
     # a literal longer than int() reads is a parse error, not a ValueError
     with pytest.raises(ParseError):
         I.parse_expr(("∫",) + ("7",) * 4301 + ("d", "x"))
+    # and one longer than str() writes is a typed error wherever its tokens
+    # are read, the rule solver's limits included
+    huge = I.num(10 ** 5000)
+    for call in (I.to_text, I.to_tokens, I.token_count,
+                 lambda e: rule_solve_ex(I.teacher_ruleset(), I.IntegrationRuleDomain(), e)):
+        with pytest.raises(ParameterError):
+            call(huge)
     chain = I.VAR_X
     for _ in range(3000):
         chain = I.neg(chain)
@@ -351,7 +346,7 @@ def test_round_trip_of_deep_inputs():
     assert not I.is_goal(chain) and I.is_goal(I.neg(I.sinx()))
     assert I.token_count(I.integral(chain)) == 9004
     units = 0
-    for path, unit in I.iter_postorder(chain):
+    for path, unit in iter_postorder(chain):
         units += 1
     assert units == 3001 and path == () and unit is chain
     deep = (0,) * 2999
