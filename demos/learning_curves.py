@@ -19,11 +19,12 @@ def main():
     trials = 5 if args.quick else 50
 
     for domain in ("eightpuzzle", "integration"):
-        config = ExperimentConfig(domain=domain, trials=trials, seed=0,
-                                  output=f"curve_{domain}.csv")
+        config = ExperimentConfig(domain=domain, trials=trials, seed=0)
         start = time.time()
         points = run_curve(config)
         elapsed = time.time() - start
+        with open(f"curve_{domain}.csv", "w", encoding="utf-8") as fh:
+            fh.write(csv_text(points))
         print(f"== {domain}: {trials} trials in {elapsed:.1f}s "
               f"-> curve_{domain}.csv ==")
         print(csv_text(points))

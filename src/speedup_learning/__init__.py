@@ -25,7 +25,7 @@ from .core import (
 )
 from .errors import SpeedupLearningError
 from .grammar import Grammar, Node, SententialForm, membership, msc, msg, parse, tree_yield
-from .harness import CurvePoint, ExperimentConfig, emit_csv, run_curve
+from .harness import CurvePoint, ExperimentConfig, run_curve
 from .macro_tables import (
     FeatureOrdering,
     MacroTable,
@@ -56,7 +56,6 @@ __all__ = [
     "control_rules",
     "core",
     "eight_puzzle",
-    "emit_csv",
     "grammar",
     "harness",
     "integration",

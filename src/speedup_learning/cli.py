@@ -7,18 +7,15 @@ Subcommands::
     speedup-learn table --build-exhaustive [--verify] [--output FILE]
     speedup-learn verify --all
 
-Set SPEEDUP_LEARN_LOG=debug|info|warning to control verbosity.  Exit code
-is 0 on success, 1 on any verification failure and 2 on a usage error: a
-bad argument, or one the library rejects with one of its own errors,
-reported as a single ``speedup-learn: error: ...`` line on stderr.
+Exit code is 0 on success, 1 on any verification failure and 2 on a usage
+error: a bad argument, or one the library rejects with one of its own
+errors, reported as a single ``speedup-learn: error: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import logging
-import os
 import random
 import sys
 
@@ -27,13 +24,14 @@ from .core import sample_size
 from .errors import SpeedupLearningError
 from .harness import DOMAINS, ExperimentConfig, csv_text, run_curve
 
-log = logging.getLogger("speedup_learning")
 
-
-def _setup_logging():
-    level = os.environ.get("SPEEDUP_LEARN_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+def _write(text: str, path) -> None:
+    """``text`` to the file at ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_bound(args) -> int:
@@ -49,13 +47,8 @@ def _cmd_curve(args) -> int:
         eval_every=args.eval_every,
         test_set_size=args.test_set_size,
         seed=args.seed,
-        output=args.output,
     )
-    points = run_curve(config, full_simulation=args.full_simulation)
-    if not args.output:
-        sys.stdout.write(csv_text(points))
-    else:
-        log.info("wrote %d curve points to %s", len(points), args.output)
+    _write(csv_text(run_curve(config, full_simulation=args.full_simulation)), args.output)
     return 0
 
 
@@ -64,12 +57,7 @@ def _cmd_table(args) -> int:
         print("nothing to do; pass --build-exhaustive", file=sys.stderr)
         return 2
     table = eight_puzzle.build_exhaustive_table()
-    dump = table.dump(op_letters=eight_puzzle.MOVE_LETTERS)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(dump)
-    else:
-        sys.stdout.write(dump)
+    _write(table.dump(op_letters=eight_puzzle.MOVE_LETTERS), args.output)
     print(f"filled cells: {table.filled_count()}")
     print(f"nonempty macros: {table.nonempty_count()}")
     if args.verify:
@@ -156,7 +144,6 @@ def main(argv=None) -> int:
     frozen, so the collection at interpreter exit skips everything the run
     built.  A caller that passes ``argv`` keeps its collector as it was.
     """
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -135,12 +135,10 @@ class OracleConfig:
         problem_generator: Callable[[random.Random], Any],
         teacher: Callable[[Any], Solution],
         seed,
-        max_solution_length: Optional[int] = None,
     ):
         self.problem_generator = problem_generator
         self.teacher = teacher
         self.seed = seed
-        self.max_solution_length = max_solution_length
         self.rng = random.Random(seed)
 
 
@@ -194,11 +192,6 @@ def solved_problem(oracle: OracleConfig, domain: DomainSpec) -> Example:
     if solution is BOTTOM:
         return Example(problem, BOTTOM)
     solution = tuple(solution)
-    if oracle.max_solution_length is not None and len(solution) > oracle.max_solution_length:
-        raise OracleIntegrityError(
-            f"teacher solution length {len(solution)} exceeds limit "
-            f"{oracle.max_solution_length}"
-        )
     try:
         trajectory = replay(domain, problem, solution)
     except ReplayError as exc:

@@ -76,14 +76,16 @@ def _slide(board: tuple, src: int) -> tuple:
 
 
 def apply_move(board: tuple, move) -> tuple:
-    """Slide one tile; ``move`` is a letter or its 1-based operator index."""
+    """Slide one tile; ``move`` is a letter or its 1-based operator index.
+    An off-board blank or a move it forbids raises MoveError, and a board
+    that is not a permutation of 0..8 ParameterError."""
     try:
         src = _MOVE_SRC[board[0]].get(_OP_OF.get(move, move))
     except KeyError:
         raise MoveError(f"blank position {board[0]!r} is not on the board") from None
     if src is None:
         raise MoveError(f"move {move!r} not applicable with blank at {board[0]}")
-    return _slide(board, src)
+    return _slide(_check_board(board), src)
 
 
 def apply_moves(board: tuple, moves: str) -> tuple:

@@ -1,4 +1,4 @@
-"""Experiment driver: one training loop, periodic evaluation, CSV output.
+"""Experiment driver: one training loop, periodic evaluation, CSV text.
 
 One experiment runs ``trials`` independent seeded trials.  Each trial
 trains a fresh learner one example at a time and, at every eval point,
@@ -18,7 +18,6 @@ import functools
 import random
 import statistics
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from . import eight_puzzle, integration
 from .control_rules import IncrementalRuleLearner, rule_solve
@@ -36,7 +35,6 @@ class ExperimentConfig:
     eval_every: int = 0
     test_set_size: int = 100
     seed: int = 0
-    output: Optional[str] = None
 
     def __post_init__(self):
         if self.domain not in DOMAINS:
@@ -81,15 +79,10 @@ class _IntegrationTrial:
     def __init__(self):
         self.rdomain = integration.IntegrationRuleDomain()
         self.learner = IncrementalRuleLearner(self.rdomain)
-        # (cap, unit) -> match: eval points meet the same units and mostly
-        # unchanged caps again; nodes hash by identity, so lookups are cheap
-        self.matches: dict = {}
-        # id(record) -> record, for each teacher record whose every step
-        # passed the caps.  Caps only widen (a None cap becomes a tree, and
-        # msc(old, tree) caps old), so a covered record stays covered for the
-        # rest of the trial.  The values keep the records alive, so no id is
-        # reused; records hash by content, so they are not keys themselves.
-        self.covered: dict = {}
+        # the teacher records whose every step passed the caps.  Caps only
+        # widen (a None cap becomes a tree, and msc(old, tree) caps old), so
+        # a covered record stays covered for the rest of the trial.
+        self.covered: set = set()
 
     @staticmethod
     def draw(rng):
@@ -103,9 +96,9 @@ class _IntegrationTrial:
         if record is None:
             return False
         covered = self.covered
-        if id(record) in covered:
+        if record in covered:
             return True
-        caps, matches = self.learner.caps, self.matches
+        caps = self.learner.caps
         # Walk the segments in firing order on an explicit stack, skipping
         # covered children; a record is covered once its last segment passes.
         stack = [(record, iter(record.segments))]
@@ -114,21 +107,16 @@ class _IntegrationTrial:
             for seg in segs:
                 child = seg[1]
                 if type(child) is TeacherRecord:
-                    if id(child) not in covered:
+                    if child not in covered:
                         stack.append((child, iter(child.segments)))
                         break
                     continue
                 op_index, unit = seg
                 cap = caps[op_index - 1]
-                if cap is None:
-                    return False
-                hit = matches.get((cap, unit))
-                if hit is None:
-                    hit = matches[cap, unit] = self.rdomain.unit_matches(cap, unit)
-                if not hit:
+                if cap is None or not self.rdomain.unit_matches(cap, unit):
                     return False
             else:
-                covered[id(top)] = top
+                covered.add(top)
                 stack.pop()
         return True
 
@@ -189,7 +177,8 @@ DOMAINS = tuple(_TRIALS)
 
 
 def run_curve(config: ExperimentConfig, full_simulation: bool = False) -> list:
-    """Run the learning-curve experiment for the configured domain.
+    """Run the learning-curve experiment for the configured domain and
+    return its points; ``csv_text`` gives their CSV, which callers write.
 
     Each trial builds the domain's trial object, trains it on
     ``learn(draw(train_rng))`` and at each eval point sums one scorer over
@@ -200,9 +189,10 @@ def run_curve(config: ExperimentConfig, full_simulation: bool = False) -> list:
     checks the learner's select-sets along the teacher's trace, and the
     Eight Puzzle walks the learner's own macro table, a hit when it meets
     no unfilled cell (the test suite asserts the equivalence on a reduced
-    configuration).  The integration trace scorer skips teacher records
-    already covered in the trial: the learner only widens its caps, so a
-    record whose every step passed once passes at every later eval point.
+    configuration).  The integration trace scorer keeps one table per
+    trial, the teacher records it has covered, and skips them: the learner
+    only widens its caps, so a record whose every step passed once passes
+    at every later eval point.
 
     Each trial starts by freezing the heap, so the collector skips what
     earlier trials left alive (``core.frozen_between_units``); the
@@ -223,16 +213,8 @@ def run_curve(config: ExperimentConfig, full_simulation: bool = False) -> list:
                     test_rng = _trial_rng(cfg, i, "eval", t)
                     hits = sum(score(trial.draw(test_rng)) for _ in range(cfg.test_set_size))
                     per_trial.setdefault(t, []).append(hits / cfg.test_set_size)
-    points = [CurvePoint(t, statistics.fmean(accs), statistics.pstdev(accs))
-              for t, accs in sorted(per_trial.items())]
-    if cfg.output:
-        emit_csv(points, cfg.output)
-    return points
-
-
-def emit_csv(points, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(csv_text(points))
+    return [CurvePoint(t, statistics.fmean(accs), statistics.pstdev(accs))
+            for t, accs in sorted(per_trial.items())]
 
 
 def csv_text(points) -> str:

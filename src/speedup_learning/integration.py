@@ -21,16 +21,17 @@ that subterm alone.  The engine solves each subterm once, on an explicit
 stack, into a ``TeacherRecord``: its segments in firing order (a step at
 its own root, or a child's record under the child's index), its normal
 form and its step count.  A parent shares its children's records instead
-of copying their steps; ``record_steps`` walks a record's steps in order,
-and paths are built only from that walk.
+of copying their steps; ``record_steps`` walks a record's steps in order
+with their paths, and paths are built only in that walk.
 
 The teacher (``teacher_record``, read by ``teacher_trace`` and
 ``teacher_solve``) decides by operator pattern, a fast path of the
 hand-authored select-sets (``teacher_ruleset``) that agrees with them on
-the problem distribution, and keeps every subterm's record in ``_TRACE``,
-so the memo grows linearly in the nesting depth.  The learned solver
-(``IntegrationRuleDomain.solve``) decides by its select-sets and keeps no
-record memo, so its step and size limits stay exact.  The test suite
+the problem distribution, and writes each subterm's record into ``_TRACE``
+as soon as the subterm is normalized, so the memo grows linearly in the
+nesting depth.  The learned solver (``IntegrationRuleDomain.solve``)
+decides by its select-sets and passes no memo, so it builds no record
+table and its step and size limits stay exact.  The test suite
 checks both against interpreters that scan the state from the root.
 ``_TRACE`` is one of the memo tables listed in ``_MEMOS``: one table per
 value derived from a subterm alone, keyed by the interned ``Expr``.
@@ -43,7 +44,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .control_rules import RuleSet
 from .core import BOTTOM, DomainSpec
@@ -629,15 +630,19 @@ def is_goal(e: Expr) -> bool:
     return _bottom_up(e, _GOAL, _normal)
 
 
-class TeacherRecord(NamedTuple):
+class TeacherRecord:
     """How post-order first match solves one subterm.  ``segments`` are, in
     firing order, ``(op_index, unit)`` for a step at the subterm's own root
     and ``(child index, child's TeacherRecord)`` for a child that took a
-    step; ``steps`` counts every step, the children's included."""
+    step; ``steps`` counts every step, the children's included.  Records
+    compare and hash by identity, like ``Expr``."""
 
-    segments: tuple
-    normal_form: Expr
-    steps: int
+    __slots__ = ("segments", "normal_form", "steps")
+
+    def __init__(self, segments: tuple, normal_form: Expr, steps: int):
+        self.segments = segments
+        self.normal_form = normal_form
+        self.steps = steps
 
 
 # (kind, argument index) -> its slot's category, where parentheses go
@@ -654,11 +659,11 @@ def _normalize(e: Expr, decide, memo: Optional[dict], step_limit: int,
     whole term is not a goal.  Normalize the children left to right,
     rebuild the node, and if ``decide`` picks an operator there, record the
     step and go on with the rewritten term.  With a ``memo`` (subterm ->
-    record), a hit adds its record's count, and a call that passes the step
-    limit adds nothing to it."""
+    record), a hit adds its record's count, and each finished subterm's
+    record goes into it at once, also in a call that then passes the step
+    limit: a subterm's record depends on that subterm alone."""
     count = 0
     size = token_count(e) if size_limit is not None else 0
-    fresh = {}  # subterm -> record, finished in this call
     handed = None  # record of the frame just popped, for its parent
     # A frame normalizes one subterm: [that subterm, the term it has reached
     # (the subterm or a rewrite of it), segments so far, normal forms of
@@ -674,7 +679,7 @@ def _normalize(e: Expr, decide, memo: Optional[dict], step_limit: int,
             if sub is None:
                 child = children[i]
                 if memo is not None:
-                    sub = memo.get(child) or fresh.get(child)
+                    sub = memo.get(child)
                 if sub is None:
                     stack.append([child, child, [], [], count])
                     continue
@@ -698,7 +703,9 @@ def _normalize(e: Expr, decide, memo: Optional[dict], step_limit: int,
                     return None, "no_match"
                 decide, op_index = (lambda unit: None), None  # on a goal, no pick applies
         if op_index is None:
-            handed = fresh[top] = TeacherRecord(tuple(segs), x, count - began)
+            handed = TeacherRecord(tuple(segs), x, count - began)
+            if memo is not None:
+                memo[top] = handed
             stack.pop()
             continue
         count += 1
@@ -713,8 +720,6 @@ def _normalize(e: Expr, decide, memo: Optional[dict], step_limit: int,
         segs.append((op_index, x))
         frame[1] = new
         frame[3] = []
-    if memo is not None:
-        memo.update(fresh)
     return handed, None
 
 
@@ -727,8 +732,9 @@ _MAX_TEACHER_STEPS = 10_000
 
 def teacher_record(e: Expr) -> Optional[TeacherRecord]:
     """The memoized ``TeacherRecord`` of ``e`` (``_normalize`` picking by
-    operator pattern, every subterm's record kept in ``_TRACE``), or None
-    past ``_MAX_TEACHER_STEPS`` steps, never seen on the distribution."""
+    operator pattern, every finished subterm's record kept in ``_TRACE``),
+    or None past ``_MAX_TEACHER_STEPS`` steps, never seen on the
+    distribution.  A memoized record is checked against the limit too."""
     if not isinstance(e, Expr):
         raise ParameterError(f"expected an Expr, got {e!r}")
     found = _TRACE.get(e)
@@ -737,23 +743,19 @@ def teacher_record(e: Expr) -> Optional[TeacherRecord]:
     return _normalize(e, _decide_ops, _TRACE, _MAX_TEACHER_STEPS)[0]
 
 
-def record_steps(record: TeacherRecord, path: Optional[list] = None) -> Iterator[tuple]:
-    """Yield a record's steps in firing order as (op_index, unit) pairs.
-    If ``path`` is an empty list, it holds each step's location, relative to
-    the record's subterm, while that step is yielded.  Explicit stack."""
-    if path is None:
-        path = []
-    stack = [iter(record.segments)]
+def record_steps(record: TeacherRecord) -> Iterator[tuple]:
+    """Yield a record's steps in firing order as (op_index, path, unit),
+    each path relative to the record's subterm.  Explicit stack."""
+    stack = [((), iter(record.segments))]
     while stack:
-        seg = next(stack[-1], None)
-        if seg is None:
-            stack.pop()
-            del path[len(stack) - 1:]
-        elif type(seg[1]) is TeacherRecord:
-            path.append(seg[0])
-            stack.append(iter(seg[1].segments))
+        path, segs = stack[-1]
+        for i, part in segs:
+            if type(part) is TeacherRecord:
+                stack.append((path + (i,), iter(part.segments)))
+                break
+            yield i, path, part
         else:
-            yield seg
+            stack.pop()
 
 
 def teacher_trace(e: Expr):
@@ -764,9 +766,7 @@ def teacher_trace(e: Expr):
     record = teacher_record(e)
     if record is None:
         return None
-    path: list = []
-    return (tuple((op, tuple(path), unit) for op, unit in record_steps(record, path)),
-            record.normal_form)
+    return tuple(record_steps(record)), record.normal_form
 
 
 def teacher_solve(e: Expr):
@@ -930,8 +930,7 @@ class IntegrationRuleDomain:
         record, why = _normalize(e, decide, None, step_limit, size_limit)
         if record is None or not self.is_goal(record.normal_form):
             return BOTTOM, why or "no_match"
-        path: list = []
-        return tuple((op, tuple(path)) for op, _ in record_steps(record, path)), "solved"
+        return tuple((op, path) for op, path, _ in record_steps(record)), "solved"
 
     def default_step_limit(self, e: Expr) -> int:
         return 50 * token_count(e)

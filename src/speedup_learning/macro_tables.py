@@ -48,8 +48,9 @@ def check_feature_state(values: Sequence[int], n: int, v: int) -> tuple:
     values = tuple(values)
     if len(values) != n:
         raise ParameterError(f"state must have {n} features, got {len(values)}")
-    if any(not (isinstance(x, int) and 0 <= x < v) for x in values):
-        raise ParameterError(f"feature values must be integers in 0..{v - 1}")
+    for x in values:  # a plain loop: a generator costs several times more per call
+        if not (isinstance(x, int) and 0 <= x < v):
+            raise ParameterError(f"feature values must be integers in 0..{v - 1}")
     return values
 
 
@@ -131,11 +132,14 @@ def walk_columns(table: MacroTable, state, run, fill=None, last: Optional[int] =
     runner, ``eight_puzzle.apply_macro``, moves the tiles in one
     permutation, and its harness and oracles pass it directly.  At an
     UNFILLED cell the walk stops, unless ``fill(state, i)`` is given: its
-    macro is then inserted and used.  ``last`` must lie in 0..n.
+    macro is then inserted and used.  ``state`` must have n features and
+    ``last`` must lie in 0..n.
     Returns (cells, state, missing): the (j, i) cells used, the state reached
     and the UNFILLED cell the walk stopped at (None when it ran to the end).
     ``solution_steps`` reads the solution off the cells.
     """
+    if len(state) != table.n:
+        raise ParameterError(f"state must have {table.n} features, got {len(state)}")
     if last is None:
         last = table.n
     elif not (isinstance(last, int) and 0 <= last <= table.n):
@@ -177,9 +181,12 @@ def serial_parse_into(table: MacroTable, domain: DomainSpec, example: Example):
     1..i all hold goal values.  Once every cut is found, it stores the
     operator slice between successive cuts in each cell that is still
     unfilled, so a solution that cannot be cut leaves the table as it was.
+    A problem that is not a state of the table's shape raises
+    ParameterError.
     """
     if example.solution is BOTTOM:
         return
+    check_feature_state(example.problem, table.n, table.v)
     states = replay(domain, example.problem, example.solution)
     ops = [op for op, _ in example.solution]
     cuts, p = [], 0

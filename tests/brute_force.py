@@ -116,9 +116,9 @@ def collect_select_examples(rdomain, sample: Sequence[Example]) -> dict:
         x = example.problem
         for op_index, loc in example.solution:
             unit = rdomain.subexpr(x, loc)
-            collected.setdefault(op_index, {}).setdefault(id(unit), unit)
+            collected.setdefault(op_index, {}).setdefault(unit)
             x = rdomain.apply(x, op_index, loc)
-    return {op: list(bucket.values()) for op, bucket in collected.items()}
+    return {op: list(bucket) for op, bucket in collected.items()}
 
 
 def iter_postorder(e) -> Iterator[tuple]:

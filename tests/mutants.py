@@ -9,10 +9,10 @@ named tests, with the copy first on ``PYTHONPATH``.  It fails when a named
 test passes (the mutant survives), when a named test is not run, or when
 the old text is not found exactly once in its file (the code has moved on,
 so the list must follow it).  It runs as many mutants at once as this
-process may use CPUs (``nproc``).  All 26 take about 96 s with two jobs on
-a 2-vCPU x86-64 machine with CPython 3.11: about 86 s for
+process may use CPUs (``nproc``).  All 27 take about 93 s with two jobs on
+a 2-vCPU x86-64 machine with CPython 3.11: about 85 s for
 ``merge-before-replay-ends``, whose property test shrinks its failing
-example, and 1.4-5.0 s for each other mutant.  Standard library only.
+example, and 1.3-4.8 s for each other mutant.  Standard library only.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ MUTANTS = (
     # a teacher record counts as covered only once its last segment passed
     Mutant("covered-before-last-segment", "harness.py",
            "                        stack.append((child, iter(child.segments)))\n",
-           "                        covered[id(child)] = child\n"
+           "                        covered.add(child)\n"
            "                        stack.append((child, iter(child.segments)))\n",
            ("tests/test_harness.py::test_record_walk_gives_the_step_walks_verdict_as_caps_grow",)),
     Mutant("ruleset-aliases-learner", "control_rules.py",
@@ -138,13 +138,17 @@ MUTANTS = (
            (INT + "test_expressions_are_hash_consed",)),
     # the teacher's trace records: shared segments, walked left to right
     Mutant("trace-path-drops-child-index", "integration.py",
-           "            path.append(seg[0])\n",
-           "",
+           "stack.append((path + (i,), iter(part.segments)))",
+           "stack.append((path, iter(part.segments)))",
            (INT + "test_worked_derivation_sin_plus_square",
             INT + "test_trace_equals_restart_from_root_reference")),
+    Mutant("trace-path-child-index-first", "integration.py",
+           "stack.append((path + (i,), iter(part.segments)))",
+           "stack.append(((i,) + path, iter(part.segments)))",
+           (INT + "test_trace_equals_restart_from_root_reference",)),
     Mutant("trace-segments-right-to-left", "integration.py",
-           "stack.append(iter(seg[1].segments))",
-           "stack.append(reversed(seg[1].segments))",
+           "stack.append((path + (i,), iter(part.segments)))",
+           "stack.append((path + (i,), reversed(part.segments)))",
            (INT + "test_worked_derivation_sin_plus_square",
             INT + "test_trace_equals_restart_from_root_reference")),
     Mutant("trace-child-count-not-added", "integration.py",

@@ -115,11 +115,6 @@ def test_solved_problem_validates_teacher():
     with pytest.raises(OracleIntegrityError):
         solved_problem(stops_short, dom)
 
-    too_long = OracleConfig(lambda rng: 0, lambda p: ((1, None), (2, None)) * 3 + ((1, None),) * 2,
-                            seed=0, max_solution_length=3)
-    with pytest.raises(OracleIntegrityError):
-        solved_problem(too_long, dom)
-
     gives_up = OracleConfig(lambda rng: 0, lambda p: BOTTOM, seed=0)
     assert solved_problem(gives_up, dom).solution is BOTTOM
 

@@ -57,6 +57,11 @@ def test_move_errors():
     for m in set(ep.MOVE_LETTERS) - set(legal):
         with pytest.raises(MoveError):
             ep.apply_move(corner, m)
+    # a wrong length or a tile twice is a typed error, not a ValueError or
+    # an answer
+    for board in ((0, 1, 2), (0, 1, 1, 3, 4, 5, 6, 7, 8)):
+        with pytest.raises(ParameterError):
+            ep.apply_move(board, "r")
 
 
 def _moved_or_error(apply, board, move):

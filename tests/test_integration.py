@@ -266,9 +266,11 @@ def test_trace_equals_restart_from_root_reference(e, limit):
     st.integers(0, 2**32).map(lambda seed: I.generate_problem(random.Random(seed))),
 ))
 def test_trace_records_walk_as_the_trace_and_keep_the_limit_exact(e):
-    # the scorer's (op, unit) walk and teacher_solve read teacher_trace's
-    # steps; a trace of n steps passes a limit of n and not n - 1, also when
-    # only its top record is missing and every part of it is memoized
+    # the record's walk and teacher_solve read teacher_trace's steps; a
+    # trace of n steps passes a limit of n and not n - 1, also when only its
+    # top record is missing and every part of it is memoized, and from a
+    # cold memo, which the call that fails fills with the records of the
+    # subterms it finished
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(I, "_MAX_TEACHER_STEPS", 200)
         trace = I.teacher_trace(e)
@@ -276,18 +278,20 @@ def test_trace_records_walk_as_the_trace_and_keep_the_limit_exact(e):
             return
         steps, final = trace
         record = I.teacher_record(e)
-        assert list(I.record_steps(record)) == [(op, unit) for op, _, unit in steps]
+        assert tuple(I.record_steps(record)) == steps
         assert I.teacher_solve(e) == tuple((op, path) for op, path, _ in steps)
         assert record.normal_form is final and record.steps == len(steps)
         n = len(steps)
         if n == 0:
             return
         del I._TRACE[e]
-        mp.setattr(I, "_MAX_TEACHER_STEPS", n - 1)
-        assert I.teacher_trace(e) is None and e not in I._TRACE
-        mp.setattr(I, "_MAX_TEACHER_STEPS", n)
-        assert I.teacher_trace(e) == trace
-        assert I.teacher_record(e).steps == n
+        for memo in (I._TRACE, {}):
+            mp.setattr(I, "_TRACE", memo)
+            mp.setattr(I, "_MAX_TEACHER_STEPS", n - 1)
+            assert I.teacher_trace(e) is None and e not in I._TRACE
+            mp.setattr(I, "_MAX_TEACHER_STEPS", n)
+            assert I.teacher_trace(e) == trace
+            assert I.teacher_record(e).steps == n
 
 
 @settings(max_examples=200, deadline=None)
@@ -369,14 +373,14 @@ def test_round_trip_of_deep_inputs():
     # the memo holds each subterm's own steps and one reference per child
     # that took a step, so its records hold O(depth) segments, not the
     # O(depth^2) steps with their paths that copying them would
-    records, todo = {}, [I.teacher_record(problem)]
+    records, todo = set(), [I.teacher_record(problem)]
     while todo:
         record = todo.pop()
-        if id(record) not in records:
-            records[id(record)] = record
+        if record not in records:
+            records.add(record)
             todo.extend(part for _, part in record.segments if type(part) is I.TeacherRecord)
     assert len(records) == 3000
-    assert sum(len(record.segments) for record in records.values()) == 4500
+    assert sum(len(record.segments) for record in records) == 4500
 
 
 def test_step_limit_returns_none_on_runaway_by_parts(monkeypatch):

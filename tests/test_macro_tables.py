@@ -125,11 +125,14 @@ def test_table_rejects_cells_outside_it():
         with pytest.raises(ParameterError):
             t.insert(j, i, (1,))
     assert t.filled_count() == 0 and t.dump() == "? ?\n? ?\n"
-    # a walk covers columns 0..n
+    # a walk covers columns 0..n, from a state of n features
     assert walk_columns(t, (0, 0), lambda s, m: s, last=0) == ([], (0, 0), None)
     for last in (3, -1, "1"):
         with pytest.raises(ParameterError):
             walk_columns(t, (0, 0), lambda s, m: s, last=last)
+    for state in ((0,), (0, 0, 0)):
+        with pytest.raises(ParameterError):
+            walk_columns(t, state, lambda s, m: s)
 
 
 def test_table_dump():
@@ -276,6 +279,13 @@ def test_serial_parse_skips_bottom_and_rejects_malformed():
     board = ep.text_to_board("537081642")
     with pytest.raises(MalformedSolutionError):
         serial_parse_into(t, dom, Example(board, ()))  # never reaches goal
+    # a board of the wrong length is a typed error, not an IndexError or a
+    # ValueError, when solved or parsed
+    with pytest.raises(ParameterError):
+        macro_solve(t, dom, (0, 1, 2))
+    with pytest.raises(ParameterError):
+        serial_parse_into(t, dom, Example((0, 1, 2), ((1, None),)))
+    assert t.filled_count() == 0
 
 
 def test_a_rejected_example_leaves_the_macro_table_as_it_was():
