@@ -2,9 +2,11 @@
 
 Expressions are immutable hash-consed ASTs mirroring the grammar below.
 Their concrete syntax is written down once, in ``_LAYOUT``: one memoized
-bottom-up walk (``_bottom_up``) reads it to give each subterm's parse
-trees (``as_exp``; ``to_tokens`` is their yield) and token count, and the
-same walk gives the goal test.  ``tree_to_expr`` reads a parse tree back.
+bottom-up walk (``_bottom_up``) reads it to give each subterm's one parse
+tree, rooted at Exp (``as_exp``; ``to_tokens`` is its yield), and token
+count, and the same walk gives the goal test.  A parent's tree holds each
+child's tree in place, or that tree in parentheses where the slot needs
+them.  ``tree_to_expr`` reads a parse tree back.
 Rewrite operators 1-7 are the classic integral table (constant factoring,
 sum/difference splitting, integration by parts, the power/sin/cos rules);
 8-10 round out the integrals the problem distribution needs; 11-17 are
@@ -128,7 +130,7 @@ def _mk(kind: str, *args) -> Expr:
 
 # Memo tables, one per value derived from a subterm alone, keyed by the
 # interned Expr.
-_TREES: dict = {}  # its (P-term, Term, Exp) parse trees (``_trees``)
+_TREES: dict = {}  # its Exp-rooted parse tree, ``as_exp`` (``_tree``)
 _NTOK: dict = {}  # its token count (``_token_count``)
 _GOAL: dict = {}  # ``is_goal`` (``_normal``)
 _TRACE: dict = {}  # its ``TeacherRecord`` (``teacher_record``)
@@ -286,8 +288,8 @@ def _digits(x: Expr) -> str:
         raise ParameterError(f"integer literal too long to write: {exc}") from exc
 
 
-def _trees(x: Expr) -> tuple:
-    """x's (P-term, Term, Exp) parse trees, from its children's."""
+def _tree(x: Expr) -> Node:
+    """x's Exp-rooted parse tree, from its children's."""
     kind = x.kind
     head, body = _LAYOUT[kind]
     if kind == NUM:
@@ -297,21 +299,27 @@ def _trees(x: Expr) -> tuple:
     elif kind == NAMED:
         kids = (_LEAF[x.args[0]],)
     else:
-        kids = tuple(
-            _LEAF[p] if isinstance(p, str) else _TREES[x.args[p[0]]][p[1]] for p in body
-        )
+        kids = tuple(_LEAF[p] if isinstance(p, str) else _in_slot(x.args[p[0]], p[1]) for p in body)
     if head is not None:
         kids = (Node(head, kids),)
     nat = _NATURAL.get(kind, _PTERM)
-    trees = [None, None, None]
-    trees[nat] = Node(_CATEGORY[nat], kids)
+    tree = Node(_CATEGORY[nat], kids)
     for cat in range(nat + 1, 3):
-        trees[cat] = Node(_CATEGORY[cat], (trees[cat - 1],))
-    if nat > _PTERM:
-        trees[_PTERM] = Node("P-term", (_LEAF["("], trees[_EXP], _LEAF[")"]))
-    for cat in range(_TERM, nat):
-        trees[cat] = Node(_CATEGORY[cat], (trees[cat - 1],))
-    return tuple(trees)
+        tree = Node(_CATEGORY[cat], (tree,))
+    return tree
+
+
+def _in_slot(e: Expr, slot: int) -> Node:
+    """e's tree in a slot of category ``slot``: the subtree of its Exp tree
+    rooted there, or, if e's natural category is looser, its Exp tree under
+    P-term -> ( Exp ) (and a Term node, in a Term slot)."""
+    tree = _TREES[e]
+    if _NATURAL.get(e.kind, _PTERM) <= slot:
+        for _ in range(_EXP - slot):
+            tree = tree.children[0]
+        return tree
+    tree = Node("P-term", (_LEAF["("], tree, _LEAF[")"]))
+    return tree if slot == _PTERM else Node("Term", (tree,))
 
 
 def _token_count(x: Expr) -> int:
@@ -331,7 +339,7 @@ def _width(e: Expr, slot: int) -> int:
 
 def as_exp(e: Expr) -> Node:
     """The Exp-rooted parse tree of ``e``, as ``parse`` would give it."""
-    return _bottom_up(e, _TREES, _trees)[_EXP]
+    return _bottom_up(e, _TREES, _tree)
 
 
 def to_tokens(e: Expr) -> tuple:

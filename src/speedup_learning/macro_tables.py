@@ -222,7 +222,8 @@ def check_serial_decomposability(domain: DomainSpec, ordering: FeatureOrdering,
     features 1..i only?  Returns (True, None) or (False, witness) where the
     witness is (op_index, position, state_a, state_b).
 
-    ``states`` is read once, so any iterable will do.  Each operator is
+    ``states`` is read once, so any iterable will do; a state of the wrong
+    length raises ParameterError.  Each operator is
     applied once to every state; an inapplicable operator counts as one
     more effect.  Then, for each ordered position i, the key of a state is
     its ordered features 1..i, and the effect is ordered feature i after
@@ -240,6 +241,9 @@ def check_serial_decomposability(domain: DomainSpec, ordering: FeatureOrdering,
     """
     states = list(states)
     perm = ordering.perm
+    for s in states:
+        if len(s) != len(perm):
+            raise ParameterError(f"state must have {len(perm)} features, got {s!r}")
     keys_of = [itemgetter(*perm[:i]) for i in range(1, len(perm) + 1)]
     effect_of = [itemgetter(f) for f in perm]
     inapplicable = (None,) * len(perm)  # every effect of an inapplicable operator is None
@@ -276,10 +280,12 @@ def verify_table(table: MacroTable, domain: DomainSpec, states: Sequence):
     """Check the macro-table property and nonredundancy of every filled cell
     against the supplied states.  Returns (True, None) or (False, witness);
     the witness is (kind, (j, i), state) with kind "property" or
-    "redundant"."""
+    "redundant".  A state of the wrong length raises ParameterError."""
     run = domain.apply_macro
     by_cell: dict = {}
     for s in states:
+        if len(s) != table.n:
+            raise ParameterError(f"state must have {table.n} features, got {s!r}")
         for i in range(1, table.n + 1):
             if not _prefix_at_goal(s, table, i - 1):
                 break

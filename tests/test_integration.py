@@ -128,6 +128,41 @@ def test_as_exp_matches_reparse():
             assert same_tree(I.as_exp(e), parse(I.GRAMMAR, I.to_tokens(e), "Exp"))
 
 
+def _category_chain(tree):
+    """An Exp tree and the nodes down its unary Exp -> Term -> P-term chain."""
+    chain = [tree]
+    while len(tree.children) == 1 and tree.children[0].label in I._CATEGORY:
+        tree = tree.children[0]
+        chain.append(tree)
+    return chain
+
+
+def test_a_slot_holds_its_childs_tree_in_place():
+    # the memo keeps one tree per subterm, the one as_exp returns; in a
+    # parent's tree a child without parentheses is a node of that tree, the
+    # same object, and with them P-term -> ( Exp ) holds that tree itself
+    natural = (I.VAR_X, I.mul(I.TWO, I.VAR_X), I.add(I.ONE, I.VAR_X))  # P-term, Term, Exp
+    for nat, c in enumerate(natural):
+        parents = [f(c) for f in (I.integral, I.deriv, I.neg, I.powx)]
+        for x in parents + [f(c, c) for f in (I.add, I.sub, I.mul, I.div)]:
+            for _, sub in iter_postorder(x):
+                assert I.as_exp(sub) is I._TREES[sub] and I._TREES[sub].label == "Exp"
+            head, body = I._LAYOUT[x.kind]
+            node = _category_chain(I.as_exp(x))[-1]
+            if head is not None:
+                node = node.children[0]
+            slots = [(p[1], k) for p, k in zip(body, node.children) if not isinstance(p, str)]
+            assert slots
+            for slot, k in slots:
+                assert k.label == I._CATEGORY[slot]
+                if nat <= slot:
+                    assert any(k is t for t in _category_chain(I.as_exp(c)))
+                else:
+                    paren = k if slot == I._PTERM else k.children[0]
+                    assert [t.label for t in paren.children] == ["(", "Exp", ")"]
+                    assert paren.children[1] is I.as_exp(c)
+
+
 def test_worked_derivation_sin_plus_square():
     p = _expr("∫ ( sin x ) + ( x ^ 2 ) d x")
     solution = I.teacher_solve(p)

@@ -345,6 +345,10 @@ def test_check_serial_decomposability_toy():
     no_copy = DomainSpec(goal_test=dom.goal_test, operators=dom.operators[::2])
     assert check_serial_decomposability(no_copy, FeatureOrdering((0, 1)), TOY_STATES) \
         == (False, (2, 1, (0, 0), (0, 1)))
+    # a state of the wrong length is a typed error, not an answer
+    for wrong in ((0, 1, 2), (0,)):
+        with pytest.raises(ParameterError):
+            check_serial_decomposability(dom, FeatureOrdering((1, 0)), TOY_STATES + [wrong])
 
 
 def test_check_serial_decomposability_reads_states_once():
@@ -452,6 +456,11 @@ def test_verify_table_catches_broken_and_redundant_macros(all_boards):
     padded.cells[(j, 1)] = m + ep.letters_to_macro("rl")
     ok, witness = verify_table(padded, dom, sample)
     assert not ok and witness[0] == "redundant" and witness[1] == (j, 1)
+
+    # a board of the wrong length is a typed error, not an IndexError
+    for wrong in ((0, 1, 2), ep.GOAL + (9,)):
+        with pytest.raises(ParameterError):
+            verify_table(padded, dom, [wrong])
 
 
 @settings(max_examples=60, deadline=None)
