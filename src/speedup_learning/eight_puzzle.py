@@ -68,19 +68,27 @@ _BACK = (None, 2, 1, 4, 3)
 
 
 def _slide(board: tuple, src: int) -> tuple:
-    """Slide the tile at position ``src`` into the blank."""
+    """Slide the tile at position ``src`` into the blank; ParameterError
+    when no tile sits there."""
     out = list(board)
-    out[board.index(src)] = board[0]
+    try:
+        out[board.index(src)] = board[0]
+    except ValueError:
+        raise ParameterError(f"no tile at position {src} on board {board!r}") from None
     out[0] = src
     return tuple(out)
 
 
 def apply_move(board: tuple, move) -> tuple:
     """Slide one tile; ``move`` is a letter or its 1-based operator index.
-    An off-board blank or a move it forbids raises MoveError, and a board
-    that is not a permutation of 0..8 ParameterError."""
+    An off-board blank or a move it forbids raises MoveError; a move that
+    is neither one of ``MOVE_LETTERS`` nor an int, and a board that is not
+    a permutation of 0..8, raise ParameterError."""
+    op = _OP_OF.get(move) if isinstance(move, str) else move
+    if not isinstance(op, int):
+        raise ParameterError(f"a move is one of {MOVE_LETTERS!r} or an int, got {move!r}")
     try:
-        src = _MOVE_SRC[board[0]].get(_OP_OF.get(move, move))
+        src = _MOVE_SRC[board[0]].get(op)
     except KeyError:
         raise MoveError(f"blank position {board[0]!r} is not on the board") from None
     if src is None:

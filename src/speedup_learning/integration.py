@@ -35,8 +35,8 @@ nesting depth.  The learned solver (``IntegrationRuleDomain.solve``)
 decides by its select-sets and passes no memo, so it builds no record
 table and its step and size limits stay exact.  The test suite
 checks both against interpreters that scan the state from the root.
-``_TRACE`` is one of the memo tables listed in ``_MEMOS``: one table per
-value derived from a subterm alone, keyed by the interned ``Expr``.
+``_TRACE`` is one of the memo tables: one table per value derived from a
+subterm alone, keyed by the interned ``Expr``.
 """
 
 from __future__ import annotations
@@ -103,8 +103,10 @@ class Expr:
 
     ``children`` are the Expr arguments: none for the leaves (whose one
     argument is an int or a name), all of ``args`` for every other kind.
-    What is derived from a subterm is kept in the memo tables (``_MEMOS``),
-    not on the node.
+    What is derived from a subterm is kept in the memo tables below, not on
+    the node.  The interning table is never emptied: the memos, the teacher
+    records and the operators' ``is ONE`` tests rely on equal structures
+    being one object for the life of the process.
     """
 
     __slots__ = ("kind", "args", "children")
@@ -134,20 +136,6 @@ _TREES: dict = {}  # its Exp-rooted parse tree, ``as_exp`` (``_tree``)
 _NTOK: dict = {}  # its token count (``_token_count``)
 _GOAL: dict = {}  # ``is_goal`` (``_normal``)
 _TRACE: dict = {}  # its ``TeacherRecord`` (``teacher_record``)
-_MEMOS = (_TREES, _NTOK, _GOAL, _TRACE)
-
-
-def clear_expr_caches():
-    """Empty the interning table and every memo table (``_MEMOS``).
-
-    The module constants are interned again at once: operators test them
-    by identity (``is ONE``), so a fresh ``num(1)`` must be ``ONE``.  Their
-    memos are recomputed on demand, like any other subterm's.
-    """
-    for table in (Expr._interned,) + _MEMOS:
-        table.clear()
-    for e in (VAR_X, ZERO, ONE, TWO):
-        Expr._interned[(e.kind, e.args)] = e
 
 
 VAR_X = _mk(VAR, "x")
@@ -794,28 +782,23 @@ def teacher_ruleset():
 # Problem distribution
 # ---------------------------------------------------------------------------
 
+# The draw's values, built once: interning is never reset, so these are the
+# very objects num, sinx, cosx and powx return.
+_DIGITS = tuple(num(d) for d in range(10))
 # A term coefficient is sin x, cos x, or a digit, in that draw order.
-_TERM_CHOICES = 12
-
-
-def _draw_term(rng: random.Random) -> Expr:
-    i = rng.randrange(_TERM_CHOICES)
-    if i == 0:
-        return sinx()
-    if i == 1:
-        return cosx()
-    return num(i - 2)
+_TERMS = (sinx(), cosx()) + _DIGITS
+_POWERS = tuple(map(powx, _DIGITS))  # x^0..x^9
 
 
 def generate_problem(rng: random.Random) -> Expr:
     """∫ c1·x^p + t2·x² + t3·x + t4 dx with c1 ∈ {0..9}, p ∈ {3..9}, and
     each t uniform over {sin x, cos x, 0..9}, all independent."""
-    c1 = num(rng.randrange(10))
-    p = num(rng.randrange(3, 10))
-    t2, t3, t4 = _draw_term(rng), _draw_term(rng), _draw_term(rng)
+    randrange = rng.randrange
+    c1, xp = _DIGITS[randrange(10)], _POWERS[randrange(3, 10)]
+    t2, t3, t4 = _TERMS[randrange(12)], _TERMS[randrange(12)], _TERMS[randrange(12)]
     body = add(
-        mul(c1, powx(p)),
-        add(mul(t2, powx(TWO)), add(mul(t3, VAR_X), t4)),
+        mul(c1, xp),
+        add(mul(t2, _POWERS[2]), add(mul(t3, VAR_X), t4)),
     )
     return integral(body)
 

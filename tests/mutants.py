@@ -9,8 +9,9 @@ named tests, with the copy first on ``PYTHONPATH``.  It fails when a named
 test passes (the mutant survives), when a named test is not run, or when
 the old text is not found exactly once in its file (the code has moved on,
 so the list must follow it).  It runs as many mutants at once as this
-process may use CPUs (``nproc``).  All 29 take about 25 s with two jobs on
-a 2-vCPU x86-64 machine with CPython 3.11, 1.1-4.2 s each.  The step took
+process may use CPUs (``nproc``).  All 36 take 42-44 s with two jobs on
+a 2-vCPU x86-64 machine with CPython 3.11, 1.2-10.6 s each (the slowest,
+``macro-permutation-inverted``, names two property tests).  The step took
 39-93 s while ``merge-before-replay-ends`` also named a property test,
 whose shrink of its failing example took up to 85 s; it now names only
 the example test that fails on the mutant's first case.  Standard
@@ -47,6 +48,8 @@ INT = "tests/test_integration.py::"
 CORE = "tests/test_core.py::"
 MT = "tests/test_macro_tables.py::"
 GR = "tests/test_grammar.py::"
+EP = "tests/test_eight_puzzle.py::"
+HA = "tests/test_harness.py::"
 _NOT_A_LOCATION = ('        raise LocationError(f"location {loc!r} is not a sequence of integers")'
                    " from exc\n")
 
@@ -187,6 +190,41 @@ MUTANTS = (
            "    if a.label != b.label:\n        raise IncompatibleTreesError",
            "    if False:\n        raise IncompatibleTreesError",
            (GR + "test_msc_identity_and_errors",)),
+    # the integration draw reads fixed tables in the order the stream picks
+    Mutant("draw-terms-out-of-order", "integration.py",
+           "(sinx(), cosx())",
+           "(cosx(), sinx())",
+           (INT + "test_generate_problem_draws_the_same_stream",)),
+    # the puzzle curve: its teacher walks the target table, its scorer the
+    # learner's
+    Mutant("puzzle-teacher-reads-the-learners-table", "harness.py",
+           "solution = macro_solve(target_puzzle_table(), self.domain, board)",
+           "solution = macro_solve(self.learner_table, self.domain, board)",
+           (HA + "test_eightpuzzle_curve_learns",)),
+    Mutant("puzzle-walk-verdict-flipped", "harness.py",
+           "eight_puzzle.apply_macro)[2] is None",
+           "eight_puzzle.apply_macro)[2] is not None",
+           (HA + "test_fast_scoring_equals_full_simulation[eightpuzzle]",)),
+    # the Eight Puzzle's move layer: typed errors, the macro runner and the
+    # same-stream board draw
+    Mutant("slide-unguarded", "eight_puzzle.py",
+           "    except ValueError:\n        raise ParameterError(f\"no tile at position",
+           "    except ZeroDivisionError:\n        raise ParameterError(f\"no tile at position",
+           (EP + "test_move_errors", MT + "test_check_serial_decomposability_toy")),
+    Mutant("apply-move-accepts-float", "eight_puzzle.py",
+           "if not isinstance(op, int):",
+           "if not isinstance(op, (int, float)):",
+           (EP + "test_move_errors",)),
+    Mutant("macro-permutation-inverted", "eight_puzzle.py",
+           "perm[p] = q",
+           "perm[q] = p",
+           (EP + "test_apply_macro_equals_move_fold",
+            MT + "test_eight_puzzle_macro_runner_keeps_the_step_by_step_errors")),
+    Mutant("board-draw-parity-off-by-one", "eight_puzzle.py",
+           "if j != n - 1:",
+           "if j != n:",
+           (EP + "test_random_solvable_draws_the_same_stream_as_random_sample",
+            EP + "test_integrated_teacher_solves_and_reuses")),
 )
 
 

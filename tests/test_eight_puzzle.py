@@ -62,6 +62,15 @@ def test_move_errors():
     for board in ((0, 1, 2), (0, 1, 1, 3, 4, 5, 6, 7, 8)):
         with pytest.raises(ParameterError):
             ep.apply_move(board, "r")
+    # so is a move that is neither a letter nor an int: a float does not
+    # find its operator through 1.0 == 1, as letters_to_macro rejects "x"
+    for move in (1.0, [1], "x", "rl", None):
+        with pytest.raises(ParameterError):
+            ep.apply_move(center, move)
+    # a domain move slides only a tile that is on the board: position 2,
+    # above the blank, holds no tile here
+    with pytest.raises(ParameterError, match="no tile at position 2"):
+        ep.domain_spec().apply((0, 1, 1, 3, 4, 5, 6, 7, 8), 4)
 
 
 def _moved_or_error(apply, board, move):

@@ -16,8 +16,14 @@ from speedup_learning.harness import (
     _trial_rng,
     csv_text,
     run_curve,
+    target_puzzle_table,
 )
-from speedup_learning.macro_tables import MacroTable, serial_parse_into, walk_columns
+from speedup_learning.macro_tables import (
+    MacroTable,
+    macro_solve,
+    serial_parse_into,
+    walk_columns,
+)
 
 
 def _tiny(domain, **kw):
@@ -179,10 +185,12 @@ def test_run_curve_restores_the_gc_state(domain, caller, fails, monkeypatch):
 def test_curve_leaves_no_cyclic_garbage(domain, full_simulation, monkeypatch):
     # What a trial leaves behind must die by reference count: under the
     # GC policy cyclic garbage would stay frozen until run_curve returns.
-    # A cold subgoal cache makes the teacher search.  Freezing first keeps
-    # whatever the process holds already out of the count (and the
-    # collection short).
+    # The puzzle teacher walks the target table, built once per process:
+    # clearing it, with a cold subgoal cache, makes the curve build it
+    # again and so run IDA* in here.  Freezing first keeps whatever the
+    # process holds already out of the count (and the collection short).
     monkeypatch.setattr(ep, "_subgoal_cache", {})
+    target_puzzle_table.cache_clear()
     flags, kept = gc.get_debug(), len(gc.garbage)
     gc.freeze()
     gc.set_debug(gc.DEBUG_SAVEALL)
@@ -210,11 +218,13 @@ def _empty_table():
 
 
 def _learn(boards):
-    teacher, learned = _empty_table(), _empty_table()
+    """The table learned from integrated_teacher's solutions, which grows
+    its own table from empty, and those solutions."""
+    teacher, learned, solutions = _empty_table(), _empty_table(), []
     for board in boards:
-        serial_parse_into(learned, ep.domain_spec(),
-                          Example(board, ep.integrated_teacher(board, teacher)))
-    return learned
+        solutions.append(ep.integrated_teacher(board, teacher))
+        serial_parse_into(learned, ep.domain_spec(), Example(board, solutions[-1]))
+    return learned, solutions
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,10 +237,13 @@ def test_learned_table_is_the_target_cut_to_its_cells(exhaustive_table, seed, ex
     # the learner has every cell of the target's trajectory
     rng = random.Random(seed)
     boards = [ep.random_solvable(rng) for _ in range(examples)]
-    learned = _learn(boards)
+    learned, solutions = _learn(boards)
     assert learned.cells.items() <= exhaustive_table.cells.items()
+    # the puzzle curve's teacher walks the target table instead: the same
+    # solutions, since an IDA* macro is a function of its cell
+    assert solutions == [macro_solve(exhaustive_table, ep.domain_spec(), b) for b in boards]
     # serial parsing gives the same table under any example order
-    assert _learn(data.draw(st.permutations(boards))).cells == learned.cells
+    assert _learn(data.draw(st.permutations(boards)))[0].cells == learned.cells
     for _ in range(queries):
         q = ep.random_solvable(rng)
         cells, _ = ep.table_trajectory(exhaustive_table, q)

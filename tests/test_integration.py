@@ -58,6 +58,10 @@ def test_expressions_are_hash_consed():
     assert I.add(I.num(1), I.VAR_X) is I.add(I.num(1), I.VAR_X)
     assert I.num(7) is I.num(7)
     assert I.num(7) is not I.num(8)
+    # operators 22-26 test the constants by identity, and nothing empties
+    # the interning table, so a fresh num(1) is ONE for the whole process
+    assert I.num(0) is I.ZERO and I.num(1) is I.ONE and I.num(2) is I.TWO
+    assert _expr("x") is I.VAR_X
     with pytest.raises(ParameterError):
         I.num(-1)
     for not_an_int in ("3", 1.5, None):
@@ -74,32 +78,6 @@ def test_expressions_are_hash_consed():
                      lambda e: rule_solve_ex(I.teacher_ruleset(), rd, e)):
             with pytest.raises(ParameterError):
                 call(not_an_expr)
-
-
-def test_cache_reset_keeps_constant_identities():
-    # operators 22-26 test the constants by identity, so a reset must not
-    # leave num(1) a different object from ONE; every memo table empties
-    e, rd = _expr("∫ 1 * x d x"), I.IntegrationRuleDomain()
-    I.teacher_trace(e)
-    I.token_count(e)
-    I.is_goal(e)
-    rd.unit_matches(rd.unit_tree(e), e)
-    assert all(I._MEMOS)
-    tables = (I.Expr._interned,) + I._MEMOS
-    saved = [dict(t) for t in tables]
-    try:
-        I.clear_expr_caches()
-        assert not any(I._MEMOS)
-        assert len(I.Expr._interned) == 4
-        assert I.num(1) is I.ONE and I.num(0) is I.ZERO and I.num(2) is I.TWO
-        assert _expr("x") is I.VAR_X
-        final = I.teacher_trace(_expr("∫ 1 * x d x"))[1]
-        assert I.to_text(final) == "( x ^ 2 ) / 2"
-        assert I.is_goal(final)
-    finally:
-        for t, contents in zip(tables, saved):
-            t.clear()
-            t.update(contents)
 
 
 def test_serialization_round_trip():
@@ -467,10 +445,20 @@ def test_generator_distribution_shape():
     assert kinds == {I.NUM, I.SIN, I.COS}
 
 
-def test_generator_determinism():
-    a = [I.to_text(I.generate_problem(random.Random(4))) for _ in range(1)]
-    b = [I.to_text(I.generate_problem(random.Random(4))) for _ in range(1)]
-    assert a == b
+def test_generate_problem_draws_the_same_stream():
+    # the pinned integration curves depend on these draws: the texts pin
+    # which value each randrange result picks, and the value drawn after
+    # them pins how many calls a problem makes; an interpreter that draws
+    # differently fails here instead of changing the curves
+    rng = random.Random(4)
+    assert [I.to_text(I.generate_problem(rng)) for _ in range(5)] == [
+        "∫ 3 * ( x ^ 5 ) + ( cos x ) * ( x ^ 2 ) + 9 * x + 4 d x",
+        "∫ 7 * ( x ^ 4 ) + ( cos x ) * ( x ^ 2 ) + ( cos x ) * x + ( sin x ) d x",
+        "∫ 6 * ( x ^ 7 ) + 2 * ( x ^ 2 ) + ( sin x ) * x + 1 d x",
+        "∫ 8 * ( x ^ 7 ) + 3 * ( x ^ 2 ) + 2 * x + 0 d x",
+        "∫ 1 * ( x ^ 5 ) + 1 * ( x ^ 2 ) + ( sin x ) * x + 8 d x",
+    ]
+    assert rng.random() == 0.8066523467023234
 
 
 def test_teacher_numeric_soundness_sample():

@@ -349,6 +349,11 @@ def test_check_serial_decomposability_toy():
     for wrong in ((0, 1, 2), (0,)):
         with pytest.raises(ParameterError):
             check_serial_decomposability(dom, FeatureOrdering((1, 0)), TOY_STATES + [wrong])
+    # so is an Eight Puzzle board with a tile twice, where a move reaches
+    # the position no tile holds
+    with pytest.raises(ParameterError):
+        check_serial_decomposability(ep.domain_spec(), ep.blank_first_ordering(),
+                                     [(0, 1, 1, 3, 4, 5, 6, 7, 8)])
 
 
 def test_check_serial_decomposability_reads_states_once():
