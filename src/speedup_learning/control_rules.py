@@ -7,9 +7,11 @@ solver runs the domain's post-order engine, the teacher's, picking at each
 unit the least-indexed operator whose select-set holds it.  The learner
 replays each solution with ``core.replay``, then folds each operator's
 units into their most specific generalization with the two-tree ``msc``.
-It calls ``msc`` only for a unit its cap does not cover: for a covered
-unit ``msc(cap, tree) is cap``, so the cap stays the same object either
-way.  A solution that does not replay leaves the learner as it was.
+It tests coverage on the unit itself (the domain's ``unit_matches``, the
+solver's test) and builds the unit's tree (``unit_tree``) only for a first
+cap or for ``msc`` on a unit its cap does not cover: for a covered unit
+``msc(cap, tree) is cap``, so the cap stays the same object either way.
+A solution that does not replay leaves the learner as it was.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional, Sequence
 
 from .core import BOTTOM, Example, is_consistent, replay, solved_problem
 from .errors import ConsistencyError, ParameterError
-from .grammar import Node, cap_matches_tree, msc, tree_yield
+from .grammar import Node, msc, tree_yield
 
 
 class RuleSet:
@@ -77,12 +79,12 @@ class IncrementalRuleLearner:
         states = replay(self.rdomain, example.problem, example.solution)
         caps, rdomain = self.caps, self.rdomain
         for x, (op_index, loc) in zip(states, example.solution):
-            tree = rdomain.unit_tree(rdomain.subexpr(x, loc))
+            unit = rdomain.subexpr(x, loc)
             old = caps[op_index - 1]
             if old is None:
-                caps[op_index - 1] = tree
-            elif not cap_matches_tree(old, tree):
-                caps[op_index - 1] = msc(old, tree)
+                caps[op_index - 1] = rdomain.unit_tree(unit)
+            elif not rdomain.unit_matches(old, unit):
+                caps[op_index - 1] = msc(old, rdomain.unit_tree(unit))
 
     def ruleset(self) -> RuleSet:
         return RuleSet(self.caps)

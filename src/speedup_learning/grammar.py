@@ -23,8 +23,11 @@ meet of a set of parse trees, the fold of ``msc`` over it, yields the
 unique most specific generalization (``msg``) of the underlying
 sentences.  Sentential forms go through ``parse`` too, over the form
 grammar: the grammar plus ``A -> ⟨A⟩`` for each nonterminal ``A``, whose
-parse trees are exactly the grammar's caps.  So there is one parser and
-one cap matcher (``cap_matches_tree``).
+parse trees are exactly the grammar's caps.  So there is one parser, and
+one cap matcher over parse trees (``cap_matches_tree``).  The integration
+domain matches caps against its expressions with a second matcher, compiled
+from its concrete syntax (``integration.IntegrationRuleDomain.unit_matches``),
+so that its scorer, learner and rule solver build no parse tree.
 
 Grammar text format: one production per line, ``Head -> sym sym | sym ...``,
 ``#`` starts a comment, and the head of the first production is the start

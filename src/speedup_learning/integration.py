@@ -1,12 +1,17 @@
 """The symbolic-integration domain.
 
 Expressions are immutable hash-consed ASTs mirroring the grammar below.
-Their concrete syntax is written down once, in ``_LAYOUT``: one memoized
-bottom-up walk (``_bottom_up``) reads it to give each subterm's one parse
-tree, rooted at Exp (``as_exp``; ``to_tokens`` is its yield), and token
-count, and the same walk gives the goal test.  A parent's tree holds each
-child's tree in place, or that tree in parentheses where the slot needs
-them.  ``tree_to_expr`` reads a parse tree back.
+Their concrete syntax is written down once, in ``_LAYOUT``.  Three walks
+read it: ``to_tokens`` yields a term's tokens on an explicit stack; one
+memoized bottom-up walk (``_bottom_up``) gives each subterm's one parse
+tree, rooted at Exp (``as_exp``), and token count, and the same walk gives
+the goal test; and the cap compiler (``_pattern``) turns a grammar cap into
+a pattern over ``Expr`` kinds, so that testing a unit against a select-set
+(``IntegrationRuleDomain.unit_matches``) builds no parse tree.  A parent's
+tree holds each child's tree in place, or that tree in parentheses where the
+slot needs them.  ``tree_to_expr`` reads a parse tree back.  An integer
+literal has at most ``MAX_LITERAL_DIGITS`` digits wherever it is written or
+read.
 Rewrite operators 1-7 are the classic integral table (constant factoring,
 sum/difference splitting, integration by parts, the power/sin/cos rules);
 8-10 round out the integrals the problem distribution needs; 11-17 are
@@ -45,7 +50,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterator, Optional, Sequence
 
 from .control_rules import RuleSet
@@ -56,7 +61,7 @@ from .errors import (
     ParameterError,
     ParseError,
 )
-from .grammar import Grammar, Node, cap_matches_tree, form_to_cap, parse, tree_yield
+from .grammar import Grammar, Node, form_to_cap, parse, tree_yield
 
 GRAMMAR_TEXT = """\
 # Integration problems: integrals and derivatives over polynomials in x,
@@ -132,7 +137,7 @@ def _mk(kind: str, *args) -> Expr:
 
 # Memo tables, one per value derived from a subterm alone, keyed by the
 # interned Expr.
-_TREES: dict = {}  # its Exp-rooted parse tree, ``as_exp`` (``_tree``)
+_TREES: dict = {}  # its Exp-rooted parse tree, ``as_exp`` (``_tree``), for merges
 _NTOK: dict = {}  # its token count (``_token_count``)
 _GOAL: dict = {}  # ``is_goal`` (``_normal``)
 _TRACE: dict = {}  # its ``TeacherRecord`` (``teacher_record``)
@@ -268,12 +273,20 @@ def _bottom_up(e: Expr, memo: dict, make: Callable[[Expr], object]):
     return memo[e]
 
 
+# The longest integer literal, in digits.  A longer one raises
+# ParameterError where a literal is written (``_digits``) and ParseError
+# where one is read (``tree_to_expr``), whatever the interpreter's own limit
+# on int/str conversion (``sys.set_int_max_str_digits``, 4300 by default)
+# allows; ``num`` takes any nonnegative int.
+MAX_LITERAL_DIGITS = 4300
+_TOO_LONG = 10 ** MAX_LITERAL_DIGITS  # the least literal too long to write
+
+
 def _digits(x: Expr) -> str:
     """An integer literal's decimal digits."""
-    try:
-        return str(x.args[0])
-    except ValueError as exc:  # more digits than str() writes
-        raise ParameterError(f"integer literal too long to write: {exc}") from exc
+    if x.args[0] >= _TOO_LONG:
+        raise ParameterError(f"integer literal too long to write: more than {MAX_LITERAL_DIGITS} digits")
+    return str(x.args[0])
 
 
 def _tree(x: Expr) -> Node:
@@ -331,7 +344,32 @@ def as_exp(e: Expr) -> Node:
 
 
 def to_tokens(e: Expr) -> tuple:
-    return tree_yield(as_exp(e))
+    """``e``'s tokens, the yield of ``as_exp(e)``, read off ``_LAYOUT`` on an
+    explicit stack without building a tree."""
+    if not isinstance(e, Expr):
+        raise ParameterError(f"expected an Expr, got {e!r}")
+    out: list = []
+    stack: list = [(e, _EXP)]  # (subterm, its slot's category) or a token
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        x, slot = item
+        kind = x.kind
+        if kind == NUM:
+            out.extend(_digits(x))
+        elif kind == NAMED:
+            out.append(x.args[0])
+        else:
+            paren = _NATURAL.get(kind, _PTERM) > slot
+            if paren:
+                stack.append(")")
+            stack.extend(p if isinstance(p, str) else (x.args[p[0]], p[1])
+                         for p in reversed(_LAYOUT[kind][1]))
+            if paren:
+                stack.append("(")
+    return tuple(out)
 
 
 def token_count(e: Expr) -> int:
@@ -346,11 +384,8 @@ def to_text(e: Expr) -> str:
 
 def parse_expr(tokens: Sequence[str], start: Optional[str] = None) -> Expr:
     """Parse a token sequence back into an AST (inverse of to_tokens)."""
-    tree = parse(GRAMMAR, tokens, start or ("Prob" if tokens and tokens[0] in ("∫", "D") else "Exp"))
-    try:
-        return tree_to_expr(tree)
-    except ValueError as exc:  # an Int with more digits than int() reads
-        raise ParseError(f"integer literal too long to read: {exc}", 0) from exc
+    start = start or ("Prob" if tokens and tokens[0] in ("∫", "D") else "Exp")
+    return tree_to_expr(parse(GRAMMAR, tokens, start))
 
 
 # How ``tree_to_expr`` reads a node back, from ``_LAYOUT``: (node label,
@@ -373,7 +408,11 @@ def _reading(node: Node) -> tuple:
     if label == "Var":
         return (), lambda: VAR_X
     if label == "Int":
-        return (), lambda: num(int("".join(tree_yield(node))))
+        digits = "".join(tree_yield(node))
+        if len(digits) > MAX_LITERAL_DIGITS:
+            raise ParseError(f"integer literal too long to read: {len(digits)} digits, "
+                             f"more than {MAX_LITERAL_DIGITS}", 0)
+        return (), lambda: num(int(digits))
     inner = tuple(k for k in kids if k.label in GRAMMAR.nonterminals)
     make = _READ.get((label, tuple(k.label for k in kids)))
     if make is not None:
@@ -390,7 +429,8 @@ def _same(e: Expr) -> Expr:
 
 
 def tree_to_expr(node: Node) -> Expr:
-    """The Expr a parse tree denotes.  Explicit stack, no recursion."""
+    """The Expr a parse tree denotes; ParseError for a literal of more than
+    ``MAX_LITERAL_DIGITS`` digits.  Explicit stack, no recursion."""
     values: list = []
     # (node, None) reads a node; (k, make) makes an Expr of the last k values
     stack: list = [(node, None)]
@@ -405,6 +445,171 @@ def tree_to_expr(node: Node) -> Expr:
             del values[len(values) - item:]
             values.append(make(*args))
     return values[0]
+
+
+# ---------------------------------------------------------------------------
+# Cap matching on Exprs
+# ---------------------------------------------------------------------------
+
+# A unit's parse tree is a fixed function of its Expr, so whether a cap is a
+# cap of that tree can be decided on the Expr itself: each cap is compiled
+# once, against ``_LAYOUT``, into a pattern over Expr kinds (tree pattern
+# matching; Hoffmann & O'Donnell 1982, JACM 29), and a match then takes one
+# step per Expr node, not one per parse node.
+
+
+# A literal token's shape, as in ``_LEAF``: the token itself, or Var(x).
+_TOKEN_SHAPE = {t: (t, ()) for t in GRAMMAR.terminals}
+_TOKEN_SHAPE["x"] = ("Var", (("x", ()),))
+
+
+def _shape(kind: str, slot: int) -> tuple:
+    """The parse tree ``_in_slot`` gives a node of ``kind`` in a slot of
+    category ``slot``, down to its arguments: a node is (label, children),
+    an argument's tree is its slot (argument index, category), and a
+    literal's Int chain or name is (None, kind)."""
+    head, body = _LAYOUT[kind]
+    kids = tuple(_TOKEN_SHAPE[p] if isinstance(p, str) else p for p in body or ((None, kind),))
+    if head is not None:
+        kids = ((head, kids),)
+    nat = _NATURAL.get(kind, _PTERM)
+    if nat > slot:  # P-term -> ( Exp ), under Term in a Term slot
+        tree = ("P-term", (("(", ()), _shape(kind, _EXP), (")", ())))
+        return tree if slot == _PTERM else ("Term", (tree,))
+    tree = (_CATEGORY[nat], kids)
+    for cat in range(nat + 1, slot + 1):
+        tree = (_CATEGORY[cat], (tree,))
+    return tree
+
+
+_SHAPE = {(kind, slot): _shape(kind, slot) for kind in _LAYOUT for slot in (_PTERM, _TERM, _EXP)}
+_SLOT_OF = {label: cat for cat, label in enumerate(_CATEGORY)}  # category label -> category
+_DIGIT = frozenset("0123456789")
+
+
+def _literal_is(value, x: Expr) -> bool:
+    return x.args[0] == value
+
+
+def _literal_like(digits: tuple, exact: bool, x: Expr) -> bool:
+    """x's digits begin with ``digits`` (None stands for any digit) and are
+    exactly that many if ``exact``, more if not."""
+    text = _digits(x)
+    if len(text) != len(digits) if exact else len(text) <= len(digits):
+        return False
+    return all(d is None or d == t for d, t in zip(digits, text))
+
+
+def _literal_test(cap: Node, kind: str):
+    """What a literal of ``kind`` (NUM or NAMED) must be to match ``cap``,
+    the cap's node where the tree has the literal's Int chain or name: None
+    if anything, False if nothing, else a test of the literal's Expr.  A cap
+    that cuts the Int chain part-way matches a literal of more digits than
+    the cut, with the cap's digits before it."""
+    if kind == NAMED:
+        return False if cap.children or cap.label not in ("a", "k") else partial(_literal_is, cap.label)
+    if cap.label != "Int":
+        return False
+    digits: list = []  # the cap's digit at each place, None where it stops at Digit
+    exact = False
+    while cap.children and not exact:
+        kids = cap.children
+        if len(kids) > 2 or kids[0].label != "Digit" or kids[1:] and kids[1].label != "Int":
+            return False
+        digit = kids[0].children
+        if digit and (len(digit) > 1 or digit[0].label not in _DIGIT or digit[0].children):
+            return False
+        digits.append(digit[0].label if digit else None)
+        exact = len(kids) == 1
+        cap = kids[-1]
+    if not digits:
+        return None
+    if exact and None not in digits:
+        text = "".join(digits)
+        return partial(_literal_is, int(text)) if str(int(text)) == text else False
+    return partial(_literal_like, tuple(digits), exact)
+
+
+def _meet(cap: Node, shape: tuple):
+    """How ``cap`` meets the shape of one kind: False if it matches no node
+    of that kind, else (the literal test or None, the sub-caps), a sub-cap
+    being (argument index, the cap's node in that argument's slot) for each
+    such node that is not a leaf."""
+    test, subs = None, []
+    todo = [(cap, shape)]
+    while todo:
+        c, (label, kids) = todo.pop()
+        if label is None:  # the literal; ``kids`` is its kind
+            test = _literal_test(c, kids)
+            if test is False:
+                return False
+        elif type(label) is int:  # argument ``label`` in a slot of category ``kids``
+            if c.label != _CATEGORY[kids]:
+                return False
+            if c.children:
+                subs.append((label, c))
+        elif c.label != label:
+            return False
+        elif c.children:
+            if len(c.children) != len(kids):
+                return False
+            todo.extend(zip(c.children, kids))
+    return test, tuple(subs)
+
+
+def _pattern(cap: Node, memo: dict):
+    """The pattern of ``cap``, whose label names a category, in a slot of
+    that category: None if it is a leaf (any Expr), else {kind: (literal test or None,
+    ((argument index, sub-pattern), ...))}, where a kind not in it matches
+    nothing.  It fills ``memo`` (cap node -> pattern) for ``cap`` and each
+    sub-cap, sub-caps first, on an explicit stack."""
+    meets: dict = {}  # cap node -> {kind: its meet}, while its sub-caps compile
+    stack = [cap]
+    while stack:
+        c = stack[-1]
+        if c in memo:
+            stack.pop()
+            continue
+        kinds = meets.get(c)
+        if kinds is None:
+            if not c.children:
+                memo[c] = None
+                continue
+            kinds = meets[c] = {}
+            slot = _SLOT_OF[c.label]
+            for kind in _LAYOUT:
+                meet = _meet(c, _SHAPE[kind, slot])
+                if meet is not False:
+                    kinds[kind] = meet
+            todo = [sub for _, subs in kinds.values() for _, sub in subs if sub not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+        stack.pop()
+        del meets[c]
+        memo[c] = {kind: (test, tuple((i, memo[sub]) for i, sub in subs))
+                   for kind, (test, subs) in kinds.items()}
+    return memo[cap]
+
+
+def _matches(pattern, e: Expr) -> bool:
+    """Does ``e`` match ``pattern``?  One kind test, and a literal test where
+    the pattern has one, per Expr node visited; explicit stack."""
+    if pattern is None:
+        return True
+    stack = [(pattern, e)]
+    while stack:
+        pattern, x = stack.pop()
+        entry = pattern.get(x.kind)
+        if entry is None:
+            return False
+        test, subs = entry
+        if test is not None and not test(x):
+            return False
+        args = x.args
+        for i, sub in subs:
+            stack.append((sub, args[i]))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -894,11 +1099,21 @@ def domain_spec():
 class IntegrationRuleDomain:
     """Adapter giving the control-rule machinery post-order matching units.
 
-    The matching unit at a location is the subexpression there; select-set
-    membership is tested against its Exp-rooted parse tree.
+    The matching unit at a location is the subexpression there, and its
+    tree (``unit_tree``) is its Exp-rooted parse tree.  Select-set
+    membership (``unit_matches``) is tested on the unit itself, with each
+    cap compiled once into a pattern over Expr kinds.
     """
 
     num_operators = len(OPERATORS)
+
+    @cached_property
+    def _patterns(self) -> dict:
+        """cap node -> its compiled pattern, for every cap this domain has
+        matched and their sub-caps.  The memo, and the caps it holds, live
+        as long as the domain (a curve's trial owns one); no module-level
+        table is keyed by caps."""
+        return {}
 
     def is_goal(self, e: Expr) -> bool:
         return is_goal(e)
@@ -907,7 +1122,21 @@ class IntegrationRuleDomain:
         return as_exp(unit)
 
     def unit_matches(self, cap: Node, unit: Expr) -> bool:
-        return cap_matches_tree(cap, as_exp(unit))
+        """``cap_matches_tree(cap, self.unit_tree(unit))``, without building
+        the tree.  It reads a literal's digits only where the cap spells
+        part of them; there a literal longer than ``MAX_LITERAL_DIGITS``
+        raises ParameterError, as ``unit_tree`` does for any such literal.
+        Elsewhere it answers as the layout defines."""
+        if not isinstance(unit, Expr):
+            raise ParameterError(f"expected an Expr, got {unit!r}")
+        if cap.label != "Exp":
+            return False
+        memo = self._patterns
+        try:
+            pattern = memo[cap]
+        except KeyError:
+            pattern = _pattern(cap, memo)
+        return _matches(pattern, unit)
 
     def subexpr(self, e: Expr, loc) -> Expr:
         return subexpr_at(e, loc or ())

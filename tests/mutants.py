@@ -9,8 +9,8 @@ named tests, with the copy first on ``PYTHONPATH``.  It fails when a named
 test passes (the mutant survives), when a named test is not run, or when
 the old text is not found exactly once in its file (the code has moved on,
 so the list must follow it).  It runs as many mutants at once as this
-process may use CPUs (``nproc``).  All 36 take 42-44 s with two jobs on
-a 2-vCPU x86-64 machine with CPython 3.11, 1.2-10.6 s each (the slowest,
+process may use CPUs (``nproc``).  All 41 take 37 s with two jobs on
+a 2-vCPU x86-64 machine with CPython 3.11, 1.1-7.5 s each (the slowest,
 ``macro-permutation-inverted``, names two property tests).  The step took
 39-93 s while ``merge-before-replay-ends`` also named a property test,
 whose shrink of its failing example took up to 85 s; it now names only
@@ -161,7 +161,7 @@ MUTANTS = (
            (INT + "test_trace_records_walk_as_the_trace_and_keep_the_limit_exact",)),
     # a cap grows only on a unit it does not cover
     Mutant("merge-skipped-on-a-miss", "control_rules.py",
-           "                caps[op_index - 1] = msc(old, tree)\n",
+           "                caps[op_index - 1] = msc(old, rdomain.unit_tree(unit))\n",
            "                pass\n",
            (CR + "test_incremental_learner_generalizes_monotonically",
             CR + "test_learner_cap_equals_msg_of_collected_units")),
@@ -224,7 +224,29 @@ MUTANTS = (
            "if j != n - 1:",
            "if j != n:",
            (EP + "test_random_solvable_draws_the_same_stream_as_random_sample",
-            EP + "test_integrated_teacher_solves_and_reuses")),
+            EP + "test_integrated_teacher_solves_and_reuses",
+            EP + "test_random_solvable_is_solvable_and_seeded")),
+    # cap matching on Exprs: each cap compiled against the layout
+    Mutant("cap-int-cut-takes-as-many-digits", "integration.py",
+           "if len(text) != len(digits) if exact else len(text) <= len(digits):",
+           "if len(text) != len(digits) if exact else len(text) < len(digits):",
+           (INT + "test_unit_matches_worked_caps",)),
+    Mutant("cap-parentheses-one-category-late", "integration.py",
+           "    if nat > slot:  # P-term -> ( Exp ), under Term in a Term slot\n",
+           "    if nat > slot + 1:  # P-term -> ( Exp ), under Term in a Term slot\n",
+           (INT + "test_unit_matches_worked_caps",)),
+    Mutant("cap-argument-compiled-as-exp", "integration.py",
+           "slot = _SLOT_OF[c.label]",
+           "slot = _EXP",
+           (INT + "test_unit_matches_worked_caps",)),
+    Mutant("cap-leading-zero-read-as-its-value", "integration.py",
+           "partial(_literal_is, int(text)) if str(int(text)) == text else False",
+           "partial(_literal_is, int(text))",
+           (INT + "test_unit_matches_worked_caps",)),
+    Mutant("to-tokens-parentheses-off-by-one", "integration.py",
+           "paren = _NATURAL.get(kind, _PTERM) > slot",
+           "paren = _NATURAL.get(kind, _PTERM) >= slot",
+           (INT + "test_parenthesization_golden", INT + "test_generate_problem_draws_the_same_stream")),
 )
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -16,9 +17,11 @@ from speedup_learning.errors import (
     ParseError,
 )
 from speedup_learning.grammar import (
+    Node,
     cap_matches_tree,
     form_to_cap,
     membership,
+    msc,
     parse,
     same_tree,
     tree_yield,
@@ -94,6 +97,7 @@ def test_parenthesization_golden():
     e = I.mul(I.add(I.num(1), I.VAR_X), I.num(3))
     assert I.to_text(e) == "( 1 + x ) * 3"
     assert I.to_text(I.neg(I.neg(I.VAR_X))) == "( - ( - x ) )"
+    assert I.to_text(I.add(I.mul(I.TWO, I.VAR_X), I.sub(I.ONE, I.named("a")))) == "2 * x + 1 - a"
     assert I.to_text(I.integral(I.powx(I.num(10)))) == "∫ ( x ^ 1 0 ) d x"
 
 
@@ -325,16 +329,21 @@ def test_round_trip_of_deep_inputs():
     # nowhere
     big = I.num(int("9876543210" * 40))
     assert I.parse_expr(I.to_tokens(big)) is big
-    # a literal longer than int() reads is a parse error, not a ValueError
+    # a literal longer than MAX_LITERAL_DIGITS is a parse error, not a
+    # ValueError, whatever the interpreter's int/str limit allows
+    assert I.MAX_LITERAL_DIGITS == 4300
+    longest = ("∫",) + ("7",) * 4300 + ("d", "x")
+    assert I.to_tokens(I.parse_expr(longest)) == longest
     with pytest.raises(ParseError):
         I.parse_expr(("∫",) + ("7",) * 4301 + ("d", "x"))
-    # and one longer than str() writes is a typed error wherever its tokens
-    # are read, the rule solver's limits included
-    huge = I.num(10 ** 5000)
-    for call in (I.to_text, I.to_tokens, I.token_count,
-                 lambda e: rule_solve_ex(I.teacher_ruleset(), I.IntegrationRuleDomain(), e)):
-        with pytest.raises(ParameterError):
-            call(huge)
+    # and one constructs, but is a typed error wherever its tokens are
+    # written, the rule solver's limits included
+    assert I.token_count(I.num(10 ** 4300 - 1)) == 4300
+    for huge in (I.num(10 ** 4300), I.num(10 ** 5000)):
+        for call in (I.to_text, I.to_tokens, I.token_count, I.as_exp,
+                     lambda e: rule_solve_ex(I.teacher_ruleset(), I.IntegrationRuleDomain(), e)):
+            with pytest.raises(ParameterError):
+                call(huge)
     chain = I.VAR_X
     for _ in range(3000):
         chain = I.neg(chain)
@@ -394,6 +403,237 @@ def test_round_trip_of_deep_inputs():
             todo.extend(part for _, part in record.segments if type(part) is I.TeacherRecord)
     assert len(records) == 3000
     assert sum(len(record.segments) for record in records) == 4500
+
+
+def _chains(depth, bottom=I.VAR_X):
+    """Chains ``depth`` deep over ``bottom`` through each kind with an
+    argument: every slot category, the ones that need parentheses among
+    them."""
+    makers = (I.neg, I.powx, I.integral, I.deriv,
+              lambda e: I.add(I.VAR_X, e), lambda e: I.sub(e, I.ONE),
+              lambda e: I.mul(I.TWO, e), lambda e: I.div(e, I.VAR_X))
+    chains = []
+    for make in makers:
+        e = bottom
+        for _ in range(depth):
+            e = make(e)
+        chains.append(e)
+    return chains
+
+
+_LONG_LITERALS = st.integers(10, 10 ** 30).map(I.num)
+_EXPRS_WITH_LONG_LITERALS = st.recursive(_LEAVES | _LONG_LITERALS, _grow, max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_EXPRS, _EXPRS.map(I.integral), _EXPRS.map(I.deriv), _EXPRS_WITH_LONG_LITERALS))
+def test_to_tokens_is_the_yield_of_the_tree(e):
+    assert I.to_tokens(e) == tree_yield(I.as_exp(e))
+
+
+def test_to_tokens_of_deep_chains_and_long_literals():
+    for e in _chains(3000) + [I.num(10 ** 4300 - 1), I.add(I.num(int("1234567890" * 30)), I.VAR_X)]:
+        assert I.to_tokens(e) == tree_yield(I.as_exp(e))
+
+
+def _cap(form, start="Exp"):
+    return form_to_cap(I.GRAMMAR, form.split(), start)
+
+
+def test_serializing_and_matching_a_term_build_no_tree():
+    # to_tokens, to_text and repr walk the layout, and unit_matches the
+    # compiled cap: none of them fills the parse tree memo
+    fresh = I.add(I.mul(I.num(90817263544536271), I.powx(I.named("k"))), I.sub(I.VAR_X, I.named("a")))
+    assert fresh not in I._TREES
+    before = len(I._TREES)
+    assert I.to_text(fresh) == "9 0 8 1 7 2 6 3 5 4 4 5 3 6 2 7 1 * ( x ^ k ) + x - a"
+    assert repr(fresh) == f"<{I.to_text(fresh)}>"
+    rd = I.IntegrationRuleDomain()
+    for cap in I.teacher_ruleset().caps + (_cap("Int * Term + Exp"),):
+        rd.unit_matches(cap, fresh)
+    assert rd.unit_matches(_cap("Int * ( x ^ k ) + Exp"), fresh)
+    assert len(I._TREES) == before
+
+
+# (form, units it matches, units it does not), all as Exp-rooted token
+# texts: the layout defines each answer, and cap_matches_tree on the unit's
+# tree agrees
+_WORKED_CAPS = [
+    # an Int chain cut part-way: more digits than the cut, these before it
+    ("1 2 Int", ["1 2 3", "1 2 3 4"], ["1 2", "1 3 2", "1", "x", "a"]),
+    ("Digit Int", ["1 0", "9 9 9"], ["7"]),
+    ("4 Digit", ["4 0", "4 5"], ["4", "4 0 0", "5 4"]),
+    ("Int", ["0", "1 2 3"], ["a", "x"]),
+    ("0 7", [], ["7", "0", "7 0"]),
+    ("a", ["a"], ["k", "1"]),
+    ("Const", ["a", "1 2"], ["x"]),
+    # P-term -> ( Exp ) where the slot is tighter than the argument
+    ("( Exp ) * Term", ["( 1 + x ) * 3", "( 2 * x ) * 3", "( 2 - x ) * x * x"], ["1 * 3", "x"]),
+    ("( Exp ) + Exp", ["( 1 + x ) + 2", "( 1 - x ) + 2"], ["1 + x + 2", "( 1 * x ) + 2"]),
+    ("( - ( - Term ) )", ["( - ( - x ) )", "( - ( - 1 * x ) )"], ["( - x )", "( - ( 1 + x ) )"]),
+    ("( x ^ ( Exp ) )", ["( x ^ ( 1 + 2 ) )"], ["( x ^ 1 * 2 )", "( x ^ 3 )"]),
+    # each argument in its slot's category
+    ("x * x", ["x * x"], ["x * ( sin x )", "x * x * x", "x"]),
+    ("P-term * Term + Exp", ["2 * x + 1", "a * ( sin x ) + x - 1"], ["2 + 1", "x"]),
+    ("Term", ["x * x", "x", "∫ x d x"], ["1 + x"]),
+    ("x", ["x"], ["x * x", "( sin x )"]),
+    ("∫ Const * Term d x", ["∫ 3 * x d x", "∫ a * ( sin x ) d x"], ["∫ x * 3 d x", "D 3 * x x"]),
+    ("D ( cos x ) x", ["D ( cos x ) x"], ["D ( sin x ) x", "( cos x )"]),
+    ("( x ^ 1 0 )", ["( x ^ 1 0 )"], ["( x ^ 1 )", "( x ^ 1 0 0 )"]),
+    ("Exp", ["x", "1 + 2", "∫ ( sin x ) d x"], []),
+]
+
+
+def test_unit_matches_worked_caps():
+    rd = I.IntegrationRuleDomain()
+    for form, yes, no in _WORKED_CAPS:
+        cap = _cap(form)
+        for texts, want in ((yes, True), (no, False)):
+            for text in texts:
+                unit = I.parse_expr(text.split(), "Exp")
+                assert cap_matches_tree(cap, I.as_exp(unit)) is want, (form, text)
+                assert rd.unit_matches(cap, unit) is want, (form, text)
+    # a cap not rooted at Exp matches no unit's tree
+    assert not rd.unit_matches(_cap("x", "Term"), I.VAR_X)
+    with pytest.raises(ParameterError):
+        rd.unit_matches(_cap("Exp"), "x")
+
+
+def test_unit_matches_on_a_3000_deep_chain():
+    # caps built from 3000-deep chain units compile and match on explicit
+    # stacks: the whole tree (a first cap), and its meet with the same chain
+    # over 1, which cuts it at the bottom
+    rd = I.IntegrationRuleDomain()
+    for chain, over_one, other in zip(_chains(3000), _chains(3000, I.ONE), _chains(2999)):
+        whole = I.as_exp(chain)
+        cut = msc(whole, I.as_exp(over_one))
+        for cap in (whole, cut):
+            for unit in (chain, over_one, other):
+                assert rd.unit_matches(cap, unit) is cap_matches_tree(cap, I.as_exp(unit))
+        assert rd.unit_matches(cut, chain) and rd.unit_matches(cut, over_one)
+        assert not rd.unit_matches(whole, over_one) and not rd.unit_matches(cut, other)
+
+
+def test_compiled_patterns_live_on_the_domain():
+    # a pattern lives in the domain that compiled it, which a curve's trial
+    # owns, and in no module-level table
+    rd = I.IntegrationRuleDomain()
+    cap = _cap("P-term * Term + Exp")
+    assert rd.unit_matches(cap, I.parse_expr("2 * x + 1".split()))
+    assert cap in rd._patterns and cap not in I.IntegrationRuleDomain()._patterns
+    tables = [v for v in list(vars(I).values()) + list(vars(I.Expr).values()) if isinstance(v, dict)]
+    assert tables and not any(cap in t for t in tables)
+
+
+def _cut(tree, rnd, p, labels=None):
+    """A random cap of ``tree``: each nonterminal node below the root (with
+    a label in ``labels``, if given) is cut to a leaf with probability
+    ``p``.  Explicit stack."""
+    done: list = []
+    stack = [(tree, False)]
+    while stack:
+        node, built = stack.pop()
+        if built:
+            k = len(done) - len(node.children)
+            kids = done[k:]
+            del done[k:]
+            done.append(Node(node.label, kids))
+        elif not node.children:
+            done.append(node)
+        elif node is not tree and (labels is None or node.label in labels) and rnd.random() < p:
+            done.append(Node(node.label))
+        else:
+            stack.append((node, True))
+            stack.extend((k, False) for k in reversed(node.children))
+    return done[0]
+
+
+@functools.cache
+def _known_caps():
+    """The teacher's caps, and every cap two seeded learners hold as they
+    take twelve examples each."""
+    from speedup_learning.control_rules import IncrementalRuleLearner
+    from speedup_learning.core import Example
+
+    caps = {id(c): c for c in I.teacher_ruleset().caps}
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        learner = IncrementalRuleLearner(I.IntegrationRuleDomain())
+        for _ in range(12):
+            p = I.generate_problem(rng)
+            learner.add_example(Example(p, I.teacher_solve(p)))
+            caps.update((id(c), c) for c in learner.caps if c is not None)
+    return tuple(caps.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(exprs=st.lists(_EXPRS_WITH_LONG_LITERALS, min_size=2, max_size=4),
+       chain=st.deferred(lambda: st.sampled_from([None] * 24 + _chains(3000))),
+       problem=st.integers(0, 2**32).map(lambda seed: I.generate_problem(random.Random(seed))),
+       rnd=st.randoms(use_true_random=False),
+       p=st.sampled_from([0.0, 0.05, 0.2, 0.5]),
+       labels=st.sampled_from([None, {"Int", "Digit"}]),
+       known=st.lists(st.deferred(lambda: st.sampled_from(_known_caps())), max_size=4))
+def test_unit_matches_equals_cap_matches_tree(exprs, chain, problem, rnd, p, labels, known):
+    # caps: random cuts of unit trees (some only inside Int chains), their
+    # meets, teacher forms and learners' caps; units: the drawn terms with
+    # every kind, slot and multi-digit literals, their subterms, a 3000-deep
+    # chain and the teacher's units on a drawn problem
+    if chain is not None:
+        exprs = exprs + [chain]
+    trees = [I.as_exp(e) for e in exprs]
+    cuts = [_cut(t, rnd, p, labels) for t in trees]
+    caps = cuts + [msc(cuts[0], cuts[1]), msc(trees[0], trees[-1]), msc(cuts[-1], trees[0])] + known
+    units = [u for e in exprs[:2] for _, u in iter_postorder(e)] + exprs[2:]
+    units += [u for _, _, u in I.teacher_trace(problem)[0]]
+    rd = I.IntegrationRuleDomain()
+    for cap in caps:
+        for unit in units:
+            assert rd.unit_matches(cap, unit) is cap_matches_tree(cap, I.as_exp(unit))
+
+
+def _sevens(digits):
+    return I.num((10 ** digits - 1) // 9 * 7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(e=st.recursive(_LEAVES | _LONG_LITERALS | st.just(_sevens(39)), _grow, max_leaves=8),
+       rnd=st.randoms(use_true_random=False),
+       p=st.sampled_from([0.0, 0.2, 0.5]),
+       labels=st.sampled_from([None, {"Int", "Digit"}]),
+       known=st.lists(st.deferred(lambda: st.sampled_from(_known_caps())), max_size=3))
+def test_unit_matches_on_literals_too_long_to_write(e, rnd, p, labels, known):
+    # a unit holding a literal longer than MAX_LITERAL_DIGITS has no tree
+    # (as_exp raises ParameterError); unit_matches raises that error where
+    # the cap spells part of the literal's digits, and elsewhere answers as
+    # the layout defines.  The caps reach at most 39 digits down an Int
+    # chain, so the layout answers for 4301 sevens as for 40.
+    ref, huge = e, e
+    for path, unit in iter_postorder(e):
+        if unit is _sevens(39):
+            ref = I.replace_at(ref, path, _sevens(40))
+            huge = I.replace_at(huge, path, _sevens(I.MAX_LITERAL_DIGITS + 1))
+    if huge is not e:
+        with pytest.raises(ParameterError):
+            I.as_exp(huge)
+    rd = I.IntegrationRuleDomain()
+    for cap in [_cut(I.as_exp(e), rnd, p, labels)] + known:
+        try:
+            got = rd.unit_matches(cap, huge)
+        except ParameterError:
+            continue
+        assert got is cap_matches_tree(cap, I.as_exp(ref))
+
+
+def test_unit_matches_reads_a_too_long_literal_only_where_the_cap_spells_it():
+    rd = I.IntegrationRuleDomain()
+    huge = _sevens(I.MAX_LITERAL_DIGITS + 1)
+    for form, want in (("Exp", True), ("Int", True), ("Const", True), ("a", False),
+                       ("7 7", False), ("x", False), ("P-term * Term", False)):
+        assert rd.unit_matches(_cap(form), huge) is want
+    for form in ("7 Int", "Digit Int", "7 Digit"):
+        with pytest.raises(ParameterError):
+            rd.unit_matches(_cap(form), huge)
 
 
 def test_step_limit_returns_none_on_runaway_by_parts(monkeypatch):
