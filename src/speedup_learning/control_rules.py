@@ -11,7 +11,9 @@ It tests coverage on the unit itself (the domain's ``unit_matches``, the
 solver's test) and builds the unit's tree (``unit_tree``) only for a first
 cap or for ``msc`` on a unit its cap does not cover: for a covered unit
 ``msc(cap, tree) is cap``, so the cap stays the same object either way.
-A solution that does not replay leaves the learner as it was.
+A solution that does not replay leaves the learner as it was.  The
+learner hands out one ``RuleSet`` snapshot until a cap changes, so every
+solve between two changes reads the snapshot's memo of picks.
 """
 
 from __future__ import annotations
@@ -25,10 +27,13 @@ from .grammar import Node, msc, tree_yield
 
 class RuleSet:
     """One select-set per operator: ``caps[i - 1]`` is operator i's cap, or
-    None for EMPTY (never matches)."""
+    None for EMPTY (never matches).  ``rule_solve_ex`` keeps what it derives
+    from the caps here, one memo per rule domain instance, so the memo lives
+    and dies with this snapshot."""
 
     def __init__(self, caps: Sequence[Optional[Node]]):
         self.caps = tuple(caps)
+        self._memos: dict = {}  # rule domain -> (decide, its record memo)
 
     def dump(self) -> str:
         lines = []
@@ -47,18 +52,36 @@ def rule_solve_ex(ruleset: RuleSet, rdomain, x):
     learned rule sets can loop on growth rules (e.g. by-parts), and runaway
     states get ever more expensive to walk, so growth is cut early rather
     than waiting out the step limit.  The domain's engine (``rdomain.solve``)
-    runs the solve; a unit's pick depends on the unit alone, so it is
-    made once per solve.
+    runs the solve.  A unit's pick depends on the rule set and the unit
+    alone, so it is made once per unit for the life of the snapshot: at its
+    first solve with a domain instance, ``ruleset`` gets that domain's
+    ``decide``, which memoizes every pick, and an empty record memo, which
+    the engine fills with the subterms it may skip later (see
+    ``IntegrationRuleDomain.solve``).  Both die with the snapshot.
     """
-    caps = [(i, cap) for i, cap in enumerate(ruleset.caps, 1) if cap is not None]
-    picked: dict = {}  # unit -> operator index or None, for this solve
+    memo = ruleset._memos.get(rdomain)
+    if memo is None:
+        memo = ruleset._memos[rdomain] = (_decider(ruleset, rdomain), {})
+    decide, records = memo
+    return rdomain.solve(x, decide, records, rdomain.default_step_limit(x),
+                         rdomain.default_size_limit(x))
+
+
+def _decider(ruleset: RuleSet, rdomain):
+    """``decide(unit)``: the least-indexed operator whose select-set holds
+    ``unit``, or None, memoized per unit.  It tests only the caps that
+    ``rdomain.candidates`` lists for the unit, each with
+    ``rdomain.unit_matches``."""
+    candidates, unit_matches = rdomain.candidates(ruleset), rdomain.unit_matches
+    picks: dict = {}  # unit -> operator index or None
 
     def decide(unit):
-        if unit not in picked:
-            picked[unit] = next((i for i, cap in caps if rdomain.unit_matches(cap, unit)), None)
-        return picked[unit]
+        if unit in picks:
+            return picks[unit]
+        pick = picks[unit] = next((i for i, cap in candidates(unit) if unit_matches(cap, unit)), None)
+        return pick
 
-    return rdomain.solve(x, decide, rdomain.default_step_limit(x), rdomain.default_size_limit(x))
+    return decide
 
 
 def rule_solve(ruleset: RuleSet, rdomain, x):
@@ -71,6 +94,7 @@ class IncrementalRuleLearner:
     def __init__(self, rdomain):
         self.rdomain = rdomain
         self.caps: list = [None] * rdomain.num_operators  # caps[i - 1]: operator i
+        self._ruleset: Optional[RuleSet] = None  # the snapshot of these caps, once asked for
 
     def add_example(self, example: Example):
         """Replay the whole solution, then merge its units into the caps."""
@@ -83,11 +107,18 @@ class IncrementalRuleLearner:
             old = caps[op_index - 1]
             if old is None:
                 caps[op_index - 1] = rdomain.unit_tree(unit)
-            elif not rdomain.unit_matches(old, unit):
+            elif rdomain.unit_matches(old, unit):
+                continue
+            else:
                 caps[op_index - 1] = msc(old, rdomain.unit_tree(unit))
+            self._ruleset = None
 
     def ruleset(self) -> RuleSet:
-        return RuleSet(self.caps)
+        """The snapshot of the caps: the same ``RuleSet`` until a cap
+        changes, so its memo of picks carries over."""
+        if self._ruleset is None:
+            self._ruleset = RuleSet(self.caps)
+        return self._ruleset
 
 
 def learn_rules(rdomain, oracle, domain, m: int) -> RuleSet:

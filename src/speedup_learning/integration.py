@@ -37,9 +37,10 @@ hand-authored select-sets (``teacher_ruleset``) that agrees with them on
 the problem distribution, and writes each subterm's record into ``_TRACE``
 as soon as the subterm is normalized, so the memo grows linearly in the
 nesting depth.  The learned solver (``IntegrationRuleDomain.solve``)
-decides by its select-sets and passes no memo, so it builds no record
-table and its step and size limits stay exact.  The test suite
-checks both against interpreters that scan the state from the root.
+decides by its select-sets and passes the rule set's record memo, where
+it keeps only the records of subterms that took no step, so its step and
+size limits stay exact.  The test suite checks both against interpreters
+that scan the state from the root.
 ``_TRACE`` is one of the memo tables: one table per value derived from a
 subterm alone, keyed by the interned ``Expr``.
 """
@@ -124,7 +125,10 @@ class Expr:
         self.children = () if kind in (NUM, NAMED, VAR) else args
 
     def __repr__(self):
-        return f"<{to_text(self)}>"
+        try:
+            return f"<{to_text(self)}>"
+        except ParameterError:  # it holds a literal too long to write
+            return f"<{self.kind} holding a literal of more than {MAX_LITERAL_DIGITS} digits>"
 
 
 def _mk(kind: str, *args) -> Expr:
@@ -280,13 +284,39 @@ def _bottom_up(e: Expr, memo: dict, make: Callable[[Expr], object]):
 # allows; ``num`` takes any nonnegative int.
 MAX_LITERAL_DIGITS = 4300
 _TOO_LONG = 10 ** MAX_LITERAL_DIGITS  # the least literal too long to write
+# A literal of fewer digits than the least limit CPython allows (640)
+# converts with plain str and int; a longer one in pieces of _PIECE digits,
+# so no setting of that limit rejects a literal the package allows.
+_SHORT = 640
+_SHORT_END = 10 ** (_SHORT - 1)  # the least literal of _SHORT digits
+_PIECE = 600
+_PIECE_BASE = 10 ** _PIECE
 
 
 def _digits(x: Expr) -> str:
     """An integer literal's decimal digits."""
-    if x.args[0] >= _TOO_LONG:
+    n = x.args[0]
+    if n < _SHORT_END:
+        return str(n)
+    if n >= _TOO_LONG:
         raise ParameterError(f"integer literal too long to write: more than {MAX_LITERAL_DIGITS} digits")
-    return str(x.args[0])
+    pieces = []  # _PIECE digits each, lowest first
+    while n >= _PIECE_BASE:
+        n, low = divmod(n, _PIECE_BASE)
+        pieces.append(f"{low:0{_PIECE}d}")
+    pieces.append(str(n))
+    return "".join(reversed(pieces))
+
+
+def _int_of(digits: str) -> int:
+    """The value of a string of decimal digits, as ``_digits`` writes it."""
+    if len(digits) < _SHORT:
+        return int(digits)
+    n = 0
+    for k in range(0, len(digits), _PIECE):
+        piece = digits[k:k + _PIECE]
+        n = n * 10 ** len(piece) + int(piece)
+    return n
 
 
 def _tree(x: Expr) -> Node:
@@ -412,7 +442,7 @@ def _reading(node: Node) -> tuple:
         if len(digits) > MAX_LITERAL_DIGITS:
             raise ParseError(f"integer literal too long to read: {len(digits)} digits, "
                              f"more than {MAX_LITERAL_DIGITS}", 0)
-        return (), lambda: num(int(digits))
+        return (), lambda: num(_int_of(digits))
     inner = tuple(k for k in kids if k.label in GRAMMAR.nonterminals)
     make = _READ.get((label, tuple(k.label for k in kids)))
     if make is not None:
@@ -526,7 +556,7 @@ def _literal_test(cap: Node, kind: str):
         return None
     if exact and None not in digits:
         text = "".join(digits)
-        return partial(_literal_is, int(text)) if str(int(text)) == text else False
+        return partial(_literal_is, _int_of(text)) if text[0] != "0" or len(text) == 1 else False
     return partial(_literal_like, tuple(digits), exact)
 
 
@@ -862,7 +892,12 @@ def _normalize(e: Expr, decide, memo: Optional[dict], step_limit: int,
     step and go on with the rewritten term.  With a ``memo`` (subterm ->
     record), a hit adds its record's count, and each finished subterm's
     record goes into it at once, also in a call that then passes the step
-    limit: a subterm's record depends on that subterm alone."""
+    limit: a subterm's record depends on that subterm alone.  Under a
+    ``size_limit`` only records of no step go into it: such a record grew
+    nothing, so a hit cannot hide the step at which the state outgrew the
+    limit, while a record with steps would skip the sizes its steps passed
+    through.  Once a pick on a goal switches ``decide`` off, the records
+    made after that are not ``decide``'s, so the memo is left alone."""
     count = 0
     size = token_count(e) if size_limit is not None else 0
     handed = None  # record of the frame just popped, for its parent
@@ -903,9 +938,10 @@ def _normalize(e: Expr, decide, memo: Optional[dict], step_limit: int,
                 if not is_goal(whole):
                     return None, "no_match"
                 decide, op_index = (lambda unit: None), None  # on a goal, no pick applies
+                memo = None  # and the records from here on are not decide's
         if op_index is None:
             handed = TeacherRecord(tuple(segs), x, count - began)
-            if memo is not None:
+            if memo is not None and (size_limit is None or not handed.steps):
                 memo[top] = handed
             stack.pop()
             continue
@@ -1102,7 +1138,9 @@ class IntegrationRuleDomain:
     The matching unit at a location is the subexpression there, and its
     tree (``unit_tree``) is its Exp-rooted parse tree.  Select-set
     membership (``unit_matches``) is tested on the unit itself, with each
-    cap compiled once into a pattern over Expr kinds.
+    cap compiled once into a pattern over Expr kinds; the learned solver
+    tests a unit only against the caps whose pattern admits its root kind
+    (``candidates``).
     """
 
     num_operators = len(OPERATORS)
@@ -1144,10 +1182,29 @@ class IntegrationRuleDomain:
     def apply(self, e: Expr, op_index: int, loc) -> Expr:
         return apply_at(get_operator(op_index), e, loc or ())
 
-    def solve(self, e: Expr, decide, step_limit: int, size_limit: int) -> tuple:
-        """``control_rules.rule_solve_ex`` on ``_normalize``, with no record
-        memo: a hit would hide the step at which the size limit is passed."""
-        record, why = _normalize(e, decide, None, step_limit, size_limit)
+    def candidates(self, ruleset: RuleSet) -> Callable[[Expr], list]:
+        """unit -> the (operator index, cap) pairs of ``ruleset`` that can
+        hold a unit of its root kind, in index order: a leaf cap holds a
+        unit of any kind, a cap not labelled Exp none, any other cap the
+        kinds its compiled pattern admits.  Built once per rule set and
+        domain (``control_rules.rule_solve_ex``)."""
+        memo = self._patterns
+        by_kind: dict = {kind: [] for kind in _LAYOUT}
+        for i, cap in enumerate(ruleset.caps, 1):
+            if cap is not None and cap.label == "Exp":
+                pattern = memo[cap] if cap in memo else _pattern(cap, memo)
+                for kind in (_LAYOUT if pattern is None else pattern):
+                    by_kind[kind].append((i, cap))
+        return lambda unit: by_kind[unit.kind]
+
+    def solve(self, e: Expr, decide, records: dict, step_limit: int, size_limit: int) -> tuple:
+        """``control_rules.rule_solve_ex`` on ``_normalize``, with the record
+        memo ``records`` that the rule set keeps for this domain, as long as
+        the rule set lives.  Under the size limit it holds only the records
+        of subterms that took no step, and a hit skips such a subterm
+        without a frame or a pick: a record with steps would hide the step
+        at which the size limit is passed."""
+        record, why = _normalize(e, decide, records, step_limit, size_limit)
         if record is None or not self.is_goal(record.normal_form):
             return BOTTOM, why or "no_match"
         return tuple((op, path) for op, path, _ in record_steps(record)), "solved"

@@ -9,8 +9,8 @@ named tests, with the copy first on ``PYTHONPATH``.  It fails when a named
 test passes (the mutant survives), when a named test is not run, or when
 the old text is not found exactly once in its file (the code has moved on,
 so the list must follow it).  It runs as many mutants at once as this
-process may use CPUs (``nproc``).  All 41 take 37 s with two jobs on
-a 2-vCPU x86-64 machine with CPython 3.11, 1.1-7.5 s each (the slowest,
+process may use CPUs (``nproc``).  All 46 take 37 s with two jobs on
+a 2-vCPU x86-64 machine with CPython 3.11, 1.0-7.6 s each (the slowest,
 ``macro-permutation-inverted``, names two property tests).  The step took
 39-93 s while ``merge-before-replay-ends`` also named a property test,
 whose shrink of its failing example took up to 85 s; it now names only
@@ -55,10 +55,28 @@ _NOT_A_LOCATION = ('        raise LocationError(f"location {loc!r} is not a sequ
 
 MUTANTS = (
     # a rule set is one cap per operator, read by index everywhere
-    Mutant("first-match-off-by-one", "control_rules.py",
-           "for i, cap in enumerate(ruleset.caps, 1) if cap is not None",
-           "for i, cap in enumerate(ruleset.caps) if cap is not None",
+    Mutant("first-match-off-by-one", "integration.py",
+           "for i, cap in enumerate(ruleset.caps, 1):",
+           "for i, cap in enumerate(ruleset.caps):",
            (CR + "test_rule_solve_with_teacher_rules", CR + "test_rule_solve_statuses")),
+    # the solver's memo on the rule set snapshot, and its kind dispatch
+    Mutant("solver-memo-keeps-records-with-steps", "integration.py",
+           "if memo is not None and (size_limit is None or not handed.steps):",
+           "if memo is not None:",
+           (CR + "test_a_record_with_steps_does_not_hide_a_divergence",)),
+    Mutant("solver-memo-kept-after-decide-is-off", "integration.py",
+           "                memo = None  # and the records from here on are not decide's\n",
+           "",
+           (CR + "test_a_cap_wider_than_its_operator",)),
+    Mutant("kind-dispatch-drops-leaf-caps", "integration.py",
+           "(_LAYOUT if pattern is None else pattern)",
+           "(() if pattern is None else pattern)",
+           (CR + "test_rule_solve_statuses",)),
+    Mutant("snapshot-kept-after-a-cap-changes", "control_rules.py",
+           "            self._ruleset = None\n",
+           "",
+           (CR + "test_the_learner_hands_out_one_snapshot_until_a_cap_changes",
+            "tests/test_harness.py::test_fast_scoring_equals_full_simulation[integration]")),
     # the learned solver's limits and goal test, on the post-order engine
     Mutant("size-limit-off-by-one", "integration.py",
            "if size > size_limit:",
@@ -240,9 +258,14 @@ MUTANTS = (
            "slot = _EXP",
            (INT + "test_unit_matches_worked_caps",)),
     Mutant("cap-leading-zero-read-as-its-value", "integration.py",
-           "partial(_literal_is, int(text)) if str(int(text)) == text else False",
-           "partial(_literal_is, int(text))",
+           'partial(_literal_is, _int_of(text)) if text[0] != "0" or len(text) == 1 else False',
+           "partial(_literal_is, _int_of(text))",
            (INT + "test_unit_matches_worked_caps",)),
+    # long literals are cut into pieces the int/str limit never rejects
+    Mutant("literal-pieces-unpadded", "integration.py",
+           'pieces.append(f"{low:0{_PIECE}d}")',
+           "pieces.append(str(low))",
+           (INT + "test_long_literals_do_not_depend_on_the_int_str_limit",)),
     Mutant("to-tokens-parentheses-off-by-one", "integration.py",
            "paren = _NATURAL.get(kind, _PTERM) > slot",
            "paren = _NATURAL.get(kind, _PTERM) >= slot",

@@ -25,7 +25,8 @@ def _rdomain():
 
 class LimitedDomain(I.IntegrationRuleDomain):
     """The integration rule domain with a fixed step limit, size limit or
-    both; a limit left as None is the domain's own."""
+    both; a limit left as None is the domain's own.  A test may change the
+    limits between solves, so one instance's memo sees several limits."""
 
     def __init__(self, steps=None, size=None):
         self.steps, self.size = steps, size
@@ -190,6 +191,25 @@ def test_learner_cap_equals_msg_of_collected_units():
         assert (learner.caps[i - 1] is None) == (i not in collected)
 
 
+def test_the_learner_hands_out_one_snapshot_until_a_cap_changes():
+    learner = IncrementalRuleLearner(_rdomain())
+    empty = learner.ruleset()
+    assert learner.ruleset() is empty
+    learner.add_example(_example("∫ ( sin x ) + ( cos x ) d x"))  # first caps
+    first = learner.ruleset()
+    assert first is not empty and learner.ruleset() is first
+    assert all(cap is new for cap, new in zip(first.caps, learner.caps))
+    # every unit covered: msc would keep each cap, so the snapshot stays
+    learner.add_example(_example("∫ ( sin x ) + ( cos x ) d x"))
+    learner.add_example(_example("∫ ( sin x ) d x"))
+    assert learner.ruleset() is first
+    # op 3's cap does not cover ∫ cos + sin, so msc widens it: a new snapshot
+    learner.add_example(_example("∫ ( cos x ) + ( sin x ) d x"))
+    second = learner.ruleset()
+    assert second is not first and second.caps[2] is not first.caps[2]
+    assert [cap is old for cap, old in zip(second.caps, first.caps)].count(False) == 1
+
+
 def test_rule_solve_with_teacher_rules():
     rd = _rdomain()
     ruleset = I.teacher_ruleset()
@@ -232,9 +252,27 @@ def test_a_cap_wider_than_its_operator():
     rules = RuleSet(caps)
     assert tree_yield(caps[18]) == ("Int", "-", "Int")
     three_less_five, int_x = I.sub(I.num(3), I.num(5)), I.integral(I.VAR_X)
+    # one snapshot and domain for all three, so the first two solves' memo
+    # is read by the third: 3 - 5 took no step there, but only because the
+    # whole state was a goal
     assert rule_solve_ex(rules, rd, three_less_five) == ((), "solved")
     assert rule_solve_ex(rules, rd, I.add(int_x, three_less_five)) == (((8, (0,)),), "solved")
     assert rule_solve_ex(rules, rd, I.add(three_less_five, int_x)) == (BOTTOM, "no_match")
+
+
+def test_a_record_with_steps_does_not_hide_a_divergence():
+    # the snapshot's record memo keeps only subterms that took no step:
+    # p's record, made under a loose size limit, would skip the states that
+    # outgrow a tighter one
+    rd, teacher = LimitedDomain(), I.teacher_ruleset()
+    p = I.parse_expr("∫ ( sin x ) + ( x ^ 2 ) d x".split())
+    q = I.add(p, I.ONE)
+    solution, status = rule_solve_ex(teacher, rd, q)
+    assert status == "solved" and solution == I.teacher_solve(q)
+    rd.size = _largest_state(rd, q, solution) - 1
+    assert rule_solve_ex(teacher, rd, q) == (BOTTOM, "diverged")
+    rd.size = None
+    assert rule_solve_ex(teacher, rd, q) == (solution, "solved")
 
 
 def _solve_scanning_from_the_root(ruleset, rd, x):
@@ -306,6 +344,28 @@ def _learned_rules(r, count):
 @given(r=st.integers(0, 7), count=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
 def test_rule_solve_agrees_with_the_root_scan_at_both_limits(r, count, seed):
     _as_the_root_scan(_learned_rules(r, count), I.generate_problem(random.Random(seed)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.integers(0, 7), count=st.integers(1, 16),
+       seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))
+def test_a_shared_snapshot_solves_as_a_cold_one(r, count, seeds):
+    # one snapshot (shared with the other tests, too) solves a stream of
+    # problems on one domain, and each solve of n steps again on one
+    # LimitedDomain at step limits n and n - 1 and size limits of its
+    # largest state's tokens and one less; every result equals a cold
+    # snapshot's, whose memo is empty
+    rules = _learned_rules(r, count)
+    rd, capped = _rdomain(), LimitedDomain()
+    for seed in seeds:
+        q = I.generate_problem(random.Random(seed))
+        got = rule_solve_ex(rules, rd, q)
+        assert got == rule_solve_ex(RuleSet(rules.caps), rd, q)
+        if got[1] == "solved" and got[0]:
+            n, size = len(got[0]), _largest_state(rd, q, got[0])
+            for limits in ((n, None), (n - 1, None), (None, size), (None, size - 1)):
+                capped.steps, capped.size = limits
+                assert rule_solve_ex(rules, capped, q) == rule_solve_ex(RuleSet(rules.caps), capped, q)
 
 
 def test_rule_solve_propagates_programming_errors():

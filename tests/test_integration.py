@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from brute_force import iter_postorder
 from speedup_learning import integration as I
-from speedup_learning.control_rules import RuleSet, rule_solve, rule_solve_ex
-from speedup_learning.core import BOTTOM, replay
+from speedup_learning.control_rules import IncrementalRuleLearner, RuleSet, rule_solve, rule_solve_ex
+from speedup_learning.core import BOTTOM, Example, replay
 from speedup_learning.errors import (
     InapplicableOperatorError,
     LocationError,
@@ -429,6 +430,36 @@ _EXPRS_WITH_LONG_LITERALS = st.recursive(_LEAVES | _LONG_LITERALS, _grow, max_le
 @given(st.one_of(_EXPRS, _EXPRS.map(I.integral), _EXPRS.map(I.deriv), _EXPRS_WITH_LONG_LITERALS))
 def test_to_tokens_is_the_yield_of_the_tree(e):
     assert I.to_tokens(e) == tree_yield(I.as_exp(e))
+
+
+def test_long_literals_do_not_depend_on_the_int_str_limit():
+    # at 640 digits, the least int/str conversion limit CPython allows, a
+    # 4300-digit literal is still written, read, learned and solved with;
+    # the second has zeros where it is cut into pieces
+    literals = {n: str(n) for n in (int("9876543210" * 430), 10 ** 4299 + 7)}
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for n, text in literals.items():
+            q = I.integral(I.add(I.num(n), I.VAR_X))
+            tokens = I.to_tokens(q)
+            assert tokens == ("∫", *text, "+", "x", "d", "x")
+            assert I.to_text(I.num(n)) == " ".join(text)
+            assert I.parse_expr(tokens) is q
+            solution = I.teacher_solve(q)
+            assert rule_solve_ex(I.teacher_ruleset(), I.IntegrationRuleDomain(), q) == (solution, "solved")
+            learner = IncrementalRuleLearner(I.IntegrationRuleDomain())
+            learner.add_example(Example(q, solution))
+            assert rule_solve_ex(learner.ruleset(), learner.rdomain, q) == (solution, "solved")
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_repr_never_raises():
+    assert repr(I.add(I.num(12), I.VAR_X)) == "<1 2 + x>"
+    assert repr(I.num(10 ** 4300 - 1)) == f"<{' '.join('9' * 4300)}>"
+    for e in (I.num(10 ** 4300), I.integral(I.add(I.VAR_X, I.num(10 ** 5000)))):
+        assert repr(e) == f"<{e.kind} holding a literal of more than 4300 digits>"
 
 
 def test_to_tokens_of_deep_chains_and_long_literals():
