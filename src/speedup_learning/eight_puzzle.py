@@ -16,9 +16,9 @@ d=4, which is also the search tie-break order.
 The move rule is written once.  ``_MOVE_SRC[blank]`` maps each operator
 index legal with the blank at ``blank`` to the position its tile comes
 from, in operator order; ``_slide`` is the only code that moves a tile.
-``apply_move``, the ``domain_spec()`` operators, the subgoal searches and
-``all_solvable_boards`` all go through the two; ``apply_move`` is the one
-move entry point that also takes a letter.
+``apply_move``, ``apply_moves``, the ``domain_spec()`` operators, the
+subgoal searches and ``all_solvable_boards`` all go through the two; the
+first two are the move entry points that also take a letter.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import functools
 import math
 import random
 from collections import deque
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .core import DomainSpec
@@ -79,11 +80,9 @@ def _slide(board: tuple, src: int) -> tuple:
     return tuple(out)
 
 
-def apply_move(board: tuple, move) -> tuple:
-    """Slide one tile; ``move`` is a letter or its 1-based operator index.
-    An off-board blank or a move it forbids raises MoveError; a move that
-    is neither one of ``MOVE_LETTERS`` nor an int, and a board that is not
-    a permutation of 0..8, raise ParameterError."""
+def _move_source(board: tuple, move) -> int:
+    """The position ``move`` slides a tile from; the typed errors of
+    ``apply_move``, without its board check."""
     op = _OP_OF.get(move) if isinstance(move, str) else move
     if not isinstance(op, int):
         raise ParameterError(f"a move is one of {MOVE_LETTERS!r} or an int, got {move!r}")
@@ -93,12 +92,28 @@ def apply_move(board: tuple, move) -> tuple:
         raise MoveError(f"blank position {board[0]!r} is not on the board") from None
     if src is None:
         raise MoveError(f"move {move!r} not applicable with blank at {board[0]}")
+    return src
+
+
+def apply_move(board: tuple, move) -> tuple:
+    """Slide one tile; ``move`` is a letter or its 1-based operator index.
+    An off-board blank or a move it forbids raises MoveError; a move that
+    is neither one of ``MOVE_LETTERS`` nor an int, and a board that is not
+    a permutation of 0..8, raise ParameterError."""
+    src = _move_source(board, move)
     return _slide(_check_board(board), src)
 
 
-def apply_moves(board: tuple, moves: str) -> tuple:
+def apply_moves(board: tuple, moves) -> tuple:
+    """Slide tiles by each move in turn (letters or operator indices).
+
+    The board is checked once, before any move: one that is not a
+    permutation of 0..8 raises ParameterError, an off-board blank
+    included.  Each move then raises what ``apply_move`` raises for it, at
+    the same step."""
+    board = _check_board(board)
     for m in moves:
-        board = apply_move(board, m)
+        board = _slide(board, _move_source(board, m))
     return board
 
 
@@ -130,12 +145,18 @@ def apply_macro(board: tuple, macro: tuple) -> tuple:
     depend only on where the blank is.  So from a fixed blank start a macro
     always moves tiles by the same permutation of the nine positions,
     whatever tiles sit where; the permutation is memoized per (blank,
-    macro), and applying it is one pass over the board.  A macro with an
-    illegal move is folded through ``apply_move`` instead, so the same
-    ``MoveError`` is raised at the same step.  A list, which the memo
-    cannot key, raises ``ParameterError``.
+    macro), and applying it is one C-level gather,
+    ``itemgetter(*board)(perm)``.  A macro with an illegal move is folded
+    through ``apply_move`` instead, so the same ``MoveError`` is raised at
+    the same step.  A board of other than nine entries (from one entry
+    the gather returns a position, not a board), a tile position that is
+    not an int below 9, and a list macro, which the memo cannot key, raise
+    ``ParameterError``.  A negative position or a tile placed twice is not
+    caught here; ``walk_columns`` checks its board before the walk.
     """
     try:
+        if len(board) != N_TILES:
+            raise ParameterError(f"a board has {N_TILES} entries, got {board!r}")
         perm = _macro_permutation(board[0], macro)
     except KeyError:
         perm = None
@@ -145,7 +166,10 @@ def apply_macro(board: tuple, macro: tuple) -> tuple:
         for op in macro:
             board = apply_move(board, op)
         return board
-    return tuple([perm[p] for p in board])
+    try:
+        return itemgetter(*board)(perm)
+    except (IndexError, TypeError):
+        raise ParameterError(f"tile positions must be integers in 0..8: {board!r}") from None
 
 
 def macro_to_letters(macro: Sequence[int]) -> str:

@@ -66,6 +66,12 @@ class MacroTable:
         self.goal = check_feature_state(goal, n, v)
         self.ordering = ordering
         self.cells: dict = {}
+        # _prefix_at_goal's tests, one per prefix length 0..n: a getter of
+        # ordered features 1..upto and its value on the goal.  The goal and
+        # the ordering never change after construction.  A one-feature
+        # getter returns a value, not a tuple, on the goal as on a state.
+        getters = [_no_features] + [itemgetter(*ordering.perm[:i]) for i in range(1, n + 1)]
+        self._prefix_keys = tuple((key, key(self.goal)) for key in getters)
 
     def get(self, j: int, i: int) -> Optional[Macro]:
         """The macro at (value j, position i), or None when UNFILLED."""
@@ -113,12 +119,16 @@ class MacroTable:
         return "\n".join(rows) + "\n"
 
 
+def _no_features(state) -> tuple:
+    return ()
+
+
 def _prefix_at_goal(state, table: MacroTable, upto: int) -> bool:
-    ordering, goal = table.ordering, table.goal
-    return all(
-        state[ordering.feature(p)] == goal[ordering.feature(p)]
-        for p in range(1, upto + 1)
-    )
+    """Do ordered features 1..upto of ``state`` hold their goal values?
+    One key compare: the table's getter for ``upto`` features reads them
+    all in one call."""
+    key, goal_key = table._prefix_keys[upto]
+    return key(state) == goal_key
 
 
 def walk_columns(table: MacroTable, state, run, fill=None, last: Optional[int] = None):
@@ -132,14 +142,17 @@ def walk_columns(table: MacroTable, state, run, fill=None, last: Optional[int] =
     runner, ``eight_puzzle.apply_macro``, moves the tiles in one
     permutation, and its harness and oracles pass it directly.  At an
     UNFILLED cell the walk stops, unless ``fill(state, i)`` is given: its
-    macro is then inserted and used.  ``state`` must have n features and
-    ``last`` must lie in 0..n.
+    macro is then inserted and used.  ``last`` must lie in 0..n.  The walk
+    checks ``state`` once, before its first column, with
+    ``check_feature_state``: a state of other than n features, or with a
+    value that is not an int in 0..v-1 (-1 would index a macro's effect
+    from its end), raises ParameterError.  Domain constraints beyond that,
+    such as an Eight Puzzle board holding no tile twice, are not checked.
     Returns (cells, state, missing): the (j, i) cells used, the state reached
     and the UNFILLED cell the walk stopped at (None when it ran to the end).
     ``solution_steps`` reads the solution off the cells.
     """
-    if len(state) != table.n:
-        raise ParameterError(f"state must have {table.n} features, got {len(state)}")
+    state = check_feature_state(state, table.n, table.v)
     if last is None:
         last = table.n
     elif not (isinstance(last, int) and 0 <= last <= table.n):

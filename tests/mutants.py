@@ -9,9 +9,9 @@ named tests, with the copy first on ``PYTHONPATH``.  It fails when a named
 test passes (the mutant survives), when a named test is not run, or when
 the old text is not found exactly once in its file (the code has moved on,
 so the list must follow it).  It runs as many mutants at once as this
-process may use CPUs (``nproc``).  All 46 take 37 s with two jobs on
-a 2-vCPU x86-64 machine with CPython 3.11, 1.0-7.6 s each (the slowest,
-``macro-permutation-inverted``, names two property tests).  The step took
+process may use CPUs (``nproc``).  All 52 take 43-68 s with two jobs
+on a 2-vCPU x86-64 machine with CPython 3.11, 0.9-10.2 s each (the
+slowest, ``macro-permutation-inverted``, names two property tests).  The step took
 39-93 s while ``merge-before-replay-ends`` also named a property test,
 whose shrink of its failing example took up to 85 s; it now names only
 the example test that fails on the mutant's first case.  Standard
@@ -216,19 +216,50 @@ MUTANTS = (
     # the puzzle curve: its teacher walks the target table, its scorer the
     # learner's
     Mutant("puzzle-teacher-reads-the-learners-table", "harness.py",
-           "solution = macro_solve(target_puzzle_table(), self.domain, board)",
+           "solution = macro_solve(target, self.domain, board)",
            "solution = macro_solve(self.learner_table, self.domain, board)",
            (HA + "test_eightpuzzle_curve_learns",)),
     Mutant("puzzle-walk-verdict-flipped", "harness.py",
-           "eight_puzzle.apply_macro)[2] is None",
-           "eight_puzzle.apply_macro)[2] is not None",
+           "last=self.last)[2] is None",
+           "last=self.last)[2] is not None",
            (HA + "test_fast_scoring_equals_full_simulation[eightpuzzle]",)),
+    # the scorer's column cut: the highest column the learner can still miss
+    Mutant("puzzle-cut-one-column-short", "harness.py",
+           "self.last = max((i for _, i in missing), default=0)",
+           "self.last = max((i - 1 for _, i in missing), default=0)",
+           (HA + "test_learned_table_is_the_target_cut_to_its_cells",
+            HA + "test_fast_scoring_equals_full_simulation_at_the_puzzle_defaults")),
+    Mutant("puzzle-cut-at-first-incomplete-column", "harness.py",
+           "self.last = max((i for _, i in missing), default=0)",
+           "self.last = min((i for _, i in missing), default=0)",
+           (HA + "test_learned_table_is_the_target_cut_to_its_cells",
+            HA + "test_fast_scoring_equals_full_simulation_at_the_puzzle_defaults")),
+    # each column walk checks its board once, before the first column
+    Mutant("walk-skips-board-check", "macro_tables.py",
+           "    state = check_feature_state(state, table.n, table.v)\n",
+           "    state = tuple(state)\n",
+           (MT + "test_a_walk_checks_its_board_before_the_first_column",
+            HA + "test_puzzle_scorer_checks_its_board_at_every_cut")),
+    # a prefix test is one key compare, with one getter per prefix length
+    Mutant("prefix-key-one-feature-short", "macro_tables.py",
+           "getters = [_no_features] + [itemgetter(*ordering.perm[:i]) for i in range(1, n + 1)]",
+           "getters = [_no_features] * 2 + [itemgetter(*ordering.perm[:i]) for i in range(1, n)]",
+           (MT + "test_prefix_at_goal_is_one_key_compare",
+            MT + "test_serial_parse_recovers_trajectory_cells")),
     # the Eight Puzzle's move layer: typed errors, the macro runner and the
     # same-stream board draw
     Mutant("slide-unguarded", "eight_puzzle.py",
            "    except ValueError:\n        raise ParameterError(f\"no tile at position",
            "    except ZeroDivisionError:\n        raise ParameterError(f\"no tile at position",
            (EP + "test_move_errors", MT + "test_check_serial_decomposability_toy")),
+    Mutant("apply-moves-skips-board-check", "eight_puzzle.py",
+           "    board = _check_board(board)\n    for m in moves:\n",
+           "    for m in moves:\n",
+           (EP + "test_apply_moves_checks_its_board_before_any_move",)),
+    Mutant("apply-macro-gathers-any-length", "eight_puzzle.py",
+           "if len(board) != N_TILES:",
+           "if not board:",
+           (EP + "test_apply_macro_rejects_a_board_of_the_wrong_length",)),
     Mutant("apply-move-accepts-float", "eight_puzzle.py",
            "if not isinstance(op, int):",
            "if not isinstance(op, (int, float)):",

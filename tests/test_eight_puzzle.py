@@ -205,6 +205,57 @@ def test_apply_macro_equals_move_fold(blank, rest, choices, illegal_at):
     assert info.currsize <= info.maxsize
 
 
+def test_apply_macro_rejects_a_board_of_the_wrong_length():
+    # on one entry the gather would return a position, not a board; on
+    # three, the null macro would hand back a non-board
+    for board in ((0,), (0, 1, 2), ep.GOAL + (9,)):
+        for macro in ((), (3,), (3, 4)):
+            with pytest.raises(ParameterError):
+                ep.apply_macro(board, macro)
+    # so is a tile position the gather cannot read
+    for bad in ((0, 1, 2, 3, 4, 5, 6, 7, 99), (0, 1, 2, 3, 4, 5, 6, 7, "8")):
+        with pytest.raises(ParameterError):
+            ep.apply_macro(bad, (3, 4))
+    # the other paths are as they were: an illegal move raises MoveError at
+    # its step, and a list macro raises ParameterError
+    corner = ep.apply_moves(ep.GOAL, "dr")
+    legal = min(ep._MOVE_SRC[corner[0]])
+    illegal = next(op for op in range(1, 5) if op not in ep._MOVE_SRC[corner[0]])
+    macro = (legal, ep._BACK[legal], illegal)  # out and back, then the illegal move
+    with pytest.raises(MoveError) as err:
+        ep.apply_macro(corner, macro)
+    assert str(err.value) == _outcome(_fold_moves, corner, macro)[1]
+    with pytest.raises(ParameterError):
+        ep.apply_macro(ep.GOAL, [3, 4])
+    assert ep.apply_macro(ep.GOAL, (3, 4)) == ep.GOAL
+
+
+@settings(max_examples=200, deadline=None)
+@given(board=st.permutations(range(9)).map(tuple),
+       moves=st.lists(st.sampled_from(list(ep.MOVE_LETTERS) + [1, 2, 3, 4, 0, 5, 1.0, "x", None]),
+                      max_size=12))
+def test_apply_moves_equals_the_apply_move_fold(board, moves):
+    # the board is checked once, then each move raises what apply_move
+    # raises for it, at the same step
+    def outcome(apply):
+        try:
+            return apply()
+        except (MoveError, ParameterError) as exc:
+            return type(exc), str(exc)
+
+    assert outcome(lambda: ep.apply_moves(board, moves)) == outcome(lambda: _fold_moves(board, moves))
+
+
+def test_apply_moves_checks_its_board_before_any_move():
+    # even an off-board blank, which apply_move reports as a MoveError, and
+    # an empty move sequence
+    for bad in ((9, 1, 2, 3, 4, 5, 6, 7, 8), (0, 1, 1, 3, 4, 5, 6, 7, 8), (0, 1, 2)):
+        for moves in ("", "r", "x", (9,)):
+            with pytest.raises(ParameterError):
+                ep.apply_moves(bad, moves)
+    assert ep.apply_moves(list(ep.GOAL), "") == ep.GOAL
+
+
 def test_moves_flip_parity():
     rng = random.Random(3)
     for _ in range(50):

@@ -13,6 +13,7 @@ from speedup_learning.harness import (
     CurvePoint,
     ExperimentConfig,
     _IntegrationTrial,
+    _PuzzleTrial,
     _trial_rng,
     csv_text,
     run_curve,
@@ -89,6 +90,20 @@ def test_fast_scoring_equals_full_simulation(domain):
     cfg = ExperimentConfig(domain=domain, trials=3, train_max=8, eval_every=2,
                            test_set_size=25, seed=7)
     assert run_curve(cfg) == run_curve(cfg, full_simulation=True)
+
+
+def test_fast_scoring_equals_full_simulation_at_the_puzzle_defaults():
+    # train_max=40 and eval_every=2, where learners complete their tables and
+    # the column cut walks no column at all
+    cfg = ExperimentConfig(domain="eightpuzzle", trials=3, test_set_size=25, seed=7)
+    assert run_curve(cfg) == run_curve(cfg, full_simulation=True)
+    lasts = []
+    for i in range(cfg.trials):
+        trial, rng = _PuzzleTrial(), _trial_rng(cfg.resolved(), i, "train")
+        for _ in range(_PuzzleTrial.train_max):
+            trial.learn(trial.draw(rng))
+        lasts.append(trial.last)
+    assert 0 in lasts
 
 
 def _step_walk(trial, problem) -> bool:
@@ -228,7 +243,7 @@ def _learn(boards):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), examples=st.integers(0, 20),
+@given(seed=st.integers(0, 2**32 - 1), examples=st.integers(0, 40),
        queries=st.integers(1, 5), data=st.data())
 def test_learned_table_is_the_target_cut_to_its_cells(exhaustive_table, seed, examples,
                                                       queries, data):
@@ -244,8 +259,32 @@ def test_learned_table_is_the_target_cut_to_its_cells(exhaustive_table, seed, ex
     assert solutions == [macro_solve(exhaustive_table, ep.domain_spec(), b) for b in boards]
     # serial parsing gives the same table under any example order
     assert _learn(data.draw(st.permutations(boards)))[0].cells == learned.cells
-    for _ in range(queries):
-        q = ep.random_solvable(rng)
+    queries = [ep.random_solvable(rng) for _ in range(queries)]
+    for q in queries:
         cells, _ = ep.table_trajectory(exhaustive_table, q)
         expected = all(learned.is_filled(*c) for c in cells)
         assert (walk_columns(learned, q, ep.apply_macro)[2] is None) == expected
+    # the scorer's column cut: at every prefix of the stream, the walk
+    # through columns 1..last gives the whole walk's verdict, and last is 0
+    # exactly when the learner holds every target cell
+    trial = _PuzzleTrial()
+    for board in boards:
+        trial.learn(board)
+        table = trial.learner_table
+        assert (trial.last == 0) == (table.cells.keys() == exhaustive_table.cells.keys())
+        for q in queries:
+            assert trial.score_fast(q) == (walk_columns(table, q, ep.apply_macro)[2] is None)
+    assert trial.learner_table.cells == learned.cells
+
+
+def test_puzzle_scorer_checks_its_board_at_every_cut():
+    # a learner that holds no cell walks every column, a complete one none:
+    # both raise ParameterError on a non-board, not an answer or IndexError
+    fresh, complete = _PuzzleTrial(), _PuzzleTrial()
+    complete.learner_table.cells.update(target_puzzle_table().cells)
+    complete.last = 0
+    assert (fresh.score_fast(ep.GOAL), complete.score_fast(ep.GOAL)) == (False, True)
+    for trial in (fresh, complete):
+        for bad in ((0, 1, 2, 3, 4, 5, 6, 7, -1), (0, 1, 2, 3, 4, 5, 6, 7, 99), (0, 1, 2)):
+            with pytest.raises(ParameterError):
+                trial.score_fast(bad)

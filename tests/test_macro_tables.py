@@ -18,6 +18,7 @@ from speedup_learning.errors import (
 from speedup_learning.macro_tables import (
     FeatureOrdering,
     MacroTable,
+    _prefix_at_goal,
     check_feature_state,
     check_serial_decomposability,
     macro_solve,
@@ -252,6 +253,57 @@ def test_macro_solve_toy_domain():
     run = dom.apply_macro
     assert walk_columns(t2, (1, 1), run)[2] == (1, 1)
     assert walk_columns(t, (1, 1), run)[2] is None
+
+
+def test_a_walk_checks_its_board_before_the_first_column(exhaustive_table):
+    # -1 would index the permutation from its end and give an empty
+    # solution for a non-board; 99 would index past it
+    dom = ep.domain_spec()
+    for bad in ((0, 1, 2, 3, 4, 5, 6, 7, -1), (0, 1, 2, 3, 4, 5, 6, 7, 99), ep.GOAL[:8] + (8.0,)):
+        with pytest.raises(ParameterError):
+            macro_solve(exhaustive_table, dom, bad)
+        with pytest.raises(ParameterError):
+            walk_columns(exhaustive_table, bad, ep.apply_macro)
+        with pytest.raises(ParameterError):
+            walk_columns(exhaustive_table, bad, ep.apply_macro, last=0)
+    # a list board is walked as its tuple
+    board = ep.text_to_board("537081642")
+    assert macro_solve(exhaustive_table, dom, list(board)) == macro_solve(exhaustive_table, dom, board)
+
+
+def _prefix_by_features(state, table, upto):
+    return all(state[table.ordering.feature(p)] == table.goal[table.ordering.feature(p)]
+               for p in range(1, upto + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(goal=st.permutations(range(9)), blank_last=st.booleans(), at_goal=st.integers(0, 9),
+       data=st.data())
+def test_prefix_at_goal_is_one_key_compare(goal, blank_last, at_goal, data):
+    # a board whose first at_goal ordered features hold their goal values
+    # and the rest a drawn permutation, so every prefix length is tested on
+    # boards that pass it and on boards that fail it
+    ordering = ep.blank_last_ordering() if blank_last else ep.blank_first_ordering()
+    table = MacroTable(ep.N_TILES, ep.N_POSITIONS, tuple(goal), ordering)
+    board = [None] * ep.N_TILES
+    for t in ordering.perm[:at_goal]:
+        board[t] = goal[t]
+    rest = data.draw(st.permutations([p for p in range(9) if p not in board]))
+    for t, p in zip(ordering.perm[at_goal:], rest):
+        board[t] = p
+    board = tuple(board)
+    for upto in range(ep.N_TILES + 1):
+        assert _prefix_at_goal(board, table, upto) == _prefix_by_features(board, table, upto)
+        if upto <= at_goal:
+            assert _prefix_at_goal(board, table, upto)
+
+
+def test_prefix_at_goal_on_a_one_feature_table():
+    # a one-feature getter returns a value, not a tuple: it must compare
+    # with the goal's value
+    table = MacroTable(1, 3, (2,), FeatureOrdering((0,)))
+    assert [_prefix_at_goal((x,), table, 1) for x in range(3)] == [False, False, True]
+    assert all(_prefix_at_goal((x,), table, 0) for x in range(3))
 
 
 def test_serial_parse_recovers_trajectory_cells(exhaustive_table):
