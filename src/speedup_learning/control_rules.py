@@ -4,14 +4,15 @@ A control rule pairs an operator with a select-set, stored as a grammar cap
 whose yield is a sentential form; the operators' fixed order resolves
 conflicts, so a rule set is one cap per operator (``RuleSet.caps``).  The
 solver runs the domain's post-order engine, the teacher's, picking at each
-unit the least-indexed operator whose select-set holds it.  The learner
-replays each solution with ``core.replay``, then folds each operator's
-units into their most specific generalization with the two-tree ``msc``.
-It tests coverage on the unit itself (the domain's ``unit_matches``, the
-solver's test) and builds the unit's tree (``unit_tree``) only for a first
-cap or for ``msc`` on a unit its cap does not cover: for a covered unit
-``msc(cap, tree) is cap``, so the cap stays the same object either way.
-A solution that does not replay leaves the learner as it was.  The
+unit the least-indexed operator whose select-set holds it; the domain
+builds that pick (``decider``) and reads its own step and size limits.
+The learner replays each solution with ``core.replay``, then folds each
+operator's units into their most specific generalization with the
+two-tree ``msc``.  It tests coverage on the unit itself (the domain's
+``unit_matches``) and builds the unit's tree (``unit_tree``) only for a
+first cap or for ``msc`` on a unit its cap does not cover: for a covered
+unit ``msc(cap, tree) is cap``, so the cap stays the same object either
+way.  A solution that does not replay leaves the learner as it was.  The
 learner hands out one ``RuleSet`` snapshot until a cap changes, so every
 solve between two changes reads the snapshot's memo of picks.
 """
@@ -45,43 +46,25 @@ class RuleSet:
 
 def rule_solve_ex(ruleset: RuleSet, rdomain, x):
     """Like rule_solve but returns (solution-or-⊥, status) where status is
-    one of "solved", "no_match", "step_limit", "diverged".  Both limits
-    come from the domain: ``default_step_limit`` and ``default_size_limit``.
+    one of "solved", "no_match", "step_limit", "diverged".
 
     "diverged" means the state outgrew the domain's size limit; partially
     learned rule sets can loop on growth rules (e.g. by-parts), and runaway
     states get ever more expensive to walk, so growth is cut early rather
-    than waiting out the step limit.  The domain's engine (``rdomain.solve``)
-    runs the solve.  A unit's pick depends on the rule set and the unit
-    alone, so it is made once per unit for the life of the snapshot: at its
-    first solve with a domain instance, ``ruleset`` gets that domain's
-    ``decide``, which memoizes every pick, and an empty record memo, which
-    the engine fills with the subterms it may skip later (see
+    than waiting out the step limit.  The pick and both limits are the
+    domain's: ``rdomain.solve`` runs the solve under its own limits.  A
+    unit's pick depends on the rule set and the unit alone, so it is made
+    once per unit for the life of the snapshot: at its first solve with a
+    domain instance, ``ruleset`` gets that domain's ``decider(ruleset)``,
+    which memoizes every pick, and an empty record memo, which the engine
+    fills with the subterms it may skip later (see
     ``IntegrationRuleDomain.solve``).  Both die with the snapshot.
     """
     memo = ruleset._memos.get(rdomain)
     if memo is None:
-        memo = ruleset._memos[rdomain] = (_decider(ruleset, rdomain), {})
+        memo = ruleset._memos[rdomain] = (rdomain.decider(ruleset), {})
     decide, records = memo
-    return rdomain.solve(x, decide, records, rdomain.default_step_limit(x),
-                         rdomain.default_size_limit(x))
-
-
-def _decider(ruleset: RuleSet, rdomain):
-    """``decide(unit)``: the least-indexed operator whose select-set holds
-    ``unit``, or None, memoized per unit.  It tests only the caps that
-    ``rdomain.candidates`` lists for the unit, each with
-    ``rdomain.unit_matches``."""
-    candidates, unit_matches = rdomain.candidates(ruleset), rdomain.unit_matches
-    picks: dict = {}  # unit -> operator index or None
-
-    def decide(unit):
-        if unit in picks:
-            return picks[unit]
-        pick = picks[unit] = next((i for i, cap in candidates(unit) if unit_matches(cap, unit)), None)
-        return pick
-
-    return decide
+    return rdomain.solve(x, decide, records)
 
 
 def rule_solve(ruleset: RuleSet, rdomain, x):

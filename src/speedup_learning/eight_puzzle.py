@@ -425,14 +425,15 @@ def bfs_subgoal(board: tuple, i: int, ordering: FeatureOrdering) -> tuple:
 
 
 def integrated_teacher(board: tuple, table: MacroTable) -> tuple:
-    """Solve by columns, reusing the table's macros and searching (then
-    inserting) for unfilled cells.  Every solution it emits is generable
-    from the single table it is growing."""
-
-    def search(b, i):
-        return ida_star_subgoal(b, i, table.ordering)
-
-    return solution_steps(table, walk_columns(table, board, apply_macro, search)[0])
+    """Solve by columns, reusing the table's macros; where the walk stops
+    at an unfilled cell, search from the board it reached, insert the
+    macro and walk again.  Every solution it emits is generable from the
+    single table it is growing."""
+    while True:
+        cells, state, missing = walk_columns(table, board, apply_macro)
+        if missing is None:
+            return solution_steps(table, cells)
+        table.insert(*missing, ida_star_subgoal(state, missing[1], table.ordering))
 
 
 def _canonical_state(i: int, j: int, ordering: FeatureOrdering) -> Optional[tuple]:

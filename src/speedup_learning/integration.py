@@ -412,10 +412,10 @@ def to_text(e: Expr) -> str:
     return " ".join(to_tokens(e))
 
 
-def parse_expr(tokens: Sequence[str], start: Optional[str] = None) -> Expr:
-    """Parse a token sequence back into an AST (inverse of to_tokens)."""
-    start = start or ("Prob" if tokens and tokens[0] in ("∫", "D") else "Exp")
-    return tree_to_expr(parse(GRAMMAR, tokens, start))
+def parse_expr(tokens: Sequence[str]) -> Expr:
+    """Parse a token sequence back into an AST (inverse of to_tokens): from
+    Exp, which derives every term, a problem through P-term -> Prob."""
+    return tree_to_expr(parse(GRAMMAR, tokens, "Exp"))
 
 
 # How ``tree_to_expr`` reads a node back, from ``_LAYOUT``: (node label,
@@ -1138,9 +1138,9 @@ class IntegrationRuleDomain:
     The matching unit at a location is the subexpression there, and its
     tree (``unit_tree``) is its Exp-rooted parse tree.  Select-set
     membership (``unit_matches``) is tested on the unit itself, with each
-    cap compiled once into a pattern over Expr kinds; the learned solver
-    tests a unit only against the caps whose pattern admits its root kind
-    (``candidates``).
+    cap compiled once into a pattern over Expr kinds; the learned solver's
+    pick (``decider``) tests a unit only against the patterns that admit
+    its root kind.
     """
 
     num_operators = len(OPERATORS)
@@ -1182,29 +1182,39 @@ class IntegrationRuleDomain:
     def apply(self, e: Expr, op_index: int, loc) -> Expr:
         return apply_at(get_operator(op_index), e, loc or ())
 
-    def candidates(self, ruleset: RuleSet) -> Callable[[Expr], list]:
-        """unit -> the (operator index, cap) pairs of ``ruleset`` that can
-        hold a unit of its root kind, in index order: a leaf cap holds a
-        unit of any kind, a cap not labelled Exp none, any other cap the
-        kinds its compiled pattern admits.  Built once per rule set and
-        domain (``control_rules.rule_solve_ex``)."""
+    def decider(self, ruleset: RuleSet) -> Callable[[Expr], Optional[int]]:
+        """``decide(unit)``: the least-indexed operator whose select-set in
+        ``ruleset`` holds ``unit``, or None, memoized per unit.  It tests
+        only the caps that can hold a unit of its root kind: a leaf cap any
+        kind, a cap not labelled Exp none, any other cap the kinds its
+        compiled pattern admits.  Built once per rule set and domain
+        (``control_rules.rule_solve_ex``)."""
         memo = self._patterns
         by_kind: dict = {kind: [] for kind in _LAYOUT}
         for i, cap in enumerate(ruleset.caps, 1):
             if cap is not None and cap.label == "Exp":
                 pattern = memo[cap] if cap in memo else _pattern(cap, memo)
                 for kind in (_LAYOUT if pattern is None else pattern):
-                    by_kind[kind].append((i, cap))
-        return lambda unit: by_kind[unit.kind]
+                    by_kind[kind].append((i, pattern))
+        picks: dict = {}  # unit -> operator index or None
 
-    def solve(self, e: Expr, decide, records: dict, step_limit: int, size_limit: int) -> tuple:
-        """``control_rules.rule_solve_ex`` on ``_normalize``, with the record
-        memo ``records`` that the rule set keeps for this domain, as long as
-        the rule set lives.  Under the size limit it holds only the records
-        of subterms that took no step, and a hit skips such a subterm
-        without a frame or a pick: a record with steps would hide the step
-        at which the size limit is passed."""
-        record, why = _normalize(e, decide, records, step_limit, size_limit)
+        def decide(unit: Expr) -> Optional[int]:
+            if unit not in picks:
+                picks[unit] = next((i for i, p in by_kind[unit.kind] if _matches(p, unit)), None)
+            return picks[unit]
+
+        return decide
+
+    def solve(self, e: Expr, decide, records: dict) -> tuple:
+        """``control_rules.rule_solve_ex`` on ``_normalize``, under this
+        domain's two default limits, with the record memo ``records`` that
+        the rule set keeps for this domain, as long as the rule set lives.
+        Under the size limit it holds only the records of subterms that
+        took no step, and a hit skips such a subterm without a frame or a
+        pick: a record with steps would hide the step at which the size
+        limit is passed."""
+        record, why = _normalize(e, decide, records, self.default_step_limit(e),
+                                 self.default_size_limit(e))
         if record is None or not self.is_goal(record.normal_form):
             return BOTTOM, why or "no_match"
         return tuple((op, path) for op, path, _ in record_steps(record)), "solved"

@@ -131,7 +131,7 @@ def _prefix_at_goal(state, table: MacroTable, upto: int) -> bool:
     return key(state) == goal_key
 
 
-def walk_columns(table: MacroTable, state, run, fill=None, last: Optional[int] = None):
+def walk_columns(table: MacroTable, state, run, last: Optional[int] = None):
     """Walk the table's columns 1..last (default all) in order from state.
 
     ``run(state, macro)`` applies one column's whole macro and returns the
@@ -140,10 +140,9 @@ def walk_columns(table: MacroTable, state, run, fill=None, last: Optional[int] =
     which goes through the domain's macro runner and raises
     ``TableCorruptionError`` at an inapplicable step; the Eight Puzzle's
     runner, ``eight_puzzle.apply_macro``, moves the tiles in one
-    permutation, and its harness and oracles pass it directly.  At an
-    UNFILLED cell the walk stops, unless ``fill(state, i)`` is given: its
-    macro is then inserted and used.  ``last`` must lie in 0..n.  The walk
-    checks ``state`` once, before its first column, with
+    permutation, and its harness and oracles pass it directly.  The walk
+    only reads the table and stops at an UNFILLED cell.  ``last`` must lie
+    in 0..n.  The walk checks ``state`` once, before its first column, with
     ``check_feature_state``: a state of other than n features, or with a
     value that is not an int in 0..v-1 (-1 would index a macro's effect
     from its end), raises ParameterError.  Domain constraints beyond that,
@@ -162,10 +161,7 @@ def walk_columns(table: MacroTable, state, run, fill=None, last: Optional[int] =
         j = state[perm[i - 1]]
         macro = table.cells.get((j, i))
         if macro is None:
-            if fill is None:
-                return cells, state, (j, i)
-            macro = fill(state, i)
-            table.insert(j, i, macro)
+            return cells, state, (j, i)
         cells.append((j, i))
         state = run(state, macro)
     return cells, state, None
@@ -293,12 +289,13 @@ def verify_table(table: MacroTable, domain: DomainSpec, states: Sequence):
     """Check the macro-table property and nonredundancy of every filled cell
     against the supplied states.  Returns (True, None) or (False, witness);
     the witness is (kind, (j, i), state) with kind "property" or
-    "redundant".  A state of the wrong length raises ParameterError."""
+    "redundant".  Each state is checked once, as ``walk_columns`` checks
+    its own: ``check_feature_state`` raises ParameterError, and a board
+    holding a tile twice is not checked."""
     run = domain.apply_macro
     by_cell: dict = {}
     for s in states:
-        if len(s) != table.n:
-            raise ParameterError(f"state must have {table.n} features, got {s!r}")
+        check_feature_state(s, table.n, table.v)
         for i in range(1, table.n + 1):
             if not _prefix_at_goal(s, table, i - 1):
                 break

@@ -9,9 +9,12 @@ named tests, with the copy first on ``PYTHONPATH``.  It fails when a named
 test passes (the mutant survives), when a named test is not run, or when
 the old text is not found exactly once in its file (the code has moved on,
 so the list must follow it).  It runs as many mutants at once as this
-process may use CPUs (``nproc``).  All 52 take 43-68 s with two jobs
-on a 2-vCPU x86-64 machine with CPython 3.11, 0.9-10.2 s each (the
-slowest, ``macro-permutation-inverted``, names two property tests).  The step took
+process may use CPUs (``nproc``).  All 56 take 60-73 s with two jobs
+on a 2-vCPU x86-64 machine with CPython 3.11, 1.1-10.2 s each (the
+slowest, ``macro-permutation-inverted``, names two property tests), except
+that a mutant whose property test has no failing example in hypothesis'
+example database yet shrinks a fresh one first: up to 32 s for
+``puzzle-cut-one-column-short``.  The step took
 39-93 s while ``merge-before-replay-ends`` also named a property test,
 whose shrink of its failing example took up to 85 s; it now names only
 the example test that fails on the mutant's first case.  Standard
@@ -240,6 +243,21 @@ MUTANTS = (
            "    state = tuple(state)\n",
            (MT + "test_a_walk_checks_its_board_before_the_first_column",
             HA + "test_puzzle_scorer_checks_its_board_at_every_cut")),
+    Mutant("verify-table-skips-state-check", "macro_tables.py",
+           "        check_feature_state(s, table.n, table.v)\n",
+           "",
+           (MT + "test_verify_table_catches_broken_and_redundant_macros",)),
+    # the integrated teacher fills the cell its read-only walk stopped at,
+    # searching from the board the walk reached, then walks again
+    Mutant("integrated-teacher-searches-the-column-before", "eight_puzzle.py",
+           "ida_star_subgoal(state, missing[1], table.ordering)",
+           "ida_star_subgoal(state, missing[1] - 1, table.ordering)",
+           (EP + "test_integrated_teacher_solves_and_reuses",)),
+    Mutant("integrated-teacher-stops-after-its-first-insert", "eight_puzzle.py",
+           "        table.insert(*missing, ida_star_subgoal(state, missing[1], table.ordering))\n",
+           "        table.insert(*missing, ida_star_subgoal(state, missing[1], table.ordering))\n"
+           "        return solution_steps(table, cells + [missing])\n",
+           (EP + "test_integrated_teacher_solves_and_reuses",)),
     # a prefix test is one key compare, with one getter per prefix length
     Mutant("prefix-key-one-feature-short", "macro_tables.py",
            "getters = [_no_features] + [itemgetter(*ordering.perm[:i]) for i in range(1, n + 1)]",
@@ -292,6 +310,11 @@ MUTANTS = (
            'partial(_literal_is, _int_of(text)) if text[0] != "0" or len(text) == 1 else False',
            "partial(_literal_is, _int_of(text))",
            (INT + "test_unit_matches_worked_caps",)),
+    # parse_expr reads every term to_tokens writes, a sum led by ∫ among them
+    Mutant("parse-expr-from-prob", "integration.py",
+           'tree_to_expr(parse(GRAMMAR, tokens, "Exp"))',
+           'tree_to_expr(parse(GRAMMAR, tokens, "Prob"))',
+           (INT + "test_tokens_round_trip_and_count",)),
     # long literals are cut into pieces the int/str limit never rejects
     Mutant("literal-pieces-unpadded", "integration.py",
            'pieces.append(f"{low:0{_PIECE}d}")',

@@ -370,8 +370,10 @@ def test_a_shared_snapshot_solves_as_a_cold_one(r, count, seeds):
 
 def test_rule_solve_propagates_programming_errors():
     class BrokenDomain(I.IntegrationRuleDomain):
-        def unit_matches(self, cap, unit):
-            raise TypeError("bug in unit_matches")
+        def decider(self, ruleset):
+            def decide(unit):
+                raise TypeError("bug in the pick")
+            return decide
 
     p = I.parse_expr("∫ ( sin x ) + ( x ^ 2 ) d x".split())
     with pytest.raises(TypeError):

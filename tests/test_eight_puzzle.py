@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speedup_learning import eight_puzzle as ep
+from speedup_learning import integration as I
 from speedup_learning.core import replay
 from speedup_learning.errors import MoveError, ParameterError
 from speedup_learning.macro_tables import MacroTable
@@ -71,6 +72,20 @@ def test_move_errors():
     # above the blank, holds no tile here
     with pytest.raises(ParameterError, match="no tile at position 2"):
         ep.domain_spec().apply((0, 1, 1, 3, 4, 5, 6, 7, 8), 4)
+
+
+def test_a_bool_is_the_int_it_equals():
+    # Python's rule, kept on purpose: True and False act as 1 and 0 for a
+    # move, a macro's step, an operator index, a literal and a table cell
+    moved = ep.apply_move(ep.GOAL, 1)
+    assert ep.apply_move(ep.GOAL, True) == moved
+    assert ep.apply_macro(ep.GOAL, (True,)) == moved
+    assert ep.domain_spec().apply(ep.GOAL, True, None) == moved
+    assert I.get_operator(True) is I.get_operator(1)
+    assert I.num(True) is I.ONE and I.num(False) is I.num(0)
+    table = MacroTable(ep.N_TILES, ep.N_POSITIONS, ep.GOAL, ep.blank_first_ordering())
+    assert table.insert(True, True, (True,))
+    assert table.get(1, 1) == (1,) and not table.insert(1, 1, (2,))
 
 
 def _moved_or_error(apply, board, move):
@@ -349,6 +364,11 @@ def test_integrated_teacher_solves_and_reuses():
     solution = ep.integrated_teacher(b, table)
     end = ep.apply_moves(b, ep.macro_to_letters([op for op, _ in solution]))
     assert end == ep.GOAL
+    # each column's macro brings ordered features 1..i to their goal values
+    state = b
+    for i in range(1, ep.N_TILES + 1):
+        state = ep.apply_macro(state, table.get(state[ordering.feature(i)], i))
+        assert all(state[t] == ep.GOAL[t] for t in ordering.perm[:i]), i
     first_fill = table.filled_count()
     assert first_fill <= 9
     # a second identical board reuses every macro

@@ -4,7 +4,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brute_force import iter_postorder
@@ -312,13 +312,31 @@ def test_trace_records_walk_as_the_trace_and_keep_the_limit_exact(e):
             assert I.teacher_record(e).steps == n
 
 
+_LED_BY_A_PROBLEM = st.tuples(
+    st.sampled_from([I.add, I.sub, I.mul, I.div]),
+    st.one_of(_EXPRS.map(I.integral), _EXPRS.map(I.deriv)),
+    _EXPRS,
+).map(lambda t: t[0](t[1], t[2]))
+
+
+def _teacher_states(seed):
+    """The states of the teacher's solution of one drawn problem."""
+    p = I.generate_problem(random.Random(seed))
+    solution = I.teacher_solve(p)
+    return [p] if solution is BOTTOM else replay(I.IntegrationRuleDomain(), p, solution)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(_EXPRS, _EXPRS.map(I.integral), _EXPRS.map(I.deriv)))
+@given(st.one_of(_EXPRS, _EXPRS.map(I.integral), _EXPRS.map(I.deriv), _LED_BY_A_PROBLEM,
+                 st.integers(0, 2**32).flatmap(lambda seed: st.sampled_from(_teacher_states(seed)))))
+@example(I.add(I.integral(I.VAR_X), I.ONE))
 def test_tokens_round_trip_and_count(e):
-    # all 13 kinds in every parenthesis context: the trees the layout table
-    # gives are the ones the Earley parser gives
+    # all 13 kinds in every parenthesis context, terms whose first token is
+    # ∫ or D, and states of teacher solutions (a sum split leaves such a
+    # term): parse_expr reads back every term, and the trees the layout
+    # table gives are the ones the Earley parser gives
     tokens = I.to_tokens(e)
-    assert I.parse_expr(tokens, "Exp") is e
+    assert I.parse_expr(tokens) is e
     assert I.token_count(e) == len(tokens)
     assert same_tree(I.as_exp(e), parse(I.GRAMMAR, tokens, "Exp"))
 
@@ -521,7 +539,7 @@ def test_unit_matches_worked_caps():
         cap = _cap(form)
         for texts, want in ((yes, True), (no, False)):
             for text in texts:
-                unit = I.parse_expr(text.split(), "Exp")
+                unit = I.parse_expr(text.split())
                 assert cap_matches_tree(cap, I.as_exp(unit)) is want, (form, text)
                 assert rd.unit_matches(cap, unit) is want, (form, text)
     # a cap not rooted at Exp matches no unit's tree

@@ -514,8 +514,11 @@ def test_verify_table_catches_broken_and_redundant_macros(all_boards):
     ok, witness = verify_table(padded, dom, sample)
     assert not ok and witness[0] == "redundant" and witness[1] == (j, 1)
 
-    # a board of the wrong length is a typed error, not an IndexError
-    for wrong in ((0, 1, 2), ep.GOAL + (9,)):
+    # a board of the wrong length is a typed error, not an IndexError, and
+    # so is a value out of 0..8, not a board the table passes (-1 would
+    # index a macro's effect from its end); a tile placed twice is not
+    # checked, as in walk_columns
+    for wrong in ((0, 1, 2), ep.GOAL + (9,), ep.GOAL[:-1] + (-1,), ep.GOAL[:-1] + (99,)):
         with pytest.raises(ParameterError):
             verify_table(padded, dom, [wrong])
 
