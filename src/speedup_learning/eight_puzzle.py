@@ -100,7 +100,10 @@ def apply_move(board: tuple, move) -> tuple:
     An off-board blank or a move it forbids raises MoveError; a move that
     is neither one of ``MOVE_LETTERS`` nor an int, and a board that is not
     a permutation of 0..8, raise ParameterError."""
-    src = _move_source(board, move)
+    try:
+        src = _move_source(board, move)
+    except (TypeError, IndexError):  # no blank to read: not a board
+        raise ParameterError(f"board must be a permutation of 0..8: {board!r}") from None
     return _slide(_check_board(board), src)
 
 
@@ -199,7 +202,7 @@ def board_to_text(board: tuple) -> str:
 
 
 def text_to_board(text: str) -> tuple:
-    if len(text) != 9 or sorted(text) != list("012345678"):
+    if not isinstance(text, str) or len(text) != 9 or sorted(text) != list("012345678"):
         raise ParameterError(f"board text must be a permutation of 0-8: {text!r}")
     board = [0] * 9
     for pos, ch in enumerate(text):
@@ -335,6 +338,12 @@ def _heuristic(board, tiles):
     return sum(manhattan(board[t], GOAL[t]) for t in tiles if t != 0)
 
 
+def _check_subgoal(i) -> None:
+    """ParameterError unless ``i``, a count of ordered features, is in 1..9."""
+    if not (isinstance(i, int) and 1 <= i <= N_TILES):
+        raise ParameterError(f"a subgoal fixes 1..{N_TILES} ordered features, got {i!r}")
+
+
 def _check_board(board) -> tuple:
     """The board as a tuple; ParameterError unless it puts tiles 0..8 on
     nine distinct positions."""
@@ -348,8 +357,9 @@ def ida_star_subgoal(board: tuple, i: int, ordering: FeatureOrdering) -> tuple:
     """Shortest move sequence bringing ordered features 1..i to their goal
     values, as operator indices.  Deterministic: IDA* with the Manhattan
     heuristic over the non-blank subgoal tiles, move order r<l<u<d, and
-    parent-reversal pruning.
+    parent-reversal pruning.  ParameterError unless ``i`` is an int in 1..9.
     """
+    _check_subgoal(i)
     board = _check_board(board)
     tiles = ordering.perm[:i]
     key = (ordering.perm, i, tuple(board[t] for t in tiles))
@@ -399,6 +409,7 @@ def _ida_search(tiles, b, g, bound, back, path):
 
 def bfs_subgoal(board: tuple, i: int, ordering: FeatureOrdering) -> tuple:
     """Breadth-first subgoal solver; optimality oracle for ida_star_subgoal."""
+    _check_subgoal(i)
     board = _check_board(board)
     tiles = ordering.perm[:i]
     if _at_goal(board, tiles):

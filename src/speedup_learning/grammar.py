@@ -25,8 +25,10 @@ sentences.  Sentential forms go through ``parse`` too, over the form
 grammar: the grammar plus ``A -> ⟨A⟩`` for each nonterminal ``A``, whose
 parse trees are exactly the grammar's caps.  So there is one parser, and
 one cap matcher over parse trees (``cap_matches_tree``).  The integration
-domain matches caps against its expressions with a second matcher, compiled
-from its concrete syntax (``integration.IntegrationRuleDomain.unit_matches``),
+domain matches caps against its expressions with a second matcher, which
+walks the cap against the expression and meets each cap node with the parse
+tree its concrete syntax gives the expression's kind, the first time a
+match reaches that pair (``integration.IntegrationRuleDomain.unit_matches``),
 so that its scorer, learner and rule solver build no parse tree.
 
 Grammar text format: one production per line, ``Head -> sym sym | sym ...``,
@@ -389,10 +391,13 @@ def parse(grammar: Grammar, tokens: Sequence[str], start: Optional[str] = None) 
     Raises ``ParseError`` (with the failing position) if the tokens are not
     in the language, and ``AmbiguityError`` at the first Earley item the
     recogniser derives twice, even one that lies in no parse of the whole
-    input.  One pass with Leo chains; the tree is read off the derivation
-    it recorded.
+    input, and ``ParameterError`` if ``tokens`` is not a sequence.  One
+    pass with Leo chains; the tree is read off the derivation it recorded.
     """
-    tokens = tuple(tokens)
+    try:
+        tokens = tuple(tokens)
+    except TypeError:  # not a sequence
+        raise ParameterError(f"expected a sequence of tokens, got {tokens!r}") from None
     start = start or grammar.start
     try:
         for pos, tok in enumerate(tokens):

@@ -5,13 +5,14 @@ Their concrete syntax is written down once, in ``_LAYOUT``.  Three walks
 read it: ``to_tokens`` yields a term's tokens on an explicit stack; one
 memoized bottom-up walk (``_bottom_up``) gives each subterm's one parse
 tree, rooted at Exp (``as_exp``), and token count, and the same walk gives
-the goal test; and the cap compiler (``_pattern``) turns a grammar cap into
-a pattern over ``Expr`` kinds, so that testing a unit against a select-set
-(``IntegrationRuleDomain.unit_matches``) builds no parse tree.  A parent's
-tree holds each child's tree in place, or that tree in parentheses where the
-slot needs them.  ``tree_to_expr`` reads a parse tree back.  An integer
-literal has at most ``MAX_LITERAL_DIGITS`` digits wherever it is written or
-read.
+the goal test; and the cap matcher (``_matches``) walks a grammar cap
+against an ``Expr``, meeting each cap node with an ``Expr`` kind the first
+time a match reaches that pair, so that testing a unit against a
+select-set (``IntegrationRuleDomain.unit_matches``) builds no parse tree.
+A parent's tree holds each child's tree in place, or that tree in
+parentheses where the slot needs them.  ``tree_to_expr`` reads a parse tree
+back.  An integer literal has at most ``MAX_LITERAL_DIGITS`` digits
+wherever it is written or read.
 Rewrite operators 1-7 are the classic integral table (constant factoring,
 sum/difference splitting, integration by parts, the power/sin/cos rules);
 8-10 round out the integrals the problem distribution needs; 11-17 are
@@ -50,6 +51,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterator, Optional, Sequence
@@ -482,10 +484,13 @@ def tree_to_expr(node: Node) -> Expr:
 # ---------------------------------------------------------------------------
 
 # A unit's parse tree is a fixed function of its Expr, so whether a cap is a
-# cap of that tree can be decided on the Expr itself: each cap is compiled
-# once, against ``_LAYOUT``, into a pattern over Expr kinds (tree pattern
-# matching; Hoffmann & O'Donnell 1982, JACM 29), and a match then takes one
-# step per Expr node, not one per parse node.
+# cap of that tree can be decided on the Expr itself.  A match walks the cap
+# and the Expr together, one step per Expr node, not one per parse node.  At
+# each (cap node, Expr kind) pair it reads how the node meets the parse tree
+# ``_LAYOUT`` gives that kind (``_meet``); a domain keeps each meet from the
+# first time a match reaches its pair, so the match table of tree pattern
+# matching (Hoffmann & O'Donnell 1982, JACM 29) is filled only where it is
+# read.
 
 
 # A literal token's shape, as in ``_LEAF``: the token itself, or Var(x).
@@ -587,53 +592,31 @@ def _meet(cap: Node, shape: tuple):
     return test, tuple(subs)
 
 
-def _pattern(cap: Node, memo: dict):
-    """The pattern of ``cap``, whose label names a category, in a slot of
-    that category: None if it is a leaf (any Expr), else {kind: (literal test or None,
-    ((argument index, sub-pattern), ...))}, where a kind not in it matches
-    nothing.  It fills ``memo`` (cap node -> pattern) for ``cap`` and each
-    sub-cap, sub-caps first, on an explicit stack."""
-    meets: dict = {}  # cap node -> {kind: its meet}, while its sub-caps compile
-    stack = [cap]
-    while stack:
-        c = stack[-1]
-        if c in memo:
-            stack.pop()
-            continue
-        kinds = meets.get(c)
-        if kinds is None:
-            if not c.children:
-                memo[c] = None
-                continue
-            kinds = meets[c] = {}
-            slot = _SLOT_OF[c.label]
-            for kind in _LAYOUT:
-                meet = _meet(c, _SHAPE[kind, slot])
-                if meet is not False:
-                    kinds[kind] = meet
-            todo = [sub for _, subs in kinds.values() for _, sub in subs if sub not in memo]
-            if todo:
-                stack.extend(todo)
-                continue
-        stack.pop()
-        del meets[c]
-        memo[c] = {kind: (test, tuple((i, memo[sub]) for i, sub in subs))
-                   for kind, (test, subs) in kinds.items()}
-    return memo[cap]
+def _kind_meet(memo: dict, cap: Node, kind: str):
+    """``_meet`` of ``cap``, in a slot of its category, with ``kind``, made
+    the first time it is asked for and kept in ``memo[cap][kind]``."""
+    meets = memo[cap]
+    meet = meets.get(kind)
+    if meet is None:
+        meet = meets[kind] = _meet(cap, _SHAPE[kind, _SLOT_OF[cap.label]])
+    return meet
 
 
-def _matches(pattern, e: Expr) -> bool:
-    """Does ``e`` match ``pattern``?  One kind test, and a literal test where
-    the pattern has one, per Expr node visited; explicit stack."""
-    if pattern is None:
+def _matches(cap: Node, e: Expr, memo: dict) -> bool:
+    """Does ``cap``, whose label names a category, match ``e`` in a slot of
+    that category?  A leaf cap matches any Expr; otherwise one meet, and a
+    literal test where the meet has one, per (cap node, Expr node) pair
+    visited, each meet read from ``memo`` (a ``defaultdict(dict)``, cap node
+    -> kind -> meet) or made there on the first visit; explicit stack."""
+    if not cap.children:
         return True
-    stack = [(pattern, e)]
+    stack = [(cap, e)]
     while stack:
-        pattern, x = stack.pop()
-        entry = pattern.get(x.kind)
-        if entry is None:
+        c, x = stack.pop()
+        meet = _kind_meet(memo, c, x.kind)
+        if meet is False:
             return False
-        test, subs = entry
+        test, subs = meet
         if test is not None and not test(x):
             return False
         args = x.args
@@ -830,6 +813,8 @@ def subexpr_at(e: Expr, loc: Sequence[int]) -> Expr:
 
 
 def replace_at(e: Expr, loc: Sequence[int], new: Expr) -> Expr:
+    if not isinstance(new, Expr):
+        raise ParameterError(f"expected an Expr, got {new!r}")
     for parent, i in reversed(_walk(e, loc)[0]):
         kids = list(parent.children)
         kids[i] = new
@@ -1054,7 +1039,10 @@ _ARITH = {SUM: operator.add, DIFF: operator.sub, PROD: operator.mul,
 
 
 def numeric_value(e: Expr, x: float) -> float:
-    """The value of ``e`` at ``x``, subterm by subterm on ``_bottom_up``."""
+    """The value of ``e`` at ``x``, an int or float, subterm by subterm on
+    ``_bottom_up``."""
+    if not isinstance(x, (int, float)):
+        raise ParameterError(f"x must be an int or float, got {x!r}")
     value: dict = {}
 
     def make(n: Expr) -> float:
@@ -1137,21 +1125,22 @@ class IntegrationRuleDomain:
 
     The matching unit at a location is the subexpression there, and its
     tree (``unit_tree``) is its Exp-rooted parse tree.  Select-set
-    membership (``unit_matches``) is tested on the unit itself, with each
-    cap compiled once into a pattern over Expr kinds; the learned solver's
-    pick (``decider``) tests a unit only against the patterns that admit
-    its root kind.
+    membership (``unit_matches``) is tested by walking the cap against the
+    unit itself, with each meet of a cap node and an Expr kind made once
+    per domain, when a match first reaches it (``_meets``); the learned
+    solver's pick (``decider``) tests a unit only against the caps that
+    meet its root kind.
     """
 
     num_operators = len(OPERATORS)
 
     @cached_property
-    def _patterns(self) -> dict:
-        """cap node -> its compiled pattern, for every cap this domain has
-        matched and their sub-caps.  The memo, and the caps it holds, live
-        as long as the domain (a curve's trial owns one); no module-level
-        table is keyed by caps."""
-        return {}
+    def _meets(self) -> defaultdict:
+        """cap node -> {Expr kind -> ``_meet`` of the node with that kind},
+        for every (cap node, kind) pair a match of this domain has reached.
+        The memo, and the caps it holds, live as long as the domain (a
+        curve's trial owns one); no module-level table is keyed by caps."""
+        return defaultdict(dict)
 
     def is_goal(self, e: Expr) -> bool:
         return is_goal(e)
@@ -1161,20 +1150,14 @@ class IntegrationRuleDomain:
 
     def unit_matches(self, cap: Node, unit: Expr) -> bool:
         """``cap_matches_tree(cap, self.unit_tree(unit))``, without building
-        the tree.  It reads a literal's digits only where the cap spells
-        part of them; there a literal longer than ``MAX_LITERAL_DIGITS``
-        raises ParameterError, as ``unit_tree`` does for any such literal.
+        the tree: ``_matches`` on the unit, with this domain's meets.  It
+        reads a literal's digits only where the cap spells part of them;
+        there a literal longer than ``MAX_LITERAL_DIGITS`` raises
+        ParameterError, as ``unit_tree`` does for any such literal.
         Elsewhere it answers as the layout defines."""
         if not isinstance(unit, Expr):
             raise ParameterError(f"expected an Expr, got {unit!r}")
-        if cap.label != "Exp":
-            return False
-        memo = self._patterns
-        try:
-            pattern = memo[cap]
-        except KeyError:
-            pattern = _pattern(cap, memo)
-        return _matches(pattern, unit)
+        return cap.label == "Exp" and _matches(cap, unit, self._meets)
 
     def subexpr(self, e: Expr, loc) -> Expr:
         return subexpr_at(e, loc or ())
@@ -1186,21 +1169,22 @@ class IntegrationRuleDomain:
         """``decide(unit)``: the least-indexed operator whose select-set in
         ``ruleset`` holds ``unit``, or None, memoized per unit.  It tests
         only the caps that can hold a unit of its root kind: a leaf cap any
-        kind, a cap not labelled Exp none, any other cap the kinds its
-        compiled pattern admits.  Built once per rule set and domain
-        (``control_rules.rule_solve_ex``)."""
-        memo = self._patterns
+        kind, a cap not labelled Exp none, any other cap the kinds its root
+        meets, which it makes for all kinds at once in this domain's memo
+        (``_meets``), where ``unit_matches`` reads them too.  Built once per
+        rule set and domain (``control_rules.rule_solve_ex``)."""
+        memo = self._meets
         by_kind: dict = {kind: [] for kind in _LAYOUT}
         for i, cap in enumerate(ruleset.caps, 1):
             if cap is not None and cap.label == "Exp":
-                pattern = memo[cap] if cap in memo else _pattern(cap, memo)
-                for kind in (_LAYOUT if pattern is None else pattern):
-                    by_kind[kind].append((i, pattern))
+                for kind in _LAYOUT:
+                    if not cap.children or _kind_meet(memo, cap, kind) is not False:
+                        by_kind[kind].append((i, cap))
         picks: dict = {}  # unit -> operator index or None
 
         def decide(unit: Expr) -> Optional[int]:
             if unit not in picks:
-                picks[unit] = next((i for i, p in by_kind[unit.kind] if _matches(p, unit)), None)
+                picks[unit] = next((i for i, c in by_kind[unit.kind] if _matches(c, unit, memo)), None)
             return picks[unit]
 
         return decide

@@ -45,7 +45,10 @@ class FeatureOrdering:
 
 
 def check_feature_state(values: Sequence[int], n: int, v: int) -> tuple:
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:  # not a sequence
+        raise ParameterError(f"state must be a sequence of {n} features, got {values!r}") from None
     if len(values) != n:
         raise ParameterError(f"state must have {n} features, got {len(values)}")
     for x in values:  # a plain loop: a generator costs several times more per call

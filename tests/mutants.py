@@ -9,16 +9,15 @@ named tests, with the copy first on ``PYTHONPATH``.  It fails when a named
 test passes (the mutant survives), when a named test is not run, or when
 the old text is not found exactly once in its file (the code has moved on,
 so the list must follow it).  It runs as many mutants at once as this
-process may use CPUs (``nproc``).  All 56 take 60-73 s with two jobs
-on a 2-vCPU x86-64 machine with CPython 3.11, 1.1-10.2 s each (the
-slowest, ``macro-permutation-inverted``, names two property tests), except
-that a mutant whose property test has no failing example in hypothesis'
-example database yet shrinks a fresh one first: up to 32 s for
-``puzzle-cut-one-column-short``.  The step took
-39-93 s while ``merge-before-replay-ends`` also named a property test,
-whose shrink of its failing example took up to 85 s; it now names only
-the example test that fails on the mutant's first case.  Standard
-library only.
+process may use CPUs (``nproc``).  All 58 take 54-83 s with two jobs
+on a 2-vCPU x86-64 machine with CPython 3.11, 1.1-15.4 s each (the
+slowest, ``macro-permutation-inverted``, names two property tests).  A
+mutant caught only by a property test pays for shrinking a fresh failing
+example on every run, since each run starts with an empty example
+database: ``merge-before-replay-ends`` took up to 85 s and
+``puzzle-cut-one-column-short`` 16-32 s that way.  Each now names an
+example test that fails on the mutant's first case instead, and takes
+1.2-2.3 s.  Standard library only.
 """
 
 from __future__ import annotations
@@ -72,8 +71,8 @@ MUTANTS = (
            "",
            (CR + "test_a_cap_wider_than_its_operator",)),
     Mutant("kind-dispatch-drops-leaf-caps", "integration.py",
-           "(_LAYOUT if pattern is None else pattern)",
-           "(() if pattern is None else pattern)",
+           "if not cap.children or _kind_meet(memo, cap, kind) is not False:",
+           "if cap.children and _kind_meet(memo, cap, kind) is not False:",
            (CR + "test_rule_solve_statuses",)),
     Mutant("snapshot-kept-after-a-cap-changes", "control_rules.py",
            "            self._ruleset = None\n",
@@ -230,7 +229,7 @@ MUTANTS = (
     Mutant("puzzle-cut-one-column-short", "harness.py",
            "self.last = max((i for _, i in missing), default=0)",
            "self.last = max((i - 1 for _, i in missing), default=0)",
-           (HA + "test_learned_table_is_the_target_cut_to_its_cells",
+           (HA + "test_puzzle_scorer_cuts_at_the_highest_column_it_can_miss",
             HA + "test_fast_scoring_equals_full_simulation_at_the_puzzle_defaults")),
     Mutant("puzzle-cut-at-first-incomplete-column", "harness.py",
            "self.last = max((i for _, i in missing), default=0)",
@@ -293,7 +292,8 @@ MUTANTS = (
            (EP + "test_random_solvable_draws_the_same_stream_as_random_sample",
             EP + "test_integrated_teacher_solves_and_reuses",
             EP + "test_random_solvable_is_solvable_and_seeded")),
-    # cap matching on Exprs: each cap compiled against the layout
+    # cap matching on Exprs: each (cap node, kind) pair met against the
+    # layout when a match first reaches it
     Mutant("cap-int-cut-takes-as-many-digits", "integration.py",
            "if len(text) != len(digits) if exact else len(text) <= len(digits):",
            "if len(text) != len(digits) if exact else len(text) < len(digits):",
@@ -302,10 +302,18 @@ MUTANTS = (
            "    if nat > slot:  # P-term -> ( Exp ), under Term in a Term slot\n",
            "    if nat > slot + 1:  # P-term -> ( Exp ), under Term in a Term slot\n",
            (INT + "test_unit_matches_worked_caps",)),
-    Mutant("cap-argument-compiled-as-exp", "integration.py",
-           "slot = _SLOT_OF[c.label]",
-           "slot = _EXP",
+    Mutant("cap-argument-met-as-exp", "integration.py",
+           "_meet(cap, _SHAPE[kind, _SLOT_OF[cap.label]])",
+           "_meet(cap, _SHAPE[kind, _EXP])",
            (INT + "test_unit_matches_worked_caps",)),
+    Mutant("cap-meet-reused-across-kinds", "integration.py",
+           "    meet = meets.get(kind)\n",
+           "    meet = next(iter(meets.values()), None)\n",
+           (INT + "test_a_meet_is_made_when_a_match_first_reaches_its_kind",)),
+    Mutant("cap-meet-not-kept", "integration.py",
+           "meet = meets[kind] = _meet(",
+           "meet = _meet(",
+           (INT + "test_a_meet_is_made_when_a_match_first_reaches_its_kind",)),
     Mutant("cap-leading-zero-read-as-its-value", "integration.py",
            'partial(_literal_is, _int_of(text)) if text[0] != "0" or len(text) == 1 else False',
            "partial(_literal_is, _int_of(text))",

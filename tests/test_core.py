@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from speedup_learning import eight_puzzle as ep
+from speedup_learning import integration as I
 from speedup_learning.core import (
     BOTTOM,
     DomainSpec,
@@ -18,6 +20,8 @@ from speedup_learning.errors import (
     ParameterError,
     ReplayError,
 )
+from speedup_learning.grammar import parse
+from speedup_learning.macro_tables import MacroTable, macro_solve
 
 
 def _counter_domain(limit=5):
@@ -143,3 +147,28 @@ def test_is_consistent_exact_match_only():
     assert not is_consistent(explodes, sample)
     # BOTTOM examples impose no constraint
     assert is_consistent(lambda p: ((1, None), (1, None)), [Example(5, BOTTOM)])
+
+
+
+_ORDER = ep.blank_first_ordering()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: ep.apply_move(None, 1), id="apply_move-no-board"),
+    pytest.param(lambda: ep.is_solvable(None), id="is_solvable-no-board"),
+    pytest.param(lambda: macro_solve(MacroTable(9, 9, ep.GOAL, _ORDER), ep.domain_spec(), None),
+                 id="macro_solve-no-board"),
+    pytest.param(lambda: I.parse_expr(None), id="parse_expr-no-tokens"),
+    pytest.param(lambda: parse(I.GRAMMAR, None), id="parse-no-tokens"),
+    pytest.param(lambda: I.replace_at(I.integral(I.VAR_X), (0,), "y"), id="replace_at-str"),
+    pytest.param(lambda: ep.text_to_board(12345678), id="text_to_board-int"),
+    pytest.param(lambda: ep.ida_star_subgoal(ep.GOAL, 1.5, _ORDER), id="ida_star_subgoal-float"),
+    pytest.param(lambda: ep.ida_star_subgoal(ep.GOAL, 99, _ORDER), id="ida_star_subgoal-99"),
+    pytest.param(lambda: ep.bfs_subgoal(ep.GOAL, -1, _ORDER), id="bfs_subgoal-negative"),
+    pytest.param(lambda: I.numeric_value(I.VAR_X, "a"), id="numeric_value-str"),
+])
+def test_public_entry_points_raise_typed_errors(call):
+    # malformed input at a public entry point raises ParameterError, not a
+    # TypeError from deep inside, a malformed Expr or a quiet wrong answer
+    with pytest.raises(ParameterError):
+        call()

@@ -242,6 +242,22 @@ def _learn(boards):
     return learned, solutions
 
 
+def test_puzzle_scorer_cuts_at_the_highest_column_it_can_miss():
+    # the scorer's column cut on one seeded stream: after each example,
+    # last is the highest column in which the learner lacks a target cell,
+    # and the walk cut there gives the whole walk's verdict
+    rng = random.Random(5)
+    target = target_puzzle_table()
+    queries = [ep.random_solvable(rng) for _ in range(20)]
+    trial = _PuzzleTrial()
+    for _ in range(6):
+        trial.learn(ep.random_solvable(rng))
+        table = trial.learner_table
+        assert trial.last == max((i for j, i in target.cells if not table.is_filled(j, i)), default=0)
+        for q in queries:
+            assert trial.score_fast(q) == (walk_columns(table, q, ep.apply_macro)[2] is None)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), examples=st.integers(0, 40),
        queries=st.integers(1, 5), data=st.data())

@@ -569,9 +569,25 @@ def test_compiled_patterns_live_on_the_domain():
     rd = I.IntegrationRuleDomain()
     cap = _cap("P-term * Term + Exp")
     assert rd.unit_matches(cap, I.parse_expr("2 * x + 1".split()))
-    assert cap in rd._patterns and cap not in I.IntegrationRuleDomain()._patterns
+    assert cap in rd._meets and cap not in I.IntegrationRuleDomain()._meets
     tables = [v for v in list(vars(I).values()) + list(vars(I.Expr).values()) if isinstance(v, dict)]
     assert tables and not any(cap in t for t in tables)
+
+
+def test_a_meet_is_made_when_a_match_first_reaches_its_kind():
+    # a cap node meets an Expr kind only when a match reaches that pair,
+    # and each pair keeps its own meet
+    rd = I.IntegrationRuleDomain()
+    cap = _cap("P-term * Term + Exp")
+    assert rd.unit_matches(cap, _expr("2 * x + 1"))
+    assert set(rd._meets[cap]) == {I.SUM}
+    assert not rd.unit_matches(cap, _expr("x"))
+    assert not rd.unit_matches(cap, _expr("2 - x"))
+    assert not rd.unit_matches(cap, _expr("2 + x"))
+    assert set(rd._meets[cap]) == {I.SUM, I.VAR, I.DIFF}
+    assert rd._meets[cap][I.VAR] is False and rd._meets[cap][I.DIFF] is False
+    assert rd.decider(RuleSet([cap]))(_expr("3 * x + x")) == 1
+    assert len(rd._meets[cap]) == len(I._LAYOUT)  # the pick meets its root caps with every kind
 
 
 def _cut(tree, rnd, p, labels=None):
@@ -635,10 +651,19 @@ def test_unit_matches_equals_cap_matches_tree(exprs, chain, problem, rnd, p, lab
     caps = cuts + [msc(cuts[0], cuts[1]), msc(trees[0], trees[-1]), msc(cuts[-1], trees[0])] + known
     units = [u for e in exprs[:2] for _, u in iter_postorder(e)] + exprs[2:]
     units += [u for _, _, u in I.teacher_trace(problem)[0]]
+    want = {(cap, unit): cap_matches_tree(cap, I.as_exp(unit)) for cap in caps for unit in units}
+    # one domain makes each meet when a match first reaches it, so it must
+    # answer alike in any order, and as a fresh domain does
+    pairs = list(want)
+    rnd.shuffle(pairs)
     rd = I.IntegrationRuleDomain()
-    for cap in caps:
-        for unit in units:
-            assert rd.unit_matches(cap, unit) is cap_matches_tree(cap, I.as_exp(unit))
+    for cap, unit in pairs:
+        assert rd.unit_matches(cap, unit) is want[cap, unit]
+        assert I.IntegrationRuleDomain().unit_matches(cap, unit) is want[cap, unit]
+    # the learned solver's pick reads the same memo, already warmed
+    decide = rd.decider(RuleSet(caps))
+    for unit in units:
+        assert decide(unit) == next((i for i, cap in enumerate(caps, 1) if want[cap, unit]), None)
 
 
 def _sevens(digits):
