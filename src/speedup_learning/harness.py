@@ -9,7 +9,8 @@ and population standard deviation across trials.
 
 ``run_curve`` runs that loop for every domain; a small trial class per
 domain holds what differs: its defaults, a fresh learner, ``draw``,
-``learn`` and the two scorers.
+``learn``, the two scorers and ``complete``, true once the learner can
+no longer change or miss.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ class _IntegrationTrial:
     """A fresh control-rule learner, scored along the teacher's trace."""
 
     train_max, eval_every = 30, 1
+    # caps can always widen, so a trial never ends early
+    complete = False
 
     def __init__(self):
         self.rdomain = integration.IntegrationRuleDomain()
@@ -136,7 +139,14 @@ def target_puzzle_table() -> MacroTable:
 
 
 class _PuzzleTrial:
-    """A fresh macro table learned by serial parsing, scored by walking it."""
+    """A fresh macro table learned by serial parsing, scored by walking it.
+
+    Once the learner holds every cell of the target table (``last`` is 0)
+    the trial is ``complete``: the learner's cells are a subset of the
+    target's, so it never gains another, and ``score_fast`` only checks
+    the board, which every drawn board passes.  Every later eval point
+    scores 1.0, so ``run_curve`` stops drawing and learning.
+    """
 
     train_max, eval_every = 40, 2
 
@@ -151,6 +161,10 @@ class _PuzzleTrial:
     @staticmethod
     def draw(rng):
         return eight_puzzle.random_solvable(rng)
+
+    @property
+    def complete(self) -> bool:
+        return self.last == 0
 
     def learn(self, board):
         """Fold the teacher's solution of ``board`` into the learner's
@@ -211,10 +225,19 @@ def run_curve(config: ExperimentConfig, full_simulation: bool = False) -> list:
     checks the learner's select-sets along the teacher's trace, and the
     Eight Puzzle walks the learner's own macro table up to the last column
     it can still miss, a hit when it meets no unfilled cell (the test
-    suite asserts the equivalence on reduced configurations).  The integration trace scorer keeps one table per
-    trial, the teacher records it has covered, and skips them: the learner
-    only widens its caps, so a record whose every step passed once passes
-    at every later eval point.
+    suite asserts the equivalence on reduced configurations).  The
+    integration trace scorer keeps one table per trial, the teacher
+    records it has covered, and skips them: the learner only widens its
+    caps, so a record whose every step passed once passes at every later
+    eval point.
+
+    The fast path also ends a trial as soon as it is ``complete`` (an
+    Eight Puzzle learner that holds the whole target table): from that
+    training step on, each eval point scores 1.0 without drawing a test
+    board, and no more examples are drawn or learned.  The result is the
+    same, since a complete learner hits on every board and the trial's
+    generators are its own, so the skipped draws feed nothing else.
+    ``full_simulation`` runs every step literally and checks this.
 
     Each trial starts by freezing the heap, so the collector skips what
     earlier trials left alive (``core.frozen_between_units``); the
@@ -231,6 +254,11 @@ def run_curve(config: ExperimentConfig, full_simulation: bool = False) -> list:
             train_rng = _trial_rng(cfg, i, "train")
             for t in range(1, cfg.train_max + 1):
                 trial.learn(trial.draw(train_rng))
+                if trial.complete and not full_simulation:
+                    # this and every later eval point score 1.0
+                    for u in range(t + -t % cfg.eval_every, cfg.train_max + 1, cfg.eval_every):
+                        per_trial.setdefault(u, []).append(1.0)
+                    break
                 if t % cfg.eval_every == 0:
                     test_rng = _trial_rng(cfg, i, "eval", t)
                     hits = sum(score(trial.draw(test_rng)) for _ in range(cfg.test_set_size))

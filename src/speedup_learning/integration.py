@@ -1018,8 +1018,13 @@ _POWERS = tuple(map(powx, _DIGITS))  # x^0..x^9
 
 def generate_problem(rng: random.Random) -> Expr:
     """∫ c1·x^p + t2·x² + t3·x + t4 dx with c1 ∈ {0..9}, p ∈ {3..9}, and
-    each t uniform over {sin x, cos x, 0..9}, all independent."""
-    randrange = rng.randrange
+    each t uniform over {sin x, cos x, 0..9}, all independent.
+    ParameterError unless ``rng`` has a ``randrange`` method, as a
+    ``random.Random`` does."""
+    try:
+        randrange = rng.randrange
+    except AttributeError:
+        raise ParameterError(f"rng must be a random.Random, got {rng!r}") from None
     c1, xp = _DIGITS[randrange(10)], _POWERS[randrange(3, 10)]
     t2, t3, t4 = _TERMS[randrange(12)], _TERMS[randrange(12)], _TERMS[randrange(12)]
     body = add(

@@ -9,8 +9,8 @@ named tests, with the copy first on ``PYTHONPATH``.  It fails when a named
 test passes (the mutant survives), when a named test is not run, or when
 the old text is not found exactly once in its file (the code has moved on,
 so the list must follow it).  It runs as many mutants at once as this
-process may use CPUs (``nproc``).  All 58 take 54-83 s with two jobs
-on a 2-vCPU x86-64 machine with CPython 3.11, 1.1-15.4 s each (the
+process may use CPUs (``nproc``).  All 60 take 56-58 s with two jobs
+on a 2-vCPU x86-64 machine with CPython 3.11, 1.1-9.1 s each (the
 slowest, ``macro-permutation-inverted``, names two property tests).  A
 mutant caught only by a property test pays for shrinking a fresh failing
 example on every run, since each run starts with an empty example
@@ -231,6 +231,11 @@ MUTANTS = (
            "self.last = max((i - 1 for _, i in missing), default=0)",
            (HA + "test_puzzle_scorer_cuts_at_the_highest_column_it_can_miss",
             HA + "test_fast_scoring_equals_full_simulation_at_the_puzzle_defaults")),
+    # a trial ends once its learner holds the whole target table
+    Mutant("puzzle-trial-ends-one-column-early", "harness.py",
+           "return self.last == 0",
+           "return self.last <= 1",
+           (HA + "test_a_complete_puzzle_trial_ends_early",)),
     Mutant("puzzle-cut-at-first-incomplete-column", "harness.py",
            "self.last = max((i for _, i in missing), default=0)",
            "self.last = min((i for _, i in missing), default=0)",
@@ -287,10 +292,14 @@ MUTANTS = (
            (EP + "test_apply_macro_equals_move_fold",
             MT + "test_eight_puzzle_macro_runner_keeps_the_step_by_step_errors")),
     Mutant("board-draw-parity-off-by-one", "eight_puzzle.py",
-           "if j != n - 1:",
-           "if j != n:",
+           "odd ^= j != 1",
+           "odd ^= j != 2",
            (EP + "test_random_solvable_draws_the_same_stream_as_random_sample",
-            EP + "test_integrated_teacher_solves_and_reuses",
+            EP + "test_random_solvable_is_solvable_and_seeded")),
+    Mutant("board-draw-takes-an-index-past-the-pool", "eight_puzzle.py",
+           "while (j := getrandbits(4)) >= 9:",
+           "while (j := getrandbits(4)) > 9:",
+           (EP + "test_random_solvable_draws_the_same_stream_as_random_sample",
             EP + "test_random_solvable_is_solvable_and_seeded")),
     # cap matching on Exprs: each (cap node, kind) pair met against the
     # layout when a match first reaches it

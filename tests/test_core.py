@@ -166,6 +166,8 @@ _ORDER = ep.blank_first_ordering()
     pytest.param(lambda: ep.ida_star_subgoal(ep.GOAL, 99, _ORDER), id="ida_star_subgoal-99"),
     pytest.param(lambda: ep.bfs_subgoal(ep.GOAL, -1, _ORDER), id="bfs_subgoal-negative"),
     pytest.param(lambda: I.numeric_value(I.VAR_X, "a"), id="numeric_value-str"),
+    pytest.param(lambda: ep.random_solvable(None), id="random_solvable-no-rng"),
+    pytest.param(lambda: I.generate_problem(7), id="generate_problem-int-rng"),
 ])
 def test_public_entry_points_raise_typed_errors(call):
     # malformed input at a public entry point raises ParameterError, not a

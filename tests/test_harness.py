@@ -106,6 +106,26 @@ def test_fast_scoring_equals_full_simulation_at_the_puzzle_defaults():
     assert 0 in lasts
 
 
+def test_a_complete_puzzle_trial_ends_early(monkeypatch):
+    # seed 0's one trial at the defaults completes its table at example 29,
+    # one column-1 cell short at eval points 20..28: the fast path draws
+    # the examples up to 29 and the test sets of eval points 2..28, no
+    # board after that, and still gives the literal scorer's points
+    cfg = ExperimentConfig(domain="eightpuzzle", trials=1, seed=0)
+    trial, rng, lasts = _PuzzleTrial(), _trial_rng(cfg.resolved(), 0, "train"), []
+    while trial.last:
+        trial.learn(trial.draw(rng))
+        lasts.append(trial.last)
+    done = len(lasts)
+    assert (done, lasts[19:28]) == (29, [1] * 9)
+    draws, draw = [], _PuzzleTrial.draw
+    monkeypatch.setattr(_PuzzleTrial, "draw", staticmethod(lambda rng: draws.append(1) or draw(rng)))
+    points = run_curve(cfg)
+    assert len(draws) == done + cfg.test_set_size * ((done - 1) // 2)
+    assert [p.mean_accuracy for p in points[done // 2:]] == [1.0] * (20 - done // 2)
+    assert points == run_curve(cfg, full_simulation=True)
+
+
 def _step_walk(trial, problem) -> bool:
     # the reference verdict: every teacher step's unit passes its
     # operator's current cap

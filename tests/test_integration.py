@@ -563,9 +563,9 @@ def test_unit_matches_on_a_3000_deep_chain():
         assert not rd.unit_matches(whole, over_one) and not rd.unit_matches(cut, other)
 
 
-def test_compiled_patterns_live_on_the_domain():
-    # a pattern lives in the domain that compiled it, which a curve's trial
-    # owns, and in no module-level table
+def test_cap_meets_live_on_the_domain():
+    # a cap's meets live in the memo of the domain that matched it, which a
+    # curve's trial owns, and in no module-level table
     rd = I.IntegrationRuleDomain()
     cap = _cap("P-term * Term + Exp")
     assert rd.unit_matches(cap, I.parse_expr("2 * x + 1".split()))
