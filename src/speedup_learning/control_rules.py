@@ -6,22 +6,24 @@ conflicts, so a rule set is one cap per operator (``RuleSet.caps``).  The
 solver runs the domain's post-order engine, the teacher's, picking at each
 unit the least-indexed operator whose select-set holds it; the domain
 builds that pick (``decider``) and reads its own step and size limits.
-The learner replays each solution with ``core.replay``, then folds each
-operator's units into their most specific generalization with the
-two-tree ``msc``.  It tests coverage on the unit itself (the domain's
-``unit_matches``) and builds the unit's tree (``unit_tree``) only for a
-first cap or for ``msc`` on a unit its cap does not cover: for a covered
-unit ``msc(cap, tree) is cap``, so the cap stays the same object either
-way.  A solution that does not replay leaves the learner as it was.  The
-learner hands out one ``RuleSet`` snapshot until a cap changes, so every
-solve between two changes reads the snapshot's memo of picks.
+The learner reads each solution's units in one walk (the domain's
+``units``), then folds each operator's units into their most specific
+generalization with the two-tree ``msc``.  It tests coverage on the unit
+itself (the domain's ``unit_matches``) and builds the unit's tree
+(``unit_tree``) only for a first cap or for ``msc`` on a unit its cap
+does not cover: for a covered unit ``msc(cap, tree) is cap``, so the cap
+stays the same object either way.  The walk finds every unit before any
+cap changes, so a solution that does not replay leaves the learner as it
+was.  The learner hands out one ``RuleSet`` snapshot until a cap
+changes, so every solve between two changes reads the snapshot's memo of
+picks.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .core import BOTTOM, Example, is_consistent, replay, solved_problem
+from .core import BOTTOM, Example, is_consistent, solved_problem
 from .errors import ConsistencyError, ParameterError
 from .grammar import Node, msc, tree_yield
 
@@ -80,13 +82,12 @@ class IncrementalRuleLearner:
         self._ruleset: Optional[RuleSet] = None  # the snapshot of these caps, once asked for
 
     def add_example(self, example: Example):
-        """Replay the whole solution, then merge its units into the caps."""
+        """Find every unit of the solution (``rdomain.units``), then merge
+        them into the caps."""
         if example.solution is BOTTOM:
             return
-        states = replay(self.rdomain, example.problem, example.solution)
         caps, rdomain = self.caps, self.rdomain
-        for x, (op_index, loc) in zip(states, example.solution):
-            unit = rdomain.subexpr(x, loc)
+        for op_index, unit in rdomain.units(example.problem, example.solution):
             old = caps[op_index - 1]
             if old is None:
                 caps[op_index - 1] = rdomain.unit_tree(unit)

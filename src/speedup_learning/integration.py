@@ -38,18 +38,18 @@ hand-authored select-sets (``teacher_ruleset``) that agrees with them on
 the problem distribution, and writes each subterm's record into ``_TRACE``
 as soon as the subterm is normalized, so the memo grows linearly in the
 nesting depth.  The learned solver (``IntegrationRuleDomain.solve``)
-decides by its select-sets and passes the rule set's record memo, where
-it keeps only the records of subterms that took no step, so its step and
-size limits stay exact.  The test suite checks both against interpreters
-that scan the state from the root.
+decides by its select-sets and passes the rule set's record memo, where a
+record also keeps how far its steps moved the state's size, and is reused
+only where its steps fit under both limits, so the limits stay exact.
+The rule learner reads a solution's units in one walk of the state
+(``IntegrationRuleDomain.units``).  The test suite checks the engine
+against interpreters that scan the state from the root.
 ``_TRACE`` is one of the memo tables: one table per value derived from a
 subterm alone, keyed by the interned ``Expr``.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -59,10 +59,12 @@ from typing import Callable, Iterator, Optional, Sequence
 from .control_rules import RuleSet
 from .core import BOTTOM, DomainSpec
 from .errors import (
+    INAPPLICABLE,
     InapplicableOperatorError,
     LocationError,
     ParameterError,
     ParseError,
+    ReplayError,
 )
 from .grammar import Grammar, Node, form_to_cap, parse, tree_yield
 
@@ -792,12 +794,12 @@ def get_operator(index: int) -> RewriteOp:
 # ---------------------------------------------------------------------------
 
 
-def _walk(e: Expr, loc: Sequence[int]) -> tuple:
-    """The (node, child index) pairs on the path to ``loc``, and the
-    subexpression there."""
-    spine = []
+def _walk(e: Expr, loc, spine: list, depth: int = 0) -> Expr:
+    """The subexpression at ``loc`` below ``e``, each (node, child index)
+    passed on the way pushed onto ``spine``; with a ``depth``, ``loc`` is a
+    tuple and ``e`` already that many indices down it."""
     try:
-        for i in loc:
+        for i in loc[depth:] if depth else loc:
             kids = e.children
             if not 0 <= i < len(kids):
                 raise LocationError(f"index {i} invalid at {to_text(e)!r}")
@@ -805,25 +807,38 @@ def _walk(e: Expr, loc: Sequence[int]) -> tuple:
             e = kids[i]
     except TypeError as exc:
         raise LocationError(f"location {loc!r} is not a sequence of integers") from exc
-    return spine, e
+    return e
 
 
-def subexpr_at(e: Expr, loc: Sequence[int]) -> Expr:
-    return _walk(e, loc)[1]
-
-
-def replace_at(e: Expr, loc: Sequence[int], new: Expr) -> Expr:
-    if not isinstance(new, Expr):
-        raise ParameterError(f"expected an Expr, got {new!r}")
-    for parent, i in reversed(_walk(e, loc)[0]):
+def _climb(spine: list, new: Expr) -> Expr:
+    """``new`` in place of the subterm below ``spine``, each node of
+    ``spine`` made anew above it, bottom up."""
+    for parent, i in reversed(spine):
         kids = list(parent.children)
         kids[i] = new
         new = _mk(parent.kind, *kids)
     return new
 
 
+def subexpr_at(e: Expr, loc: Sequence[int]) -> Expr:
+    return _walk(e, loc, [])
+
+
+def replace_at(e: Expr, loc: Sequence[int], new: Expr) -> Expr:
+    if not isinstance(new, Expr):
+        raise ParameterError(f"expected an Expr, got {new!r}")
+    spine: list = []
+    _walk(e, loc, spine)
+    return _climb(spine, new)
+
+
 def apply_at(op: RewriteOp, e: Expr, loc: Sequence[int]) -> Expr:
-    return replace_at(e, loc, op.apply(subexpr_at(e, loc)))
+    """``op`` applied at ``loc`` of ``e``, in one walk down and up."""
+    if not isinstance(e, Expr):
+        raise ParameterError(f"expected an Expr, got {e!r}")
+    spine: list = []
+    unit = _walk(e, loc, spine)
+    return _climb(spine, op.apply(unit))
 
 
 def _decide_ops(e: Expr) -> Optional[int]:
@@ -861,12 +876,14 @@ class TeacherRecord:
         self.steps = steps
 
 
-# (kind, argument index) -> its slot's category, where parentheses go
-_SLOT = {(kind, p[0]): p[1] for kind, (_, body) in _LAYOUT.items()
-         for p in body or () if not isinstance(p, str)}
+# (kind, argument index) -> its slot's category, where parentheses go; an
+# argument the layout writes as the token x is Var(x), a P-term
+_SLOT = {(kind, i): _PTERM for kind in _LAYOUT for i in (0, 1)}
+_SLOT.update(((kind, p[0]), p[1]) for kind, (_, body) in _LAYOUT.items()
+             for p in body or () if not isinstance(p, str))
 
 
-def _normalize(e: Expr, decide, memo: Optional[dict], step_limit: int,
+def _normalize(e: Expr, decide, memo: dict, step_limit: int,
                size_limit: Optional[int] = None) -> tuple:
     """Solve ``e`` by post-order first match: ``(its TeacherRecord, None)``,
     or ``(None, why)``: "step_limit" past ``step_limit`` steps, "diverged"
@@ -874,17 +891,23 @@ def _normalize(e: Expr, decide, memo: Optional[dict], step_limit: int,
     when the operator index ``decide(unit)`` picks does not apply and the
     whole term is not a goal.  Normalize the children left to right,
     rebuild the node, and if ``decide`` picks an operator there, record the
-    step and go on with the rewritten term.  With a ``memo`` (subterm ->
-    record), a hit adds its record's count, and each finished subterm's
-    record goes into it at once, also in a call that then passes the step
-    limit: a subterm's record depends on that subterm alone.  Under a
-    ``size_limit`` only records of no step go into it: such a record grew
-    nothing, so a hit cannot hide the step at which the state outgrew the
-    limit, while a record with steps would skip the sizes its steps passed
-    through.  Once a pick on a goal switches ``decide`` off, the records
-    made after that are not ``decide``'s, so the memo is left alone."""
+    step and go on with the rewritten term.  Each finished subterm's record
+    goes into ``memo`` at once, also in a call that then passes a limit: a
+    subterm's record depends on that subterm alone.  Without a
+    ``size_limit`` the memo maps subterm -> record, and a hit adds its
+    record's count.  Under one it maps (subterm, its slot's category) ->
+    (record, peak, net): how far the whole term's token count rose above
+    its value when the subterm's frame began, and how far it moved in the
+    end.  A hit is taken only if its steps and its peak fit under both
+    limits from where the solve stands; otherwise the subterm is solved
+    step by step, so a limit fires at the very step it would without the
+    memo.  Once a pick on a goal switches ``decide`` off, the records made
+    after that are not ``decide``'s, so they go into a memo of their own."""
     count = 0
     size = token_count(e) if size_limit is not None else 0
+    # Under a size limit, one mark per frame: [the token count when the
+    # frame began, the most it has reached since, the frame's slot].
+    marks = [[size, size, _EXP]] if size_limit is not None else None
     handed = None  # record of the frame just popped, for its parent
     # A frame normalizes one subterm: [that subterm, the term it has reached
     # (the subterm or a rewrite of it), segments so far, normal forms of
@@ -899,14 +922,25 @@ def _normalize(e: Expr, decide, memo: Optional[dict], step_limit: int,
             sub, handed = handed, None
             if sub is None:
                 child = children[i]
-                if memo is not None:
+                if marks is None:
                     sub = memo.get(child)
-                if sub is None:
-                    stack.append([child, child, [], [], count])
-                    continue
-                count += sub.steps
-                if count > step_limit:
-                    return None, "step_limit"
+                    if sub is None:
+                        stack.append([child, child, [], [], count])
+                        continue
+                    count += sub.steps
+                    if count > step_limit:
+                        return None, "step_limit"
+                else:
+                    slot = _SLOT[term.kind, i]
+                    hit = memo.get((child, slot))
+                    if hit is None or count + hit[0].steps > step_limit or size + hit[1] > size_limit:
+                        stack.append([child, child, [], [], count])
+                        marks.append([size, size, slot])
+                        continue
+                    sub, peak, net = hit
+                    count += sub.steps
+                    marks[-1][1] = max(marks[-1][1], size + peak)
+                    size += net
             if sub.steps:
                 segs.append((i, sub))
             kids.append(sub.normal_form)
@@ -923,22 +957,28 @@ def _normalize(e: Expr, decide, memo: Optional[dict], step_limit: int,
                 if not is_goal(whole):
                     return None, "no_match"
                 decide, op_index = (lambda unit: None), None  # on a goal, no pick applies
-                memo = None  # and the records from here on are not decide's
+                memo = {}  # and the records from here on are not decide's
         if op_index is None:
             handed = TeacherRecord(tuple(segs), x, count - began)
-            if memo is not None and (size_limit is None or not handed.steps):
-                memo[top] = handed
             stack.pop()
+            if marks is None:
+                memo[top] = handed
+            else:
+                base, high, slot = marks.pop()
+                if marks:
+                    marks[-1][1] = max(marks[-1][1], high)
+                memo[top, slot] = (handed, high - base, size - base)
             continue
         count += 1
         if count > step_limit:
             return None, "step_limit"
         new = op.rewrite(x)
-        if size_limit is not None:
-            slot = _SLOT[stack[-2][1].kind, len(stack[-2][3])] if len(stack) > 1 else _EXP
-            size += _width(new, slot) - _width(x, slot)
+        if marks is not None:
+            mark = marks[-1]
+            size += _width(new, mark[2]) - _width(x, mark[2])
             if size > size_limit:
                 return None, "diverged"
+            mark[1] = max(mark[1], size)
         segs.append((op_index, x))
         frame[1] = new
         frame[3] = []
@@ -1035,81 +1075,6 @@ def generate_problem(rng: random.Random) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Independent numeric/symbolic oracles
-# ---------------------------------------------------------------------------
-
-
-_ARITH = {SUM: operator.add, DIFF: operator.sub, PROD: operator.mul,
-          QUOT: operator.truediv, POWER: operator.pow}
-
-
-def numeric_value(e: Expr, x: float) -> float:
-    """The value of ``e`` at ``x``, an int or float, subterm by subterm on
-    ``_bottom_up``."""
-    if not isinstance(x, (int, float)):
-        raise ParameterError(f"x must be an int or float, got {x!r}")
-    value: dict = {}
-
-    def make(n: Expr) -> float:
-        k, l, r = n.kind, n.args[0], n.args[-1]
-        if k == NUM:
-            return float(l)
-        if k == VAR:
-            return x
-        if k == SIN:
-            return math.sin(x)
-        if k == COS:
-            return math.cos(x)
-        if k == NEG:
-            return -value[l]
-        if k in _ARITH:
-            return _ARITH[k](value[l], value[r])
-        raise ParameterError(f"cannot evaluate {k} node numerically")
-
-    try:
-        return _bottom_up(e, value, make)
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise ParameterError(f"cannot evaluate numerically: {exc}") from exc
-
-
-def differentiate(e: Expr) -> Expr:
-    """Symbolic d/dx, independent of the rewrite operators (test oracle),
-    subterm by subterm on ``_bottom_up``."""
-    d: dict = {}
-
-    def make(n: Expr) -> Expr:
-        k, l, r = n.kind, n.args[0], n.args[-1]
-        if k in (NUM, NAMED):
-            return ZERO
-        if k == VAR:
-            return ONE
-        if k == SIN:
-            return cosx()
-        if k == COS:
-            return neg(sinx())
-        if k == NEG:
-            return neg(d[l])
-        if k == SUM:
-            return add(d[l], d[r])
-        if k == DIFF:
-            return sub(d[l], d[r])
-        if k == PROD:
-            return add(mul(d[l], r), mul(l, d[r]))
-        if k == QUOT:
-            return div(sub(mul(d[l], r), mul(l, d[r])), mul(r, r))
-        if k != POWER:
-            raise ParameterError(f"cannot differentiate {k} node")
-        if r.kind != NUM:
-            raise ParameterError("can only differentiate integer powers")
-        m = r.args[0]
-        if m == 0:
-            return ZERO
-        return mul(r, powx(num(m - 1)) if m != 1 else ONE)
-
-    return _bottom_up(e, d, make)
-
-
-# ---------------------------------------------------------------------------
 # Domain adapters and file format
 # ---------------------------------------------------------------------------
 
@@ -1164,8 +1129,44 @@ class IntegrationRuleDomain:
             raise ParameterError(f"expected an Expr, got {unit!r}")
         return cap.label == "Exp" and _matches(cap, unit, self._meets)
 
-    def subexpr(self, e: Expr, loc) -> Expr:
-        return subexpr_at(e, loc or ())
+    def units(self, problem: Expr, solution) -> list:
+        """``[(op_index, unit), ...]``, each step of ``solution`` from
+        ``problem`` with its unit, the subexpression at its location: what
+        ``core.replay`` and ``subexpr_at`` on each state give, or the error
+        ``replay`` raises, at the same step.  One walk with a zipper (Huet
+        1997) on the current location: a step climbs only to the prefix its
+        location shares with the last one, making anew just the ancestors it
+        leaves, descends, and rewrites the unit in place.  ParameterError
+        unless ``problem`` is an Expr and ``solution`` a sequence."""
+        if not isinstance(problem, Expr):
+            raise ParameterError(f"expected an Expr, got {problem!r}")
+        try:
+            steps = enumerate(solution)
+        except TypeError:
+            raise ParameterError(f"a solution is a sequence of steps, got {solution!r}") from None
+        units: list = []
+        focus, spine = problem, []  # spine: (node, child index) down to focus, as the walk went down
+        for k, step in steps:
+            try:
+                op_index, loc = step
+            except (TypeError, ValueError) as exc:
+                raise ReplayError(f"step {step!r} is not an (operator, location) pair", k) from exc
+            op = get_operator(op_index)
+            where = loc or ()
+            depth = 0  # how deep the focus's location and a tuple ``where`` agree
+            if type(where) is tuple:
+                while depth < len(spine) and depth < len(where) and spine[depth][1] is where[depth]:
+                    depth += 1
+            focus = _climb(spine[depth:], focus)
+            del spine[depth:]
+            try:
+                focus = _walk(focus, where, spine, depth)
+                new = op.apply(focus)
+            except INAPPLICABLE as exc:
+                raise ReplayError(f"operator {op_index} inapplicable: {exc}", k) from exc
+            units.append((op_index, focus))
+            focus = new
+        return units
 
     def apply(self, e: Expr, op_index: int, loc) -> Expr:
         return apply_at(get_operator(op_index), e, loc or ())
@@ -1198,10 +1199,9 @@ class IntegrationRuleDomain:
         """``control_rules.rule_solve_ex`` on ``_normalize``, under this
         domain's two default limits, with the record memo ``records`` that
         the rule set keeps for this domain, as long as the rule set lives.
-        Under the size limit it holds only the records of subterms that
-        took no step, and a hit skips such a subterm without a frame or a
-        pick: a record with steps would hide the step at which the size
-        limit is passed."""
+        A hit skips a finished subterm without a frame or a pick where its
+        steps and its peak size fit under the limits, whatever limits the
+        solve that made it had."""
         record, why = _normalize(e, decide, records, self.default_step_limit(e),
                                  self.default_size_limit(e))
         if record is None or not self.is_goal(record.normal_form):

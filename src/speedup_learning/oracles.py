@@ -3,12 +3,15 @@ acceptance tests.
 
 Each check returns ``(ok, detail)``.  Callers pass in the expensive inputs
 (the 181 440 boards, the exhaustive table) and their own random streams and
-counts, so each caller draws exactly the instances it always has.
+counts, so each caller draws exactly the instances it always has.  The
+integration domain's numeric value and symbolic derivative live here too,
+written independently of its rewrite operators so they can check them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from typing import Optional
 
@@ -17,6 +20,10 @@ from . import integration
 from .core import frozen_between_units, sample_size
 from .errors import ParameterError
 from .grammar import msg
+from .integration import (
+    COS, DIFF, NAMED, NEG, NUM, ONE, POWER, PROD, QUOT, SIN, SUM, VAR, ZERO,
+    Expr, _bottom_up, add, cosx, div, mul, neg, num, powx, sinx, sub,
+)
 from .macro_tables import MacroTable, check_serial_decomposability, verify_table, walk_columns
 
 
@@ -106,12 +113,87 @@ def teacher_soundness(rng: random.Random, draws: int, numeric_checks: int):
             if record is None or not integration.is_goal(record.normal_form):
                 bad_solve += 1
             elif t < numeric_checks:
-                d = integration.differentiate(record.normal_form)
+                d = differentiate(record.normal_form)
                 bad_numeric += not all(
-                    math.isclose(integration.numeric_value(d, x),
-                                 integration.numeric_value(p.args[0], x),
+                    math.isclose(numeric_value(d, x), numeric_value(p.args[0], x),
                                  rel_tol=1e-6, abs_tol=1e-9)
                     for x in (0.1, 0.5, 1.3))
     return bad_solve == bad_numeric == 0, (
         f"{bad_solve} of {draws} not normalized, "
         f"{bad_numeric} of {min(draws, numeric_checks)} numerically unsound")
+
+
+# ---------------------------------------------------------------------------
+# The integration domain's numeric and symbolic oracles, independent of its
+# rewrite operators
+# ---------------------------------------------------------------------------
+
+
+_ARITH = {SUM: operator.add, DIFF: operator.sub, PROD: operator.mul,
+          QUOT: operator.truediv, POWER: operator.pow}
+
+
+def numeric_value(e: Expr, x: float) -> float:
+    """The value of ``e`` at ``x``, an int or float, subterm by subterm on
+    ``_bottom_up``."""
+    if not isinstance(x, (int, float)):
+        raise ParameterError(f"x must be an int or float, got {x!r}")
+    value: dict = {}
+
+    def make(n: Expr) -> float:
+        k, l, r = n.kind, n.args[0], n.args[-1]
+        if k == NUM:
+            return float(l)
+        if k == VAR:
+            return x
+        if k == SIN:
+            return math.sin(x)
+        if k == COS:
+            return math.cos(x)
+        if k == NEG:
+            return -value[l]
+        if k in _ARITH:
+            return _ARITH[k](value[l], value[r])
+        raise ParameterError(f"cannot evaluate {k} node numerically")
+
+    try:
+        return _bottom_up(e, value, make)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ParameterError(f"cannot evaluate numerically: {exc}") from exc
+
+
+def differentiate(e: Expr) -> Expr:
+    """Symbolic d/dx, independent of the rewrite operators, subterm by
+    subterm on ``_bottom_up``."""
+    d: dict = {}
+
+    def make(n: Expr) -> Expr:
+        k, l, r = n.kind, n.args[0], n.args[-1]
+        if k in (NUM, NAMED):
+            return ZERO
+        if k == VAR:
+            return ONE
+        if k == SIN:
+            return cosx()
+        if k == COS:
+            return neg(sinx())
+        if k == NEG:
+            return neg(d[l])
+        if k == SUM:
+            return add(d[l], d[r])
+        if k == DIFF:
+            return sub(d[l], d[r])
+        if k == PROD:
+            return add(mul(d[l], r), mul(l, d[r]))
+        if k == QUOT:
+            return div(sub(mul(d[l], r), mul(l, d[r])), mul(r, r))
+        if k != POWER:
+            raise ParameterError(f"cannot differentiate {k} node")
+        if r.kind != NUM:
+            raise ParameterError("can only differentiate integer powers")
+        m = r.args[0]
+        if m == 0:
+            return ZERO
+        return mul(r, powx(num(m - 1)) if m != 1 else ONE)
+
+    return _bottom_up(e, d, make)

@@ -11,6 +11,7 @@ from typing import Iterable, Iterator, Sequence
 
 from speedup_learning.core import BOTTOM, Example
 from speedup_learning.grammar import Grammar, Node, SententialForm
+from speedup_learning.integration import subexpr_at
 
 
 class EnumerationLimitError(Exception):
@@ -115,7 +116,7 @@ def collect_select_examples(rdomain, sample: Sequence[Example]) -> dict:
             continue
         x = example.problem
         for op_index, loc in example.solution:
-            unit = rdomain.subexpr(x, loc)
+            unit = subexpr_at(x, loc or ())
             collected.setdefault(op_index, {}).setdefault(unit)
             x = rdomain.apply(x, op_index, loc)
     return {op: list(bucket) for op, bucket in collected.items()}

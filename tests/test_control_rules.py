@@ -132,6 +132,64 @@ def test_a_rejected_example_leaves_the_rule_learner_as_it_was():
     assert " ".join(tree_yield(learner.caps[6])) == "∫ ( cos x ) d x"
 
 
+def test_units_are_what_replay_gives():
+    # the zipper walk climbs to the parent, a sibling's subterm and the
+    # root: each unit is the subexpression at its location of the state
+    # the steps before it reached
+    rd, rng = _rdomain(), random.Random(5)
+    problems = [I.parse_expr(text.split()) for text in
+                ("∫ ( sin x ) + ( x ^ 2 ) d x", "∫ 3 * ( x ^ 4 ) + ( sin x ) d x")]
+    for p in problems + [I.generate_problem(rng) for _ in range(10)]:
+        solution = I.teacher_solve(p)
+        assert rd.units(p, solution) == [
+            (op, I.subexpr_at(x, loc)) for x, (op, loc) in zip(replay(rd, p, solution), solution)]
+    assert rd.units(I.VAR_X, ()) == []
+
+
+_EDITS = ("extra index", "cut location", "wrong operator", "list location",
+          "None location", "dropped step", "negative index")
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       edits=st.lists(st.tuples(st.sampled_from(_EDITS), st.integers(0, 99), st.integers(0, 26)), max_size=3))
+def test_units_agree_with_replay_on_corrupted_solutions(seed, edits):
+    # a teacher solution with drawn edits: units gives each step's unit as
+    # replay and subexpr_at do, or raises replay's error, with its message
+    # and step
+    rd = _rdomain()
+    p = I.generate_problem(random.Random(seed))
+    steps = list(I.teacher_solve(p))
+    for how, k, n in edits:
+        if not steps:
+            break
+        k %= len(steps)
+        op, loc = steps[k]
+        loc = tuple(loc or ())
+        if how == "dropped step":
+            del steps[k]
+        else:
+            steps[k] = {
+                "extra index": (op, loc + (n % 2,)),
+                "cut location": (op, loc[:-1]),
+                "wrong operator": (n + 1, loc),
+                "list location": (op, list(loc)),
+                "None location": (op, None),
+                "negative index": (op, loc[:n % (len(loc) + 1)] + (-1 - n % 2,)),
+            }[how]
+    solution = tuple(steps)
+    try:
+        expected = [(op, I.subexpr_at(x, loc or ()))
+                    for x, (op, loc) in zip(replay(rd, p, solution), solution)]
+    except SpeedupLearningError as exc:
+        with pytest.raises(SpeedupLearningError) as got:
+            rd.units(p, solution)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        assert getattr(got.value, "step", None) == getattr(exc, "step", None)
+    else:
+        assert rd.units(p, solution) == expected
+
+
 _BAD_LOCATIONS = st.one_of(
     st.lists(st.integers(-1, 3), max_size=4).map(tuple),
     st.sampled_from(["zz", 5, None, (0.5,), ("a",)]),
@@ -252,26 +310,51 @@ def test_a_cap_wider_than_its_operator():
     rules = RuleSet(caps)
     assert tree_yield(caps[18]) == ("Int", "-", "Int")
     three_less_five, int_x = I.sub(I.num(3), I.num(5)), I.integral(I.VAR_X)
-    # one snapshot and domain for all three, so the first two solves' memo
-    # is read by the third: 3 - 5 took no step there, but only because the
-    # whole state was a goal
+    # one snapshot and domain for all four, so the first three solves' memo
+    # is read by the last: 3 - 5 took no step there, also as a left summand,
+    # where the memo keys it by the same slot, but only because the whole
+    # state was a goal
     assert rule_solve_ex(rules, rd, three_less_five) == ((), "solved")
+    assert rule_solve_ex(rules, rd, I.add(three_less_five, I.ONE)) == ((), "solved")
     assert rule_solve_ex(rules, rd, I.add(int_x, three_less_five)) == (((8, (0,)),), "solved")
     assert rule_solve_ex(rules, rd, I.add(three_less_five, int_x)) == (BOTTOM, "no_match")
 
 
-def test_a_record_with_steps_does_not_hide_a_divergence():
-    # the snapshot's record memo keeps only subterms that took no step:
-    # p's record, made under a loose size limit, would skip the states that
-    # outgrow a tighter one
-    rd, teacher = LimitedDomain(), I.teacher_ruleset()
+def _memo_with_steps(teacher, rd):
+    """q = p + 1, solved once under rd's own limits, so the snapshot's record
+    memo holds p's record, which takes every step of q's solution."""
     p = I.parse_expr("∫ ( sin x ) + ( x ^ 2 ) d x".split())
     q = I.add(p, I.ONE)
     solution, status = rule_solve_ex(teacher, rd, q)
     assert status == "solved" and solution == I.teacher_solve(q)
-    rd.size = _largest_state(rd, q, solution) - 1
+    records = teacher._memos[rd][1]
+    assert any(record.steps == len(solution) for record, _, _ in records.values())
+    return q, solution
+
+
+def test_a_record_with_steps_does_not_hide_a_divergence():
+    # p's record, made under a loose size limit, would skip the states that
+    # outgrow a tighter one: its peak does not fit, so p is solved step by
+    # step, and the solve diverges at the step it would without the memo
+    rd, teacher = LimitedDomain(), I.teacher_ruleset()
+    q, solution = _memo_with_steps(teacher, rd)
+    rd.size = _largest_state(rd, q, solution)
+    assert rule_solve_ex(teacher, rd, q) == (solution, "solved")
+    rd.size -= 1
     assert rule_solve_ex(teacher, rd, q) == (BOTTOM, "diverged")
     rd.size = None
+    assert rule_solve_ex(teacher, rd, q) == (solution, "solved")
+
+
+def test_a_record_with_steps_does_not_hide_the_step_limit():
+    # likewise p's steps do not fit under a step limit one short of them
+    rd, teacher = LimitedDomain(), I.teacher_ruleset()
+    q, solution = _memo_with_steps(teacher, rd)
+    rd.steps = len(solution)
+    assert rule_solve_ex(teacher, rd, q) == (solution, "solved")
+    rd.steps -= 1
+    assert rule_solve_ex(teacher, rd, q) == (BOTTOM, "step_limit")
+    rd.steps = None
     assert rule_solve_ex(teacher, rd, q) == (solution, "solved")
 
 
@@ -352,9 +435,10 @@ def test_rule_solve_agrees_with_the_root_scan_at_both_limits(r, count, seed):
 def test_a_shared_snapshot_solves_as_a_cold_one(r, count, seeds):
     # one snapshot (shared with the other tests, too) solves a stream of
     # problems on one domain, and each solve of n steps again on one
-    # LimitedDomain at step limits n and n - 1 and size limits of its
-    # largest state's tokens and one less; every result equals a cold
-    # snapshot's, whose memo is empty
+    # LimitedDomain, first under its loose default limits, which fill its
+    # memo with records that have steps, then at step limits n and n - 1
+    # and size limits of its largest state's tokens and one less; every
+    # result equals a cold snapshot's, whose memo is empty
     rules = _learned_rules(r, count)
     rd, capped = _rdomain(), LimitedDomain()
     for seed in seeds:
@@ -363,7 +447,7 @@ def test_a_shared_snapshot_solves_as_a_cold_one(r, count, seeds):
         assert got == rule_solve_ex(RuleSet(rules.caps), rd, q)
         if got[1] == "solved" and got[0]:
             n, size = len(got[0]), _largest_state(rd, q, got[0])
-            for limits in ((n, None), (n - 1, None), (None, size), (None, size - 1)):
+            for limits in ((None, None), (n, None), (n - 1, None), (None, size), (None, size - 1)):
                 capped.steps, capped.size = limits
                 assert rule_solve_ex(rules, capped, q) == rule_solve_ex(RuleSet(rules.caps), capped, q)
 

@@ -4,6 +4,8 @@ import pytest
 
 from speedup_learning import eight_puzzle as ep
 from speedup_learning import integration as I
+from speedup_learning import oracles
+from speedup_learning.control_rules import IncrementalRuleLearner
 from speedup_learning.core import (
     BOTTOM,
     DomainSpec,
@@ -165,9 +167,17 @@ _ORDER = ep.blank_first_ordering()
     pytest.param(lambda: ep.ida_star_subgoal(ep.GOAL, 1.5, _ORDER), id="ida_star_subgoal-float"),
     pytest.param(lambda: ep.ida_star_subgoal(ep.GOAL, 99, _ORDER), id="ida_star_subgoal-99"),
     pytest.param(lambda: ep.bfs_subgoal(ep.GOAL, -1, _ORDER), id="bfs_subgoal-negative"),
-    pytest.param(lambda: I.numeric_value(I.VAR_X, "a"), id="numeric_value-str"),
+    pytest.param(lambda: oracles.numeric_value(I.VAR_X, "a"), id="numeric_value-str"),
     pytest.param(lambda: ep.random_solvable(None), id="random_solvable-no-rng"),
     pytest.param(lambda: I.generate_problem(7), id="generate_problem-int-rng"),
+    pytest.param(lambda: IncrementalRuleLearner(I.IntegrationRuleDomain()).add_example(
+        Example("x", ((1, ()),))), id="add_example-str-problem"),
+    pytest.param(lambda: IncrementalRuleLearner(I.IntegrationRuleDomain()).add_example(
+        Example(I.integral(I.VAR_X), None)), id="add_example-none-solution"),
+    pytest.param(lambda: IncrementalRuleLearner(I.IntegrationRuleDomain()).add_example(
+        Example(I.integral(I.VAR_X), 5)), id="add_example-int-solution"),
+    pytest.param(lambda: I.IntegrationRuleDomain().apply(3, 1, ()), id="rule_domain_apply-int-state"),
+    pytest.param(lambda: I.domain_spec().apply(3, 1, ()), id="domain_spec_apply-int-state"),
 ])
 def test_public_entry_points_raise_typed_errors(call):
     # malformed input at a public entry point raises ParameterError, not a

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from brute_force import iter_postorder
 from speedup_learning import integration as I
+from speedup_learning import oracles
 from speedup_learning.control_rules import IncrementalRuleLearner, RuleSet, rule_solve, rule_solve_ex
 from speedup_learning.core import BOTTOM, Example, replay
 from speedup_learning.errors import (
@@ -77,8 +78,8 @@ def test_expressions_are_hash_consed():
     rd = I.IntegrationRuleDomain()
     for not_an_expr in ("x", None, 1, ["x"]):
         for call in (I.teacher_trace, I.teacher_solve, I.teacher_record, I.is_goal,
-                     I.to_tokens, I.token_count, I.differentiate,
-                     lambda e: I.numeric_value(e, 0.5),
+                     I.to_tokens, I.token_count, oracles.differentiate,
+                     lambda e: oracles.numeric_value(e, 0.5),
                      lambda e: rule_solve_ex(I.teacher_ruleset(), rd, e)):
             with pytest.raises(ParameterError):
                 call(not_an_expr)
@@ -234,6 +235,9 @@ def test_locations():
             I.replace_at(e, bad, I.ONE)
         with pytest.raises(LocationError):
             I.apply_at(op, e, bad)
+    # a location is read once, so an iterator of indices works too
+    sin_plus_one = I.add(I.integral(I.sinx()), I.ONE)
+    assert I.apply_at(op, sin_plus_one, iter((0,))) is I.apply_at(op, sin_plus_one, (0,))
 
 
 def test_post_order_least_index_discipline():
@@ -399,12 +403,12 @@ def test_round_trip_of_deep_inputs():
     empty = RuleSet([None] * len(I.OPERATORS))
     assert rule_solve_ex(empty, I.IntegrationRuleDomain(), chain) == (BOTTOM, "no_match")
     # the numeric and symbolic oracles: d/dx of -(-(...x)) is -(-(...1))
-    d = I.differentiate(chain)
+    d = oracles.differentiate(chain)
     for _ in range(3000):
         assert d.kind == I.NEG
         d = d.args[0]
     assert d is I.ONE
-    assert I.numeric_value(chain, 0.5) == 0.5
+    assert oracles.numeric_value(chain, 0.5) == 0.5
     # the teacher: 1500 neg_neg steps from the bottom up, then ∫ x d x;
     # teacher_solve replays to the trace's normal form
     problem = I.integral(chain)
@@ -782,10 +786,10 @@ def test_teacher_numeric_soundness_sample():
         trace = I.teacher_trace(p)
         assert trace is not None
         answer = trace[1]
-        d = I.differentiate(answer)
+        d = oracles.differentiate(answer)
         for x in (0.1, 0.5, 1.3):
-            assert math.isclose(I.numeric_value(d, x),
-                                I.numeric_value(p.args[0], x),
+            assert math.isclose(oracles.numeric_value(d, x),
+                                oracles.numeric_value(p.args[0], x),
                                 rel_tol=1e-6, abs_tol=1e-9)
 
 
@@ -799,19 +803,19 @@ def test_differentiate_oracle_against_finite_differences():
     ]
     h = 1e-6
     for e in exprs:
-        d = I.differentiate(e)
+        d = oracles.differentiate(e)
         for x in (0.3, 0.9):
-            numeric = (I.numeric_value(e, x + h) - I.numeric_value(e, x - h)) / (2 * h)
-            assert math.isclose(I.numeric_value(d, x), numeric, rel_tol=1e-4)
+            numeric = (oracles.numeric_value(e, x + h) - oracles.numeric_value(e, x - h)) / (2 * h)
+            assert math.isclose(oracles.numeric_value(d, x), numeric, rel_tol=1e-4)
     # kinds the oracles cannot handle, and values no float holds, raise
     # ParameterError
     for bad in (I.integral(I.VAR_X), I.deriv(I.VAR_X), I.named("a"),
                 I.div(I.ONE, I.ZERO), I.powx(I.num(10000))):
         with pytest.raises(ParameterError):
-            I.numeric_value(I.add(I.ONE, bad), 1.3)
+            oracles.numeric_value(I.add(I.ONE, bad), 1.3)
     for bad in (I.integral(I.VAR_X), I.deriv(I.VAR_X), I.powx(I.VAR_X)):
         with pytest.raises(ParameterError):
-            I.differentiate(I.add(I.ONE, bad))
+            oracles.differentiate(I.add(I.ONE, bad))
 
 
 def test_domain_spec_replays_teacher():
